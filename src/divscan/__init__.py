@@ -5,7 +5,27 @@ The package covers four layers: dense operator/channel algebra
 inclusion tests (`divisibility`), structured families with closed-form
 certificates (`idempotent`, `schur`, `gaussian`), and ready-made example
 families plus a CLI (`presets`, `cli`).
+
+DIVSCAN_THREADS, when it holds a positive integer, sets OMP_NUM_THREADS and
+OPENBLAS_NUM_THREADS (unless those are set already) here, before numpy is
+imported, so the BLAS starts with that many threads. It has no effect when
+numpy was imported before divscan. The CLI rejects any other value.
 """
+
+
+def _export_thread_count() -> None:
+    import os
+
+    try:
+        threads = int(os.environ.get("DIVSCAN_THREADS", ""))
+    except ValueError:
+        return
+    if threads > 0:
+        os.environ.setdefault("OMP_NUM_THREADS", str(threads))
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", str(threads))
+
+
+_export_thread_count()
 
 from ._errors import (
     ConfigError,

@@ -202,6 +202,27 @@ def blockwise_extend_apply(ch: Channel, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def stacked_apply(s: np.ndarray, d: int, ys: np.ndarray, extended: bool = False) -> np.ndarray:
+    """Apply the superoperator s of a channel on C^d to a stack of operands
+    in one matmul.
+
+    ys has shape (N, d, d), or with extended=True shape (N, d*d, d*d): each
+    operand then lives on C^d (x) C^d and s acts on every d x d block, which
+    is (I (x) Lambda)(Y) without building I (x) Lambda. Raises
+    DimensionMismatch for any other shape.
+    """
+    m = d if extended else 1
+    ys = np.asarray(ys, dtype=complex)
+    if ys.ndim != 3 or ys.shape[1:] != (m * d, m * d):
+        raise DimensionMismatch(f"operand stack shape {ys.shape}, expected (N, {m * d}, {m * d})")
+    n = ys.shape[0]
+    # Y[a*d + i, b*d + j] -> row (a, b), column i + d*j: the column-stacked
+    # vec of block (a, b), so s acts on every block of every operand at once
+    v = ys.reshape(n, m, d, m, d).transpose(0, 1, 3, 4, 2).reshape(n * m * m, d * d)
+    out = (v @ s.T).reshape(n, m, m, d, d)
+    return out.transpose(0, 1, 4, 2, 3).reshape(n, m * d, m * d)
+
+
 def transpose_channel(d: int) -> Channel:
     """X -> X^T; the standard example of a positive map that is not CP."""
     s = np.zeros((d * d, d * d))

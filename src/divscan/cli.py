@@ -365,9 +365,6 @@ def run(cfg: RunConfig) -> int:
                 raise ValueError
         except ValueError:
             raise ConfigError(f"DIVSCAN_THREADS must be a positive integer, got {threads!r}")
-        # best-effort cap: backends initialized after this point respect it
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", threads)
     cfg.validate()
     return _RUNNERS[cfg.command](cfg)
 

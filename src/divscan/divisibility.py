@@ -10,6 +10,14 @@ surjectivity, which a numerical scan cannot establish).
 Derivatives are central differences with stencil width h; any flagged slope
 is re-checked at h/10 and must stay above tau_slope/2 to count, which filters
 stencil artifacts near kinks.
+
+P and CP scans run one engine. At each stencil time tau (t and t +/- h, plus
+t +/- h/10 for a re-check) it builds the d^2 x d^2 superoperator S_tau once
+and applies it to the whole witness stack in one matmul: to each witness in P
+mode, and to every d x d block of each doubled-space witness in CP mode, so
+I (x) Lambda_t is never built. One stacked eigensolve then gives every trace
+norm. Nothing is kept past the stencil time that built it, so memory grows
+with library size x D^2 (D the witness dimension), not with grid length.
 """
 
 from __future__ import annotations
@@ -18,14 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._errors import DomainExceeded, InvalidFamily
-from .channels import Channel, extend_channel
-from .operators import (
-    TAU_SLOPE,
-    random_hermitian,
-    random_projector_difference,
-    trace_norm,
-)
+from ._errors import DimensionMismatch, DomainExceeded, InvalidFamily
+from .channels import Channel, _matrix_to_json, stacked_apply
+from .operators import TAU_SLOPE, random_hermitian, random_projector_difference, trace_norms
+
+# The engine uses neither; perfbench/tracing.py wraps both under these names.
+from .channels import extend_channel  # noqa: F401
+from .operators import trace_norm  # noqa: F401
 
 NOT_P_DIVISIBLE = "NOT_P_DIVISIBLE"
 NOT_CP_DIVISIBLE = "NOT_CP_DIVISIBLE"
@@ -126,12 +133,7 @@ class DivisibilityReport:
     notes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        wm = None
-        if self.witness_matrix is not None:
-            wm = [
-                [[float(z.real), float(z.imag)] for z in row]
-                for row in np.asarray(self.witness_matrix, dtype=complex)
-            ]
+        wm = None if self.witness_matrix is None else _matrix_to_json(self.witness_matrix)
         return {
             "verdict": self.verdict,
             "mode": self.mode,
@@ -161,42 +163,92 @@ def _check_grid(fam: DynamicalFamily, grid: np.ndarray, h: float) -> None:
             )
 
 
-def _scan(fam, grid, h, witnesses, tau_slope, mode, early_stop) -> DivisibilityReport:
+def _chunks(n: int, early_stop: bool):
+    """Witness index ranges: all at once, or 1, 2, 4, ... with early stop so
+    that a violation among the first witnesses ends the scan early."""
+    if not early_stop:
+        yield 0, n
+        return
+    start, size = 0, 1
+    while start < n:
+        yield start, min(start + size, n)
+        start += size
+        size *= 2
+
+
+def _curves(fam, grid, h, ws, tau_slope, extended):
+    """Norms, central-difference slopes and h/10 re-check slopes, each of
+    shape (len(grid), N), for one stack of N witnesses.
+
+    S_tau is built once per stencil time and applied to the whole stack;
+    nothing outlives the stencil time that built it. Re-check slopes are
+    NaN where the slope did not exceed tau_slope.
+    """
+
+    def norms(tau: float, ys: np.ndarray) -> np.ndarray:
+        out = stacked_apply(fam.channel(tau).super, fam.d, ys, extended=extended)
+        return trace_norms(out, atol=1e-7)
+
+    shape = (len(grid), len(ws))
+    values, derivs, fine = np.empty(shape), np.empty(shape), np.full(shape, np.nan)
+    for k, t in enumerate(grid.tolist()):
+        values[k] = norms(t, ws)
+        derivs[k] = (norms(t + h, ws) - norms(t - h, ws)) / (2 * h)
+        flagged = np.flatnonzero(derivs[k] > tau_slope)
+        if flagged.size:
+            sub = ws[flagged]
+            fine[k, flagged] = (norms(t + h / 10, sub) - norms(t - h / 10, sub)) / (2 * h / 10)
+    return values, derivs, fine
+
+
+def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> DivisibilityReport:
+    """The one scan engine. P mode applies Lambda_t to witnesses on C^d; CP
+    mode applies I (x) Lambda_t blockwise to witnesses on C^d (x) C^d."""
     extended = mode == "CP"
-
-    chan_cache: dict[float, Channel] = {}
-
-    def chan(tau: float) -> Channel:
-        if tau not in chan_cache:
-            base = fam.channel(tau)
-            chan_cache[tau] = extend_channel(base) if extended else base
-        return chan_cache[tau]
-
-    def norm_at(tau: float, w: np.ndarray) -> float:
-        return trace_norm(chan(tau).apply(w), atol=1e-7)
+    lo, hi = fam.t_domain
+    if h is None:
+        h = 1e-4 * (hi - lo)
+    grid = _default_grid(fam, h) if grid is None else np.asarray(grid, dtype=float)
+    _check_grid(fam, grid, h)
+    dim = fam.d * fam.d if extended else fam.d
+    if witnesses is None:
+        rng = np.random.default_rng(seed)
+        canonical = fam.cp_witnesses if extended else fam.witnesses
+        witnesses = [(f"canonical-{i}", w) for i, w in enumerate(canonical)]
+        if extended:
+            witnesses += default_witnesses(dim, rng, n_proj=10, n_herm=10, pair_cap=60)
+        else:
+            witnesses += default_witnesses(dim, rng)
+    witnesses = list(witnesses)
+    for wid, w in witnesses:
+        if np.shape(w) != (dim, dim):
+            raise DimensionMismatch(f"witness {wid} has shape {np.shape(w)}, expected {(dim, dim)}")
 
     rows = []
     notes = []
     best = None  # (derivative, t, id, matrix)
-    for wid, w in witnesses:
-        for t in grid:
-            t = float(t)
-            f0 = norm_at(t, w)
-            deriv = (norm_at(t + h, w) - norm_at(t - h, w)) / (2 * h)
-            rows.append((t, wid, f0, deriv))
-            if deriv > tau_slope:
-                fine = (norm_at(t + h / 10, w) - norm_at(t - h / 10, w)) / (2 * h / 10)
-                if fine > tau_slope / 2:
-                    if best is None or deriv > best[0]:
-                        best = (deriv, t, wid, w)
-                else:
-                    notes.append(
-                        f"slope {deriv:.3e} at t={t} (witness {wid}) not confirmed at h/10; ignored"
-                    )
+    for start, stop in _chunks(len(witnesses), early_stop):
+        chunk = witnesses[start:stop]
+        ws = np.stack([np.asarray(w, dtype=complex) for _, w in chunk])
+        values, derivs, fine = _curves(fam, grid, h, ws, tau_slope, extended)
+        for n, (wid, w) in enumerate(chunk):
+            for k, t in enumerate(grid):
+                t, deriv = float(t), float(derivs[k, n])
+                rows.append((t, wid, float(values[k, n]), deriv))
+                if deriv > tau_slope:
+                    if fine[k, n] > tau_slope / 2:
+                        if best is None or deriv > best[0]:
+                            best = (deriv, t, wid, w)
+                    else:
+                        notes.append(
+                            f"slope {deriv:.3e} at t={t} (witness {wid}) not confirmed at h/10; ignored"
+                        )
+            if best is not None and early_stop:
+                # the flagged witness's full curve is in rows already; later
+                # witnesses cannot change the verdict, only the argmax
+                notes.append("stopped at first violating witness")
+                break
         if best is not None and early_stop:
-            # the flagged witness's full curve is in rows already; later
-            # witnesses cannot change the verdict, only the argmax
-            notes.append("stopped at first violating witness")
             break
 
     if best is not None:
@@ -232,16 +284,7 @@ def p_divisibility_scan(
     (DomainExceeded otherwise). witnesses=None selects the family's canonical
     witnesses followed by the default library.
     """
-    lo, hi = fam.t_domain
-    if h is None:
-        h = 1e-4 * (hi - lo)
-    grid = _default_grid(fam, h) if grid is None else np.asarray(grid, dtype=float)
-    _check_grid(fam, grid, h)
-    if witnesses is None:
-        rng = np.random.default_rng(seed)
-        witnesses = [(f"canonical-{i}", w) for i, w in enumerate(fam.witnesses)]
-        witnesses += default_witnesses(fam.d, rng)
-    return _scan(fam, grid, h, witnesses, tau_slope, mode="P", early_stop=early_stop)
+    return _scan(fam, grid, h, witnesses, seed, tau_slope, mode="P", early_stop=early_stop)
 
 
 def cp_divisibility_scan(
@@ -254,16 +297,7 @@ def cp_divisibility_scan(
     early_stop: bool = True,
 ) -> DivisibilityReport:
     """Same scan under I (x) Lambda_t; witnesses live on the doubled space."""
-    lo, hi = fam.t_domain
-    if h is None:
-        h = 1e-4 * (hi - lo)
-    grid = _default_grid(fam, h) if grid is None else np.asarray(grid, dtype=float)
-    _check_grid(fam, grid, h)
-    if witnesses is None:
-        rng = np.random.default_rng(seed)
-        witnesses = [(f"canonical-{i}", w) for i, w in enumerate(fam.cp_witnesses)]
-        witnesses += default_witnesses(fam.d * fam.d, rng, n_proj=10, n_herm=10, pair_cap=60)
-    return _scan(fam, grid, h, witnesses, tau_slope, mode="CP", early_stop=early_stop)
+    return _scan(fam, grid, h, witnesses, seed, tau_slope, mode="CP", early_stop=early_stop)
 
 
 def central_difference(f, t: float, h: float) -> float:

@@ -92,6 +92,26 @@ def trace_norm(x: np.ndarray, atol: float = TAU_HERM) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(xh))))
 
 
+def trace_norms(xs: np.ndarray, atol: float = TAU_HERM) -> np.ndarray:
+    """Trace norms of a stack of Hermitian matrices, shape (N, D, D), from
+    one stacked eigensolve.
+
+    Applies require_hermitian's check to the whole stack: NonHermitianInput
+    when any max|X - X*| exceeds atol, DimensionMismatch for a stack that is
+    not of square matrices.
+    """
+    xs = np.asarray(xs, dtype=complex)
+    if xs.ndim != 3 or xs.shape[1] != xs.shape[2]:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {xs.shape}")
+    xh = xs.conj().swapaxes(1, 2)
+    dev = float(np.max(np.abs(xs - xh))) if xs.size else 0.0
+    if dev > atol:
+        raise NonHermitianInput(f"matrix deviates from Hermitian by {dev:.3e} (atol={atol:.1e})")
+    xh += xs
+    xh *= 0.5
+    return np.sum(np.abs(np.linalg.eigvalsh(xh)), axis=-1)
+
+
 def jordan_split(x: np.ndarray, atol: float = TAU_HERM) -> tuple[np.ndarray, np.ndarray]:
     """Split Hermitian X into PSD parts (P, N) with X = P - N and P N = 0."""
     dec = spectral(x, atol=atol)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divscan._errors import HypothesisViolated, SingularChannel
+from divscan._errors import DimensionMismatch, HypothesisViolated, SingularChannel
 from divscan.channels import (
     Channel,
     blockwise_extend_apply,
@@ -18,6 +18,7 @@ from divscan.channels import (
     load_channel,
     positivity_by_contractivity,
     save_channel,
+    stacked_apply,
     super_channel,
     transpose_channel,
 )
@@ -115,6 +116,22 @@ def test_blockwise_extension_agrees_with_extended_channel():
     ch = random_cptp(3, 3, rng)
     y = random_hermitian(9, rng)
     assert np.max(np.abs(extend_channel(ch).apply(y) - blockwise_extend_apply(ch, y))) < 1e-12
+
+
+def test_stacked_apply_agrees_with_apply_and_blockwise_extension():
+    rng = np.random.default_rng(17)
+    ch = random_cptp(3, 2, rng)
+    xs = np.stack([random_hermitian(3, rng) for _ in range(4)])
+    ys = np.stack([random_hermitian(9, rng) for _ in range(4)])
+    out = stacked_apply(ch.super, 3, xs)
+    ext = stacked_apply(ch.super, 3, ys, extended=True)
+    for x, y, o, e in zip(xs, ys, out, ext):
+        assert np.max(np.abs(o - ch.apply(x))) < 1e-12
+        assert np.max(np.abs(e - blockwise_extend_apply(ch, y))) < 1e-12
+    with pytest.raises(DimensionMismatch):
+        stacked_apply(ch.super, 3, ys)
+    with pytest.raises(DimensionMismatch):
+        stacked_apply(ch.super, 3, xs[0], extended=True)
 
 
 def test_transpose_map_is_tp_not_cp():

@@ -1,8 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from divscan._errors import DomainExceeded, InvalidFamily, SingularChannel
-from divscan.channels import compose, kraus_channel, super_channel
+from divscan._errors import (
+    DimensionMismatch,
+    DomainExceeded,
+    InvalidFamily,
+    NonHermitianInput,
+    SingularChannel,
+)
+from divscan.channels import compose, extend_channel, kraus_channel, super_channel
 from divscan.divisibility import (
     DynamicalFamily,
     central_difference,
@@ -14,12 +22,14 @@ from divscan.divisibility import (
     make_dynamical_family,
     p_divisibility_scan,
 )
-from divscan.operators import vec
+from divscan.operators import random_hermitian, trace_norm, vec
 from divscan.presets import (
     generic_noncp_family,
+    idempotent_family_preset,
     paired_difference_witness,
     unitary_family,
 )
+from divscan.schur import cp_block_witness, hopping_witness, make_schur_family
 
 D = 4
 DEPOL = np.outer(vec(np.eye(D)), vec(np.eye(D)).conj()) / D
@@ -194,3 +204,151 @@ def test_reports_serialize_to_json_and_csv():
     rows = report.csv_rows()
     assert len(rows) > 0
     assert all(len(r) == 4 for r in rows)
+
+
+def reference_scan(fam, grid, h, witnesses, tau_slope, mode, early_stop):
+    """Witness-by-witness reference for the batched engine: one channel (or
+    extended channel) application and one trace_norm per witness and
+    stencil time. Returns (confirmed, rows, notes), confirmed holding
+    (deriv, t, id) for every slope that survived the h/10 re-check."""
+    extended = mode == "CP"
+    channels = {}
+
+    def norm_at(tau, w):
+        if tau not in channels:
+            ch = fam.channel(tau)
+            channels[tau] = extend_channel(ch) if extended else ch
+        return trace_norm(channels[tau].apply(w), atol=1e-7)
+
+    rows, notes, confirmed = [], [], []
+    for wid, w in witnesses:
+        for t in grid:
+            t = float(t)
+            f0 = norm_at(t, w)
+            deriv = (norm_at(t + h, w) - norm_at(t - h, w)) / (2 * h)
+            rows.append((t, wid, f0, deriv))
+            if deriv > tau_slope:
+                fine = (norm_at(t + h / 10, w) - norm_at(t - h / 10, w)) / (2 * h / 10)
+                if fine > tau_slope / 2:
+                    confirmed.append((deriv, t, wid))
+                else:
+                    notes.append(
+                        f"slope {deriv:.3e} at t={t} (witness {wid}) not confirmed at h/10; ignored"
+                    )
+        if confirmed and early_stop:
+            notes.append("stopped at first violating witness")
+            break
+    if not confirmed:
+        notes.append("no witness growth found; evidence of divisibility, not proof")
+    return confirmed, rows, notes
+
+
+def _library(fam, mode, seed=11):
+    rng = np.random.default_rng(seed)
+    if mode == "P":
+        lib = [(f"canonical-{i}", w) for i, w in enumerate(fam.witnesses)]
+        return lib + default_witnesses(fam.d, rng)
+    lib = [(f"canonical-{i}", w) for i, w in enumerate(fam.cp_witnesses)]
+    return lib + default_witnesses(fam.d * fam.d, rng, n_proj=10, n_herm=10, pair_cap=60)
+
+
+def _late_violator_witnesses(n, mode):
+    """Schur witnesses whose first violation is the fifth witness, in the
+    middle of the third early-stop chunk (witnesses 3..6), followed by a
+    steeper one that early stop must not reach."""
+    dim = n if mode == "P" else n * n
+    growing = hopping_witness(n) if mode == "P" else cp_block_witness(n)
+    flat = []
+    for i, j in ((0, 1), (1, 2), (2, 3), (0, 3)):
+        e = np.zeros(dim)
+        e[i], e[j] = 1.0, -1.0
+        flat.append((f"diag({i}-{j})", np.diag(e)))
+    return flat + [("grows", growing), ("grows-twice", 2.0 * growing), ("diag-tail", flat[0][1])]
+
+
+EQUIVALENCE_CASES = {
+    "generic-noncp": (generic_noncp_family, np.linspace(0.1, 0.9, 5), None),
+    "idempotent-p-not-cp": (
+        lambda: idempotent_family_preset("idempotent-p-not-cp", n=2, k=2),
+        np.linspace(0.05, 0.95, 5),
+        None,
+    ),
+    "schur-4": (lambda: make_schur_family(4), np.linspace(0.05, 0.45, 5), None),
+    "schur-4-late-violator": (lambda: make_schur_family(4), np.linspace(0.05, 0.45, 5), _late_violator_witnesses),
+}
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+@pytest.mark.parametrize("mode", ["P", "CP"])
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_batched_engine_matches_witness_by_witness_reference(case, mode, early_stop):
+    build, grid, witness_fn = EQUIVALENCE_CASES[case]
+    fam = build()
+    h = 1e-4 * (fam.t_domain[1] - fam.t_domain[0])
+    witnesses = _library(fam, mode) if witness_fn is None else witness_fn(fam.d, mode)
+    scan = p_divisibility_scan if mode == "P" else cp_divisibility_scan
+    report = scan(fam, grid=grid, h=h, witnesses=witnesses, early_stop=early_stop)
+    confirmed, rows, notes = reference_scan(fam, grid, h, witnesses, 1e-6, mode, early_stop)
+
+    assert report.notes == notes
+    assert [(t, wid) for t, wid, _, _ in report.rows] == [(t, wid) for t, wid, _, _ in rows]
+    got = np.array([(v, d) for _, _, v, d in report.rows]).reshape(-1, 2)
+    want = np.array([(v, d) for _, _, v, d in rows]).reshape(-1, 2)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-9
+    if not confirmed:
+        assert report.verdict == ("P_EVIDENCE" if mode == "P" else "CP_EVIDENCE")
+        assert report.witness_id is None and report.witness_t is None
+        return
+    assert report.verdict == ("NOT_P_DIVISIBLE" if mode == "P" else "NOT_CP_DIVISIBLE")
+    top = max(d for d, _, _ in confirmed)
+    assert abs(report.derivative - top) <= 1e-9
+    # the pick is the reference's first maximum; slopes tied with it to
+    # within 1e-9 differ by rounding alone, so any of them may win
+    ties = [(wid, t) for d, t, wid in confirmed if d >= top - 1e-9]
+    assert (report.witness_id, report.witness_t) in ties
+    if witness_fn is not None:
+        assert report.witness_id == ("grows" if early_stop else "grows-twice")
+
+
+def _skewing_family():
+    """Super-only X -> A X: TP-free and not Hermiticity preserving."""
+    a = np.array([[1.0, 1.0], [0.0, 1.0]])
+    ch = super_channel(np.kron(np.eye(2), a), 2)
+    return DynamicalFamily(d=2, t_domain=(0.0, 1.0), channel_at=lambda t: ch, name="skew")
+
+
+@pytest.mark.parametrize("scan", [p_divisibility_scan, cp_divisibility_scan])
+def test_non_hermiticity_preserving_channel_raises_typed_error(scan):
+    with pytest.raises(NonHermitianInput):
+        scan(_skewing_family(), grid=np.linspace(0.2, 0.8, 3), h=1e-4)
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+@pytest.mark.parametrize("scan, dim", [(p_divisibility_scan, 4), (cp_divisibility_scan, 16)])
+def test_witness_of_wrong_shape_raises_dimension_mismatch(scan, dim, early_stop):
+    fam = unitary_family()
+    good = np.diag([1.0] + [0.0] * (dim - 2) + [-1.0])
+    for bad in (np.eye(dim + 1), np.eye(dim)[:, :-1], np.zeros(dim)):
+        with pytest.raises(DimensionMismatch):
+            scan(fam, grid=np.linspace(0.2, 1.8, 3), h=1e-4,
+                 witnesses=[("good", good), ("bad", bad)], early_stop=early_stop)
+
+
+def _cp_scan_peak_bytes(points):
+    fam = make_schur_family(6)
+    rng = np.random.default_rng(3)
+    witnesses = [("canonical", cp_block_witness(6))]
+    witnesses += [(f"herm-{i}", random_hermitian(36, rng)) for i in range(3)]
+    grid = np.linspace(0.05, 0.45, points)
+    tracemalloc.start()
+    try:
+        cp_divisibility_scan(fam, grid=grid, h=1e-5, witnesses=witnesses, early_stop=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cp_scan_memory_does_not_grow_with_grid_length():
+    _cp_scan_peak_bytes(3)  # first-call allocations stay out of the comparison
+    short, long = _cp_scan_peak_bytes(5), _cp_scan_peak_bytes(41)
+    assert long <= 1.5 * short, (short, long)

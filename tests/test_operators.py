@@ -11,6 +11,7 @@ from divscan.operators import (
     sandwich_super,
     spectral,
     trace_norm,
+    trace_norms,
     unvec,
     vec,
 )
@@ -38,6 +39,17 @@ def test_trace_norm_matches_singular_values():
         x = random_hermitian(5, rng)
         sv = np.linalg.svd(x, compute_uv=False)
         assert abs(trace_norm(x) - sv.sum()) < 1e-12
+
+
+def test_trace_norms_of_a_stack_match_trace_norm_and_keep_its_checks():
+    rng = np.random.default_rng(2)
+    xs = np.stack([random_hermitian(5, rng) for _ in range(6)])
+    assert np.array_equal(trace_norms(xs), [trace_norm(x) for x in xs])
+    xs[3, 0, 1] += 1e-6
+    with pytest.raises(NonHermitianInput):
+        trace_norms(xs, atol=1e-7)
+    with pytest.raises(DimensionMismatch):
+        trace_norms(np.ones((2, 2, 3)))
 
 
 def test_trace_norm_of_difference_of_orthogonal_projectors_is_two():
