@@ -95,10 +95,8 @@ from .idempotent import (
     two_positive_necessary,
 )
 from .operators import (
-    jordan_split,
     random_hermitian,
     require_hermitian,
-    spectral,
     trace_norm,
     unvec,
     vec,
@@ -147,7 +145,6 @@ __all__ = [
     "intermediate_map",
     "inverse",
     "is_symplectic",
-    "jordan_split",
     "kernel_inclusion_divisible",
     "kernel_inclusion_report",
     "kraus_channel",
@@ -167,7 +164,6 @@ __all__ = [
     "save_channel",
     "schur_channel",
     "solve_left_divisor",
-    "spectral",
     "super_channel",
     "toeplitz_a",
     "toeplitz_spectrum",

@@ -82,12 +82,16 @@ class Channel:
         v = self.super @ x.reshape(-1, order="F")
         return v.reshape((self.d, self.d), order="F")
 
-    def is_tp(self, atol: float = TP_ATOL) -> bool:
+    def tp_deviation(self) -> float:
+        """max |Lambda^*(I) - I|, entrywise; zero exactly when the map is TP."""
         if self.kraus is not None:
             acc = sum(k.conj().T @ k for k in self.kraus)
-            return bool(np.max(np.abs(acc - np.eye(self.d))) <= atol)
+            return float(np.max(np.abs(acc - np.eye(self.d))))
         vi = vec(np.eye(self.d))
-        return bool(np.max(np.abs(self.super.conj().T @ vi - vi)) <= atol)
+        return float(np.max(np.abs(self.super.conj().T @ vi - vi)))
+
+    def is_tp(self, atol: float = TP_ATOL) -> bool:
+        return self.tp_deviation() <= atol
 
     def is_cp(self, atol: float = CP_ATOL) -> bool:
         return choi(self).is_psd(atol=atol)
@@ -174,32 +178,13 @@ def extend_super(s: np.ndarray, d: int) -> np.ndarray:
 
 
 def extend_channel(ch: Channel) -> Channel:
-    """I (x) Lambda on the doubled space.
+    """I (x) Lambda on the doubled space, as its d^4 x d^4 superoperator.
 
-    Kraus channels extend exactly as I (x) K_j; super-only channels go
-    through extend_super. Either way apply() acts blockwise on the d x d
-    blocks of the composite operand.
+    This materializes the extension, so it is a reference route for tests
+    and small checks; the scans apply I (x) Lambda blockwise through
+    stacked_apply(..., extended=True) without building it.
     """
-    d = ch.d
-    if ch.kraus is not None:
-        eye = np.eye(d)
-        return Channel(d=d * d, kraus=[np.kron(eye, k) for k in ch.kraus])
-    return Channel(d=d * d, super_matrix=extend_super(ch.super, d))
-
-
-def blockwise_extend_apply(ch: Channel, y: np.ndarray) -> np.ndarray:
-    """(I (x) Lambda)(Y) evaluated block by block; dual route to extend_channel."""
-    d = ch.d
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (d * d, d * d):
-        raise DimensionMismatch(f"operand shape {y.shape}, expected {(d * d, d * d)}")
-    out = np.empty_like(y)
-    for a in range(d):
-        for b in range(d):
-            out[a * d : (a + 1) * d, b * d : (b + 1) * d] = ch.apply(
-                y[a * d : (a + 1) * d, b * d : (b + 1) * d]
-            )
-    return out
+    return Channel(d=ch.d * ch.d, super_matrix=extend_super(ch.super, ch.d))
 
 
 def stacked_apply(s: np.ndarray, d: int, ys: np.ndarray, extended: bool = False) -> np.ndarray:

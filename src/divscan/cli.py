@@ -33,7 +33,7 @@ from .presets import (
     idempotent_coeff_fns,
     list_presets,
 )
-from .schur import cosine_abs_sum, toeplitz_spectrum, witness_growth
+from .schur import cosine_abs_sum, toeplitz_a, toeplitz_spectrum, witness_growth
 
 _COMMANDS = ("scan-p", "scan-cp", "idempotent", "schur", "gaussian", "intermediate")
 
@@ -143,9 +143,12 @@ def _build_family(cfg: RunConfig):
 
 
 def _grid_and_h(cfg: RunConfig, entry: dict, domain: tuple[float, float]):
+    """Grid and stencil width h for the scan, schur and gaussian commands:
+    cfg.grid or the preset's default grid, checked against the domain, with
+    h = cfg.h or 1e-4 times the domain span."""
     lo, hi, pts = cfg.grid if cfg.grid is not None else entry["default_grid"]
     if lo < domain[0] - 1e-12 or hi > domain[1] + 1e-12:
-        raise ConfigError(f"grid [{lo}, {hi}] outside the family domain {list(domain)}")
+        raise ConfigError(f"grid [{lo}, {hi}] outside the domain {list(domain)}")
     h = cfg.h if cfg.h is not None else 1e-4 * (domain[1] - domain[0])
     ts = np.linspace(lo, hi, pts)
     # grids may touch the domain boundary; pull those points in by h so the
@@ -190,7 +193,7 @@ def _run_schur(cfg: RunConfig) -> int:
     report = p_divisibility_scan(fam, grid=ts, h=h, seed=cfg.seed, tau_slope=cfg.tau_slope)
     t_probe = float(ts[len(ts) // 2])
     spectrum_dev = float(
-        np.max(np.abs(toeplitz_spectrum(n, t_probe) - np.linalg.eigvalsh(_toeplitz(n, t_probe))))
+        np.max(np.abs(toeplitz_spectrum(n, t_probe) - np.linalg.eigvalsh(toeplitz_a(n, t_probe))))
     )
     json_path, csv_path = _out_paths(cfg)
     _write_json(
@@ -207,12 +210,6 @@ def _run_schur(cfg: RunConfig) -> int:
     _write_csv(csv_path, [(t, f"hopping-n{n}", nrm, der, der > cfg.tau_slope) for t, nrm, der in rows])
     print(f"schur n={n}: {report.verdict} slope={2.0 * cosine_abs_sum(n):.6f} (json: {json_path}, csv: {csv_path})")
     return 2 if report.verdict.startswith("NOT_") else 0
-
-
-def _toeplitz(n: int, t: float) -> np.ndarray:
-    from .schur import toeplitz_a
-
-    return toeplitz_a(n, t)
 
 
 def _run_idempotent(cfg: RunConfig) -> int:
@@ -258,12 +255,12 @@ def _run_gaussian(cfg: RunConfig) -> int:
             f"gaussian command needs one of: {', '.join(sorted(GAUSSIAN_PRESETS))}"
         )
     entry = GAUSSIAN_PRESETS[cfg.preset]
-    lo, hi, pts = cfg.grid if cfg.grid is not None else entry["default_grid"]
     dom = entry["t_domain"]
-    if lo < dom[0] - 1e-12 or hi > dom[1] + 1e-12:
-        raise ConfigError(f"grid [{lo}, {hi}] outside the preset domain {list(dom)}")
-    h = cfg.h if cfg.h is not None else 1e-4 * (hi - lo)
-    ts = np.linspace(lo, hi, pts)
+    ts, h = _grid_and_h(cfg, entry, dom)
+    if cfg.h is None:
+        # determinant slopes keep their default of 1e-4 times the grid span;
+        # it is at most the domain-based h, so the clamped stencil stays inside
+        h = 1e-4 * float(ts[-1] - ts[0])
 
     first = gaussian_pair_at(cfg.preset, float(ts[0]))
     pair_valid = all(gaussian_pair_at(cfg.preset, float(t))["pair_valid"] for t in ts)
@@ -313,7 +310,7 @@ def _run_intermediate(cfg: RunConfig) -> int:
         s, t = _default_pair(fam)
     result = intermediate_map(fam, s, t, seed=cfg.seed)
     ch = result["map"]
-    tp_dev = float(np.max(np.abs(_tp_defect(ch))))
+    tp_dev = ch.tp_deviation()
     obj = {
         "command": "intermediate",
         "preset": cfg.preset,
@@ -332,13 +329,6 @@ def _run_intermediate(cfg: RunConfig) -> int:
     _write_json(json_path, obj)
     print(f"intermediate {cfg.preset} ({s} -> {t}): cp={obj['is_cp']} (json: {json_path})")
     return 0
-
-
-def _tp_defect(ch) -> np.ndarray:
-    from .operators import vec
-
-    vi = vec(np.eye(ch.d))
-    return ch.super.conj().T @ vi - vi
 
 
 def _default_pair(fam) -> tuple[float, float]:

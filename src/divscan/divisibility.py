@@ -30,7 +30,7 @@ from ._errors import DimensionMismatch, DomainExceeded, InvalidFamily
 from .channels import Channel, _matrix_to_json, stacked_apply
 from .operators import TAU_SLOPE, random_hermitian, random_projector_difference, trace_norms
 
-# The engine uses neither; perfbench/tracing.py wraps both under these names.
+# Neither is called here; perfbench/tracing.py wraps each under this name.
 from .channels import extend_channel  # noqa: F401
 from .operators import trace_norm  # noqa: F401
 

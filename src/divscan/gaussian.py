@@ -147,16 +147,6 @@ def _keep_env_indices(m_total: int, m_keep: int):
     return keep, env
 
 
-def mode_interleave_perm(m: int) -> np.ndarray:
-    """Permutation sending qq..pp coordinates to (q1, p1, q2, p2, ...);
-    used only to compare against externally printed dilation blocks."""
-    out = np.empty(2 * m, dtype=int)
-    for i in range(m):
-        out[2 * i] = i
-        out[2 * i + 1] = m + i
-    return out
-
-
 def dilation_report(r1, t, r2, m_keep: int, atol: float = VALID_ATOL) -> dict:
     """Run the dilation pipeline without raising: L = R1 T R2 in qq..pp
     ordering, keep the first m_keep modes, environment in the vacuum-like
@@ -259,14 +249,6 @@ def det_criterion_scan(fam: GaussianFamily, grid, h: float | None = None,
         ddet = (dets[t + h] - dets[t - h]) / (2 * h)
         rows.append({"t": t, "det": dets[t], "ddet": ddet, "violation": bool(ddet > tau_slope)})
     return rows
-
-
-def weyl_trace_norm(fam: GaussianFamily, t: float, phi0: float) -> float:
-    """phi(0,0) * det X_t: the scalar trace-norm functional for a displaced
-    operator built from a positive-definite phi."""
-    if phi0 <= 0:
-        raise ValueError(f"phi0 must be positive, got {phi0}")
-    return phi0 * det_x(fam, t)
 
 
 def compose_pairs(after: GaussianPair, before: GaussianPair) -> GaussianPair:

@@ -1,28 +1,21 @@
-"""Dense Hermitian-operator utilities: validation, spectra, trace norms.
+"""Dense Hermitian-operator utilities: validation, trace norms, random
+witnesses.
 
 Everything downstream (channels, divisibility scans, witness searches) sits
-on these few primitives, so the tolerance story lives here:
-
-* Hermiticity is checked against ``TAU_HERM`` (max-entry deviation).
-* Eigenvalues within ``TAU_EIG * max|lambda|`` of zero are clamped to zero
-  before any sign-dependent logic runs. Trace norms and Jordan splits would
-  otherwise flip on 1e-16 noise around degenerate zeros.
+on these few primitives. Hermiticity is checked against ``TAU_HERM``
+(max-entry deviation) before any eigensolve.
 
 Vectorization is column-stacking throughout: ``vec(A X B) = kron(B.T, A) vec(X)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._errors import DimensionMismatch, NonHermitianInput
 
 TAU_HERM = 1e-10
-TAU_EIG = 1e-8
 TAU_SLOPE = 1e-6
-RCOND = 1e-10
 
 
 def require_hermitian(x: np.ndarray, atol: float = TAU_HERM) -> np.ndarray:
@@ -40,53 +33,11 @@ def require_hermitian(x: np.ndarray, atol: float = TAU_HERM) -> np.ndarray:
     return (x + x.conj().T) / 2
 
 
-def clamp_eigenvalues(vals: np.ndarray, rtol: float = TAU_EIG) -> np.ndarray:
-    """Zero out eigenvalues with |lambda| <= rtol * max|lambda|."""
-    vals = np.asarray(vals, dtype=float)
-    if vals.size == 0:
-        return vals
-    floor = rtol * float(np.max(np.abs(vals)))
-    out = vals.copy()
-    out[np.abs(out) <= floor] = 0.0
-    return out
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix with clamped eigenvalues.
-
-    values are ascending and real; vectors[:, i] is the unit eigenvector for
-    values[i]. reconstruct() returns V diag(values) V*.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
-    def positive_part(self) -> np.ndarray:
-        pos = np.where(self.values > 0, self.values, 0.0)
-        return (self.vectors * pos) @ self.vectors.conj().T
-
-    def negative_part(self) -> np.ndarray:
-        """PSD matrix N with X = P - N."""
-        neg = np.where(self.values < 0, -self.values, 0.0)
-        return (self.vectors * neg) @ self.vectors.conj().T
-
-
-def spectral(x: np.ndarray, atol: float = TAU_HERM, rtol: float = TAU_EIG) -> SpectralDecomposition:
-    xh = require_hermitian(x, atol=atol)
-    vals, vecs = np.linalg.eigh(xh)
-    return SpectralDecomposition(values=clamp_eigenvalues(vals, rtol=rtol), vectors=vecs)
-
-
 def trace_norm(x: np.ndarray, atol: float = TAU_HERM) -> float:
     """Trace norm of a Hermitian matrix: the sum of |eigenvalues|.
 
-    Hermitian-only on purpose; every witness this package evaluates is
-    Hermitian, and the eigenvalue route is both cheaper and exact for the
-    Jordan decomposition bookkeeping.
+    Hermitian-only on purpose: every witness this package evaluates is
+    Hermitian, and eigvalsh is cheaper than a singular-value decomposition.
     """
     xh = require_hermitian(x, atol=atol)
     return float(np.sum(np.abs(np.linalg.eigvalsh(xh))))
@@ -112,12 +63,6 @@ def trace_norms(xs: np.ndarray, atol: float = TAU_HERM) -> np.ndarray:
     return np.sum(np.abs(np.linalg.eigvalsh(xh)), axis=-1)
 
 
-def jordan_split(x: np.ndarray, atol: float = TAU_HERM) -> tuple[np.ndarray, np.ndarray]:
-    """Split Hermitian X into PSD parts (P, N) with X = P - N and P N = 0."""
-    dec = spectral(x, atol=atol)
-    return dec.positive_part(), dec.negative_part()
-
-
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(x).reshape(-1, order="F")
@@ -125,11 +70,6 @@ def vec(x: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v).reshape((d, d), order="F")
-
-
-def sandwich_super(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator of X -> A X B under column-stacking: kron(B.T, A)."""
-    return np.kron(np.asarray(b).T, np.asarray(a))
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:

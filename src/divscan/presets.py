@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import Channel, extend_channel, inverse
+from .channels import Channel, choi, inverse, stacked_apply
+
+# Not called here; perfbench/tracing.py wraps it under this name.
+from .channels import extend_channel  # noqa: F401
 from .divisibility import DynamicalFamily, make_dynamical_family
 from .gaussian import block_r, dilation_report
 from .idempotent import IdempotentParams, divisor_coeffs, make_family, phi
@@ -144,18 +147,16 @@ def idempotent_coeff_fns(kind: str):
 def _choi_negative_witness(n: int, k: int, s_coeffs, t_coeffs) -> np.ndarray:
     """Doubled-space witness for a non-CP divisor: take the most negative
     eigenvector v of the divisor's Choi matrix and pull v v* back through
-    (I (x) Lambda_s)^{-1}. At time s its image is PSD with trace norm 1; at
-    time t the image is (I (x) divisor)(v v*), which has a negative part, so
-    the norm exceeds 1 and the scan sees growth."""
-    from .channels import choi
-
+    (I (x) Lambda_s)^{-1}, applied blockwise. At time s its image is PSD with
+    trace norm 1; at time t the image is (I (x) divisor)(v v*), which has a
+    negative part, so the norm exceeds 1 and the scan sees growth."""
     alpha, beta, gamma, delta = divisor_coeffs(*s_coeffs, *t_coeffs)
     div_choi = choi(phi(IdempotentParams(n, k, alpha, beta, gamma, delta))).matrix
     vals, vecs = np.linalg.eigh(div_choi)
     v = vecs[:, 0]  # most negative direction
     vv = np.outer(v, v.conj())
     lam_s_inv = inverse(phi(IdempotentParams(n, k, *s_coeffs)))
-    y = extend_channel(lam_s_inv).apply(vv)
+    y = stacked_apply(lam_s_inv.super, n * k, vv[None], extended=True)[0]
     return (y + y.conj().T) / 2
 
 

@@ -4,7 +4,6 @@ import pytest
 from divscan._errors import DimensionMismatch, HypothesisViolated, SingularChannel
 from divscan.channels import (
     Channel,
-    blockwise_extend_apply,
     channel_from_json,
     channel_to_json,
     choi,
@@ -103,22 +102,18 @@ def test_inverse_roundtrip_and_singular_report():
 
 
 def test_extend_super_matches_kron_kraus_route():
+    """extend_channel(ch) applies sum_j (I (x) K_j) Y (I (x) K_j)*."""
     rng = np.random.default_rng(15)
     ch = random_cptp(3, 2, rng)
-    ext_kraus = extend_channel(ch)
-    ext_super = super_channel(extend_super(ch.super, 3), 9)
     y = random_hermitian(9, rng)
-    assert np.max(np.abs(ext_kraus.apply(y) - ext_super.apply(y))) < 1e-12
+    ext = [np.kron(np.eye(3), k) for k in ch.kraus]
+    direct = sum(e @ y @ e.conj().T for e in ext)
+    assert extend_channel(ch).kraus is None
+    assert np.max(np.abs(extend_channel(ch).apply(y) - direct)) < 1e-12
+    assert np.max(np.abs(extend_super(ch.super, 3) - kraus_to_super(ext))) < 1e-12
 
 
-def test_blockwise_extension_agrees_with_extended_channel():
-    rng = np.random.default_rng(16)
-    ch = random_cptp(3, 3, rng)
-    y = random_hermitian(9, rng)
-    assert np.max(np.abs(extend_channel(ch).apply(y) - blockwise_extend_apply(ch, y))) < 1e-12
-
-
-def test_stacked_apply_agrees_with_apply_and_blockwise_extension():
+def test_stacked_apply_agrees_with_apply_and_extended_channel():
     rng = np.random.default_rng(17)
     ch = random_cptp(3, 2, rng)
     xs = np.stack([random_hermitian(3, rng) for _ in range(4)])
@@ -127,7 +122,7 @@ def test_stacked_apply_agrees_with_apply_and_blockwise_extension():
     ext = stacked_apply(ch.super, 3, ys, extended=True)
     for x, y, o, e in zip(xs, ys, out, ext):
         assert np.max(np.abs(o - ch.apply(x))) < 1e-12
-        assert np.max(np.abs(e - blockwise_extend_apply(ch, y))) < 1e-12
+        assert np.max(np.abs(e - extend_channel(ch).apply(y))) < 1e-12
     with pytest.raises(DimensionMismatch):
         stacked_apply(ch.super, 3, ys)
     with pytest.raises(DimensionMismatch):
@@ -145,8 +140,10 @@ def test_transpose_extension_detects_negativity_on_entangled_input():
     d = 3
     tc = transpose_channel(d)
     omega = np.outer(vec(np.eye(d)), vec(np.eye(d)).conj()) / d
-    out = blockwise_extend_apply(tc, omega)
+    out = extend_channel(tc).apply(omega)
     assert np.min(np.linalg.eigvalsh(out)) < -1e-3
+    stacked = stacked_apply(tc.super, d, omega[None], extended=True)[0]
+    assert np.max(np.abs(stacked - out)) < 1e-12
 
 
 def test_contractivity_probe_passes_cptp_channels():

@@ -10,7 +10,7 @@ from divscan._errors import (
     NonHermitianInput,
     SingularChannel,
 )
-from divscan.channels import compose, extend_channel, kraus_channel, super_channel
+from divscan.channels import choi, compose, extend_channel, inverse, kraus_channel, super_channel
 from divscan.divisibility import (
     DynamicalFamily,
     central_difference,
@@ -22,9 +22,12 @@ from divscan.divisibility import (
     make_dynamical_family,
     p_divisibility_scan,
 )
+from divscan.idempotent import IdempotentParams, divisor_coeffs, phi
 from divscan.operators import random_hermitian, trace_norm, vec
 from divscan.presets import (
+    DESIGNATED_PAIR,
     generic_noncp_family,
+    idempotent_coeff_fns,
     idempotent_family_preset,
     paired_difference_witness,
     unitary_family,
@@ -352,3 +355,26 @@ def test_cp_scan_memory_does_not_grow_with_grid_length():
     _cp_scan_peak_bytes(3)  # first-call allocations stay out of the comparison
     short, long = _cp_scan_peak_bytes(5), _cp_scan_peak_bytes(41)
     assert long <= 1.5 * short, (short, long)
+
+
+def test_preset_cp_witness_is_pulled_back_blockwise_in_small_memory():
+    """The idempotent-p-not-cp witness pulls v v* back through
+    (I (x) Lambda_s)^{-1} blockwise; building that extension as a
+    d^4 x d^4 matrix peaked at 77 MiB for n=3, k=2. The built extension
+    stays the reference for the witness itself."""
+    n, k = 3, 2
+    tracemalloc.start()
+    try:
+        fam = idempotent_family_preset("idempotent-p-not-cp", n=n, k=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20, peak
+
+    fns = idempotent_coeff_fns("idempotent-p-not-cp")
+    s, t = DESIGNATED_PAIR
+    div = IdempotentParams(n, k, *divisor_coeffs(*fns(s), *fns(t)))
+    v = np.linalg.eigh(choi(phi(div)).matrix)[1][:, 0]
+    y = extend_channel(inverse(phi(IdempotentParams(n, k, *fns(s))))).apply(np.outer(v, v.conj()))
+    (w,) = fam.cp_witnesses
+    assert np.max(np.abs(w - (y + y.conj().T) / 2)) < 1e-12

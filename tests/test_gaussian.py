@@ -25,12 +25,10 @@ from divscan.gaussian import (
     jmat,
     make_gaussian_family,
     make_pair,
-    mode_interleave_perm,
     planar_rotation,
     random_symplectic,
     squeeze_diag,
     symplectic_deviation,
-    weyl_trace_norm,
 )
 from divscan.presets import GAUSSIAN_PRESETS, gaussian_pair_at
 
@@ -171,26 +169,10 @@ def test_reconstructed_l_matches_frozen_closed_form():
         assert np.max(np.abs(l - printed_l_2x1(t))) < 1e-12
 
 
-def test_mode_interleave_permutation():
-    assert list(mode_interleave_perm(2)) == [0, 2, 1, 3]
-    # involution on two modes: applying it twice restores qqpp order
-    p = mode_interleave_perm(2)
-    assert list(p[p]) == [0, 1, 2, 3]
-
-
 def test_det_x_closed_form_for_two_mode_dilation():
     fam = GaussianFamily(m=1, generator=lambda t: dilation_2x1(t)["pair"], t_domain=(0.05, 5.0), name="d21")
     for t in (0.5, 1.0, 2.0, 3.0):
         assert abs(det_x(fam, t) - (2.0 + t + 1.0 / t) / 4.0) < 1e-12
-
-
-def test_weyl_trace_norm_scales_by_det():
-    fam = GaussianFamily(m=1, generator=lambda t: dilation_2x1(t)["pair"], t_domain=(0.05, 5.0), name="d21")
-    assert abs(weyl_trace_norm(fam, 1.0, 1.0) - 1.0) < 1e-12
-    ratio = weyl_trace_norm(fam, 2.0, 3.0) / weyl_trace_norm(fam, 1.0, 3.0)
-    assert abs(ratio - 4.5 / 4.0) < 1e-12
-    with pytest.raises(ValueError):
-        weyl_trace_norm(fam, 1.0, 0.0)
 
 
 def test_det_scan_constant_family_clean():
