@@ -129,6 +129,30 @@ def test_stacked_apply_agrees_with_apply_and_extended_channel():
         stacked_apply(ch.super, 3, xs[0], extended=True)
 
 
+def test_extension_of_a_super_only_channel_agrees_blockwise():
+    """extend_channel has one route for every channel form: for a channel
+    given only by its superoperator, the built extension and the blockwise
+    stacked_apply agree on a stack of doubled-space inputs."""
+    rng = np.random.default_rng(16)
+    ch = super_channel(random_cptp(3, 3, rng).super, 3)
+    assert ch.kraus is None
+    ys = np.stack([random_hermitian(9, rng) for _ in range(3)])
+    ext = extend_channel(ch)
+    for y, e in zip(ys, stacked_apply(ch.super, 3, ys, extended=True)):
+        assert np.max(np.abs(e - ext.apply(y))) < 1e-12
+
+
+def test_tp_deviation_reads_the_trace_defect_in_both_forms():
+    rng = np.random.default_rng(19)
+    ch = random_cptp(3, 2, rng)
+    assert ch.tp_deviation() < 1e-12 and ch.is_tp()
+    scaled = kraus_channel([np.sqrt(0.9) * k for k in ch.kraus])
+    for form in (scaled, super_channel(scaled.super, 3)):
+        assert abs(form.tp_deviation() - 0.1) < 1e-12
+        assert not form.is_tp()
+        assert form.is_tp(atol=0.2)
+
+
 def test_transpose_map_is_tp_not_cp():
     tc = transpose_channel(3)
     assert tc.is_tp()

@@ -161,6 +161,25 @@ def test_gaussian_command_three_mode_reports_validation_failure(tmp_path):
     assert max(dets) - min(dets) < 1e-9
 
 
+def test_gaussian_grid_touching_the_domain_is_pulled_in(tmp_path):
+    """A gaussian grid over the whole domain [0.05, 5] has its endpoints
+    pulled in by h, so every determinant slope is taken inside the domain."""
+    code, report, _ = run_cli(["gaussian", "--preset", "dilation-2x1", "--grid", "0.05:5.0:5"], tmp_path)
+    assert code in (0, 2)
+    ts = [row["t"] for row in report["rows"]]
+    assert len(ts) == 5
+    assert 0.05 < ts[0] < 0.06 and 4.99 < ts[-1] < 5.0
+    assert all(np.isfinite(row["ddet"]) for row in report["rows"])
+
+
+def test_gaussian_grid_outside_domain_fails_cleanly(tmp_path, capsys):
+    code, _, _ = run_cli(["gaussian", "--preset", "dilation-2x1", "--grid", "0.01:2.0:5"], tmp_path)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "outside the domain" in err["message"]
+
+
 def test_intermediate_command_unitary(tmp_path):
     code, report, _ = run_cli(
         ["intermediate", "--preset", "unitary", "--pair", "0.3:0.8"], tmp_path

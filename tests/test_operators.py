@@ -54,12 +54,33 @@ def test_trace_norm_of_difference_of_orthogonal_projectors_is_two():
     assert abs(trace_norm(x) - 2.0) < 1e-12
 
 
+def test_trace_norm_is_positive_minus_negative_eigen_mass():
+    """tr|X| = tr X+ + tr X- for the Jordan parts of X, which is the nuclear
+    norm; the stacked trace_norms agrees witness by witness."""
+    rng = np.random.default_rng(3)
+    xs = np.stack([random_hermitian(6, rng) for _ in range(3)])
+    for x, stacked in zip(xs, trace_norms(xs)):
+        ev = np.linalg.eigvalsh(x)
+        jordan = ev[ev > 0].sum() - ev[ev < 0].sum()
+        assert abs(trace_norm(x) - jordan) < 1e-12
+        assert abs(trace_norm(x) - np.linalg.norm(x, "nuc")) < 1e-12
+        assert abs(stacked - jordan) < 1e-12
+
+
 def test_vec_unvec_roundtrip_column_order():
     x = np.arange(9, dtype=complex).reshape(3, 3)
     v = vec(x)
     # column stacking: first column first
     assert np.array_equal(v[:3], x[:, 0])
     assert np.array_equal(unvec(v, 3), x)
+
+
+def test_vec_turns_a_sandwich_into_a_kron_product():
+    """vec(A X B) = (B^T (x) A) vec(X) in the column-major convention that
+    kraus_to_super and stacked_apply build on."""
+    rng = np.random.default_rng(4)
+    a, b, x = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3))
+    assert np.max(np.abs(np.kron(b.T, a) @ vec(x) - vec(a @ x @ b))) < 1e-12
 
 
 def test_random_hermitian_unit_trace_norm_and_seeded():
