@@ -30,14 +30,18 @@ TP_ATOL = 1e-9
 
 
 def kraus_to_super(kraus) -> np.ndarray:
+    """sum_j kron(conj(K_j), K_j) as one matmul over the Kraus index: with
+    K_j flattened into row j of F, (F^H F)[(i, j), (k, l)] is the kron entry
+    ((i, k), (j, l)). Raises DimensionMismatch unless the K_j are matrices
+    of one shape."""
     ks = [np.asarray(k, dtype=complex) for k in kraus]
-    d_out, d_in = ks[0].shape
-    s = np.zeros((d_out * d_out, d_in * d_in), dtype=complex)
-    for k in ks:
-        if k.shape != (d_out, d_in):
-            raise DimensionMismatch("Kraus operators must share one shape")
-        s += np.kron(k.conj(), k)
-    return s
+    shape = ks[0].shape if ks else ()
+    if len(shape) != 2 or any(k.shape != shape for k in ks):
+        raise DimensionMismatch("Kraus operators must be matrices of one shape")
+    d_out, d_in = shape
+    f = np.stack(ks).reshape(len(ks), d_out * d_in)
+    g = (f.conj().T @ f).reshape(d_out, d_in, d_out, d_in)
+    return g.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
 
 
 class Channel:

@@ -29,6 +29,7 @@ from .presets import (
     DESIGNATED_PAIR,
     FAMILY_PRESETS,
     GAUSSIAN_PRESETS,
+    IDEMPOTENT_DOMAIN,
     gaussian_pair_at,
     idempotent_coeff_fns,
     list_presets,
@@ -142,15 +143,19 @@ def _build_family(cfg: RunConfig):
     return entry["build"](), entry
 
 
-def _grid_and_h(cfg: RunConfig, entry: dict, domain: tuple[float, float]):
-    """Grid and stencil width h for the scan, schur and gaussian commands:
-    cfg.grid or the preset's default grid, checked against the domain, with
-    h = cfg.h or 1e-4 times the domain span."""
+def _checked_grid(cfg: RunConfig, entry: dict, domain: tuple[float, float]) -> np.ndarray:
+    """cfg.grid or the preset's default grid, checked against the domain."""
     lo, hi, pts = cfg.grid if cfg.grid is not None else entry["default_grid"]
     if lo < domain[0] - 1e-12 or hi > domain[1] + 1e-12:
         raise ConfigError(f"grid [{lo}, {hi}] outside the domain {list(domain)}")
+    return np.linspace(lo, hi, pts)
+
+
+def _grid_and_h(cfg: RunConfig, entry: dict, domain: tuple[float, float]):
+    """Grid and stencil width h for the scan, schur and gaussian commands:
+    the checked grid, with h = cfg.h or 1e-4 times the domain span."""
+    ts = _checked_grid(cfg, entry, domain)
     h = cfg.h if cfg.h is not None else 1e-4 * (domain[1] - domain[0])
-    ts = np.linspace(lo, hi, pts)
     # grids may touch the domain boundary; pull those points in by h so the
     # finite-difference stencil stays inside
     ts[0] = max(ts[0], domain[0] + h)
@@ -220,10 +225,10 @@ def _run_idempotent(cfg: RunConfig) -> int:
     s, t = cfg.pair if cfg.pair is not None else DESIGNATED_PAIR
     coeffs = divisor_coeffs(*fns(s), *fns(t))
     regime = classify_regime(n, k, fns(s), fns(t))
-    entry = FAMILY_PRESETS[cfg.preset]
-    lo, hi, pts = cfg.grid if cfg.grid is not None else entry["default_grid"]
+    # no stencil here, so the grid is checked but its endpoints are not moved
+    ts = _checked_grid(cfg, FAMILY_PRESETS[cfg.preset], IDEMPOTENT_DOMAIN)
     csv_rows = []
-    for tt in np.linspace(lo, hi, pts):
+    for tt in ts:
         if tt <= s:
             continue
         al, be, ga, de = divisor_coeffs(*fns(s), *fns(float(tt)))

@@ -43,6 +43,7 @@ from .schur import make_schur_family
 
 T_JUMP = 0.5
 DESIGNATED_PAIR = (0.25, 0.75)
+IDEMPOTENT_DOMAIN = (0.0, 1.0)
 
 
 # ---------------------------------------------------------------- unitary
@@ -172,7 +173,7 @@ def idempotent_family_preset(kind: str, n: int = 2, k: int = 2) -> DynamicalFami
         w[0, 0], w[1, 1] = 1.0, -1.0  # same-block diagonal difference
         witnesses = (w,)
     return make_family(
-        fns, n, k, (0.0, 1.0), name=kind, witnesses=witnesses, cp_witnesses=cp_witnesses
+        fns, n, k, IDEMPOTENT_DOMAIN, name=kind, witnesses=witnesses, cp_witnesses=cp_witnesses
     )
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,53 @@ def test_kraus_super_apply_agree():
     via_super = unvec(ch.super @ vec(x), 3)
     assert np.max(np.abs(direct - via_super)) < 1e-12
     assert np.max(np.abs(ch.apply(x) - direct)) < 1e-12
+
+
+def _random_kraus(rng, r, d_out, d_in):
+    return [rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in)) for _ in range(r)]
+
+
+@pytest.mark.parametrize(
+    "r, d_out, d_in",
+    [(5, 4, 4), (3, 7, 7), (1, 5, 5), (4, 2, 6), (3, 5, 3)],
+    ids=["square-5x4", "square-3x7", "single", "rect-2x6", "rect-5x3"],
+)
+def test_kraus_to_super_is_the_sum_of_krons(r, d_out, d_in):
+    rng = np.random.default_rng(100 + 10 * r + d_out + d_in)
+    ks = _random_kraus(rng, r, d_out, d_in)
+    expected = sum(np.kron(k.conj(), k) for k in ks)
+    s = kraus_to_super(ks)
+    assert s.shape == (d_out * d_out, d_in * d_in)
+    assert np.max(np.abs(s - expected)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [[(3, 3), (3, 4)], [(2, 3), (3, 2)], [(3, 3), (3, 3), (2, 2)], [(3,), (3,)], []],
+    ids=["columns", "transposed", "third", "vectors", "empty"],
+)
+def test_kraus_to_super_rejects_mixed_shapes_with_a_typed_error(shapes):
+    """Shapes are checked before the operators are stacked, so the error is
+    DimensionMismatch rather than numpy's ValueError."""
+    with pytest.raises(DimensionMismatch):
+        kraus_to_super([np.ones(shape) for shape in shapes])
+
+
+def test_kraus_to_super_peak_memory_stays_near_its_output():
+    """16 Kraus operators of size 16 x 16 give a 256 x 256 complex output;
+    the build may not hold a temporary of r * d^4 entries on the way."""
+    rng = np.random.default_rng(23)
+    ks = _random_kraus(rng, 16, 16, 16)
+    out_bytes = 256 * 256 * np.dtype(complex).itemsize
+    kraus_to_super(ks)  # first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        s = kraus_to_super(ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.nbytes == out_bytes
+    assert peak <= 3 * out_bytes, peak
 
 
 def test_random_stinespring_channels_are_cptp():

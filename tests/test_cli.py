@@ -126,6 +126,24 @@ def test_idempotent_custom_pair(tmp_path):
     assert report["pair"] == [0.3, 0.6]
 
 
+def test_idempotent_grid_outside_domain_fails_cleanly(tmp_path, capsys):
+    code, report, csv_text = run_cli(["idempotent", "--preset", "idempotent-cp", "--grid=-1:3:5"], tmp_path)
+    assert code == 1
+    assert report is None and csv_text is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "outside the domain [0.0, 1.0]" in err["message"]
+
+
+def test_idempotent_grid_touching_the_domain_is_kept(tmp_path):
+    """The idempotent command has no stencil, so a grid over the whole
+    domain keeps its endpoints."""
+    code, _, csv_text = run_cli(["idempotent", "--preset", "idempotent-cp", "--grid", "0:1:5"], tmp_path)
+    assert code == 0
+    ts = sorted({float(line.split(",")[0]) for line in csv_text.strip().splitlines()[1:]})
+    assert ts == [0.5, 0.75, 1.0]
+
+
 def test_idempotent_requires_idempotent_preset(tmp_path, capsys):
     code, _, _ = run_cli(["idempotent", "--preset", "schur"], tmp_path)
     assert code == 1

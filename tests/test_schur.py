@@ -4,7 +4,7 @@ import pytest
 from divscan._errors import OutsideValidityWindow
 from divscan.channels import choi, kraus_to_super
 from divscan.divisibility import cp_divisibility_scan, p_divisibility_scan
-from divscan.operators import trace_norm
+from divscan.operators import trace_norm, vec
 from divscan.schur import (
     cosine_abs_sum,
     cp_block_witness,
@@ -71,6 +71,16 @@ def test_kraus_factorization_reproduces_superoperator():
     # diagonal Kraus operators: a Schur multiplier structural signature
     for k in ch.kraus:
         assert np.max(np.abs(k - np.diag(np.diag(k)))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.5])
+def test_superoperator_is_the_diagonal_of_the_vectorized_mask(n, t):
+    """X -> A_t o X multiplies vec(X) entrywise by vec(A_t), so the
+    superoperator built from the Kraus form is diag(vec(A_t))."""
+    s = schur_channel(n, t).super
+    assert np.max(np.abs(s - np.diag(np.diag(s)))) < 1e-13
+    assert np.max(np.abs(s - np.diag(vec(toeplitz_a(n, t))))) < 1e-13
 
 
 def test_choi_spectrum_is_toeplitz_spectrum_plus_zeros():
