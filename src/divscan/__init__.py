@@ -9,23 +9,11 @@ families plus a CLI (`presets`, `cli`).
 DIVSCAN_THREADS, when it holds a positive integer, sets OMP_NUM_THREADS and
 OPENBLAS_NUM_THREADS (unless those are set already) here, before numpy is
 imported, so the BLAS starts with that many threads. It has no effect when
-numpy was imported before divscan. The CLI rejects any other value.
+numpy was imported before divscan. `_thread_count` is the one parser of the
+variable; the CLI calls it too and rejects any other value.
 """
 
-
-def _export_thread_count() -> None:
-    import os
-
-    try:
-        threads = int(os.environ.get("DIVSCAN_THREADS", ""))
-    except ValueError:
-        return
-    if threads > 0:
-        os.environ.setdefault("OMP_NUM_THREADS", str(threads))
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", str(threads))
-
-
-_export_thread_count()
+import os
 
 from ._errors import (
     ConfigError,
@@ -44,6 +32,33 @@ from ._errors import (
     SingularChannel,
     SingularX,
 )
+
+
+def _thread_count() -> int | None:
+    """DIVSCAN_THREADS as a positive integer, or None when it is unset;
+    ConfigError for any other value."""
+    text = os.environ.get("DIVSCAN_THREADS")
+    try:
+        threads = None if text is None else int(text)
+    except ValueError:
+        threads = 0
+    if threads is not None and threads < 1:
+        raise ConfigError(f"DIVSCAN_THREADS must be a positive integer, got {text!r}")
+    return threads
+
+
+def _export_thread_count() -> None:
+    try:
+        threads = _thread_count()
+    except ConfigError:
+        return
+    if threads is not None:
+        os.environ.setdefault("OMP_NUM_THREADS", str(threads))
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", str(threads))
+
+
+_export_thread_count()
+
 from .channels import (
     Channel,
     ChoiMatrix,

@@ -64,6 +64,8 @@ class Channel:
                 f"superoperator shape {self._super.shape} does not match d={d}"
             )
         if self.kraus is not None:
+            if not self.kraus:
+                raise DimensionMismatch("need at least one Kraus operator")
             for k in self.kraus:
                 if k.shape != (d, d):
                     raise DimensionMismatch(f"Kraus shape {k.shape} does not match d={d}")
@@ -103,7 +105,7 @@ class Channel:
 
 def kraus_channel(kraus) -> Channel:
     ks = [np.asarray(k, dtype=complex) for k in kraus]
-    return Channel(d=ks[0].shape[0], kraus=ks)
+    return Channel(d=ks[0].shape[0] if ks else 0, kraus=ks)
 
 
 def super_channel(s: np.ndarray, d: int) -> Channel:

@@ -1,8 +1,14 @@
 """Command-line front end: presets, sweeps, verdicts, JSON/CSV emission.
 
+Every command is one entry of `_COMMANDS`: its runner and the options it
+reads, which are entries of `_OPTIONS`. The parser, the config-file check
+and the merge of flags over the file are built from these tables, so a
+command accepts only what it reads and a value passes the same check from a
+flag or from the config file. Runners return their output; `run` writes it.
+
 Exit codes: 0 for a clean verdict, 2 when a scan certifies NOT_P/NOT_CP
-(scriptable), 1 on any error. CSV columns are fixed to
-(t, witness_id, value, derivative, flag) with floats at 17 significant
+(scriptable), 1 on any error, usage errors included. CSV columns are fixed
+to (t, witness_id, value, derivative, flag) with floats at 17 significant
 digits, so identical config + seed reproduces byte-identical files.
 """
 
@@ -10,13 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _thread_count
 from ._errors import ConfigError, DivscanError
 from .divisibility import (
     cp_divisibility_scan,
@@ -36,78 +42,79 @@ from .presets import (
 )
 from .schur import cosine_abs_sum, toeplitz_a, toeplitz_spectrum, witness_growth
 
-_COMMANDS = ("scan-p", "scan-cp", "idempotent", "schur", "gaussian", "intermediate")
+
+def _number(name: str, val, integer: bool = False):
+    typed = isinstance(val, int if integer else (int, float)) and not isinstance(val, bool)
+    # the float bound also rules out nan, inf and ints too large for a float
+    if not typed or not (integer or abs(val) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be {'an integer' if integer else 'a finite number'}, got {val!r}")
+    return val if integer else float(val)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    preset: str | None = None
-    grid: tuple[float, float, int] | None = None
-    h: float | None = None
-    tau_slope: float = 1e-6
-    seed: int = 11
-    n: int | None = None
-    pair: tuple[float, float] | None = None
-    out_json: str | None = None
-    out_csv: str | None = None
-
-    def validate(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.grid is not None:
-            lo, hi, pts = self.grid
-            if pts < 2:
-                raise ConfigError(f"grid points must be >= 2, got {pts}")
-            if not lo < hi:
-                raise ConfigError(f"grid needs t_min < t_max, got {lo}:{hi}")
-        if self.tau_slope <= 0:
-            raise ConfigError(f"tau_slope must be > 0, got {self.tau_slope}")
-        if self.h is not None and self.h <= 0:
-            raise ConfigError(f"h must be > 0, got {self.h}")
+def _integer(name: str, val, least: int | None = None) -> int:
+    val = _number(name, val, integer=True)
+    if least is not None and val < least:
+        raise ConfigError(f"{name} must be >= {least}, got {val}")
+    return val
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"grid must be t_min:t_max:points, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad grid component in {text!r}: {exc}") from exc
+def _positive(name: str, val) -> float:
+    val = _number(name, val)
+    if val <= 0:
+        raise ConfigError(f"{name} must be > 0, got {val}")
+    return val
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"pair must be s:t, got {text!r}")
-    try:
-        s, t = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad pair component in {text!r}: {exc}") from exc
-    if not s < t:
-        raise ConfigError(f"pair needs s < t, got {text!r}")
-    return s, t
+def _string(name: str, val) -> str:
+    if not isinstance(val, str) or not val:
+        raise ConfigError(f"{name} must be a non-empty string, got {val!r}")
+    return val
 
 
-_CONFIG_KEYS = {"preset", "grid", "h", "tau_slope", "seed", "n", "pair", "out_json", "out_csv"}
+def _span(name: str, val, fields: tuple[str, ...]) -> tuple:
+    """[lo, hi] with lo < hi, or [lo, hi, points] with points >= 2 too."""
+    if not isinstance(val, (list, tuple)) or len(val) != len(fields):
+        raise ConfigError(f"{name} must be {':'.join(fields)}, got {val!r}")
+    lo, hi = _number(f"{name} {fields[0]}", val[0]), _number(f"{name} {fields[1]}", val[1])
+    points = [_integer(f"{name} {fields[2]}", val[2], least=2)] if len(fields) == 3 else []
+    if not lo < hi:
+        raise ConfigError(f"{name} needs {fields[0]} < {fields[1]}, got {lo}:{hi}")
+    return (lo, hi, *points)
 
 
-def _load_config_file(path: str) -> dict:
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    for key in obj:
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"config file {path}: unknown field {key!r}")
-    return obj
+def _from_text(text: str):
+    """A flag's text as the JSON value a config file would hold: a number
+    where it reads as one, a list where it has colon-separated fields."""
+    if ":" in text:
+        return [_from_text(part) for part in text.split(":")]
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+class _Option(NamedTuple):
+    check: Callable  # (name, JSON value) -> the value, or ConfigError
+    default: object = None
+    help: str | None = None
+
+
+# every option a command can read; a flag's text goes through _from_text
+# (unless the option is a string), then flag and config value share `check`
+_OPTIONS = {
+    "preset": _Option(_string, help="preset name (see --list-presets)"),
+    "grid": _Option(lambda name, val: _span(name, val, ("t_min", "t_max", "points")), help="t_min:t_max:points"),
+    "h": _Option(_positive, help="central-difference step"),
+    "tau_slope": _Option(_positive, 1e-6, "growth threshold"),
+    "n": _Option(lambda name, val: _integer(name, val, least=2), help="size of the schur family"),
+    "pair": _Option(lambda name, val: _span(name, val, ("s", "t")), help="s:t"),
+    "seed": _Option(lambda name, val: _integer(name, val, least=0), 11, "witness RNG seed"),
+    "config": _Option(_string, help="JSON file supplying any of the command's other options"),
+    "out_json": _Option(_string, help="JSON report path"),
+    "out_csv": _Option(_string, help="CSV table path"),
+}
 
 
 def _fmt(x: float) -> str:
@@ -125,12 +132,7 @@ def _write_json(path: str, obj: dict) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _out_paths(cfg: RunConfig) -> tuple[str, str]:
-    stem = f"divscan_{cfg.command}_{cfg.preset or 'run'}"
-    return cfg.out_json or f"{stem}.json", cfg.out_csv or f"{stem}.csv"
-
-
-def _build_family(cfg: RunConfig):
+def _build_family(cfg):
     if cfg.preset is None:
         raise ConfigError("a --preset is required for this command")
     if cfg.preset in GAUSSIAN_PRESETS:
@@ -138,20 +140,26 @@ def _build_family(cfg: RunConfig):
     if cfg.preset not in FAMILY_PRESETS:
         raise ConfigError(f"unknown preset {cfg.preset!r}; available: {', '.join(list_presets())}")
     entry = FAMILY_PRESETS[cfg.preset]
-    if cfg.preset == "schur" and cfg.n is not None:
-        return entry["build"](cfg.n), entry
-    return entry["build"](), entry
+    if cfg.n is None:
+        return entry["build"](), entry
+    if cfg.preset != "schur":
+        raise ConfigError(f"n sets the size of the schur preset only; preset {cfg.preset!r} has none")
+    return entry["build"](cfg.n), entry
 
 
-def _checked_grid(cfg: RunConfig, entry: dict, domain: tuple[float, float]) -> np.ndarray:
+def _check_domain(what: str, lo: float, hi: float, domain: tuple[float, float]) -> None:
+    if lo < domain[0] - 1e-12 or hi > domain[1] + 1e-12:
+        raise ConfigError(f"{what} [{lo}, {hi}] outside the domain {list(domain)}")
+
+
+def _checked_grid(cfg, entry: dict, domain: tuple[float, float]) -> np.ndarray:
     """cfg.grid or the preset's default grid, checked against the domain."""
     lo, hi, pts = cfg.grid if cfg.grid is not None else entry["default_grid"]
-    if lo < domain[0] - 1e-12 or hi > domain[1] + 1e-12:
-        raise ConfigError(f"grid [{lo}, {hi}] outside the domain {list(domain)}")
+    _check_domain("grid", lo, hi, domain)
     return np.linspace(lo, hi, pts)
 
 
-def _grid_and_h(cfg: RunConfig, entry: dict, domain: tuple[float, float]):
+def _grid_and_h(cfg, entry: dict, domain: tuple[float, float]):
     """Grid and stencil width h for the scan, schur and gaussian commands:
     the checked grid, with h = cfg.h or 1e-4 times the domain span."""
     ts = _checked_grid(cfg, entry, domain)
@@ -163,33 +171,26 @@ def _grid_and_h(cfg: RunConfig, entry: dict, domain: tuple[float, float]):
     return ts, h
 
 
-def _run_scan(cfg: RunConfig) -> int:
+def _run_scan(cfg):
     fam, entry = _build_family(cfg)
     ts, h = _grid_and_h(cfg, entry, fam.t_domain)
     scan = p_divisibility_scan if cfg.command == "scan-p" else cp_divisibility_scan
     report = scan(fam, grid=ts, h=h, seed=cfg.seed, tau_slope=cfg.tau_slope)
-    json_path, csv_path = _out_paths(cfg)
-    _write_json(
-        json_path,
-        {
-            "command": cfg.command,
-            "preset": cfg.preset,
-            "grid": {"t_min": float(ts[0]), "t_max": float(ts[-1]), "points": len(ts)},
-            "h": h,
-            "seed": cfg.seed,
-            "tau_slope": cfg.tau_slope,
-            "report": report.to_json(),
-        },
-    )
-    _write_csv(
-        csv_path,
-        [(t, wid, val, der, der > cfg.tau_slope) for t, wid, val, der in report.csv_rows()],
-    )
-    print(f"{cfg.command} {cfg.preset}: {report.verdict} (json: {json_path}, csv: {csv_path})")
-    return 2 if report.verdict.startswith("NOT_") else 0
+    obj = {
+        "command": cfg.command,
+        "preset": cfg.preset,
+        "grid": {"t_min": float(ts[0]), "t_max": float(ts[-1]), "points": len(ts)},
+        "h": h,
+        "seed": cfg.seed,
+        "tau_slope": cfg.tau_slope,
+        "report": report.to_json(),
+    }
+    rows = [(t, wid, val, der, der > cfg.tau_slope) for t, wid, val, der in report.csv_rows()]
+    summary = f"{cfg.command} {cfg.preset}: {report.verdict}"
+    return obj, rows, summary, 2 if report.verdict.startswith("NOT_") else 0
 
 
-def _run_schur(cfg: RunConfig) -> int:
+def _run_schur(cfg):
     n = cfg.n if cfg.n is not None else 8
     entry = FAMILY_PRESETS["schur"]
     fam = entry["build"](n)
@@ -197,32 +198,28 @@ def _run_schur(cfg: RunConfig) -> int:
     rows = witness_growth(n, ts)
     report = p_divisibility_scan(fam, grid=ts, h=h, seed=cfg.seed, tau_slope=cfg.tau_slope)
     t_probe = float(ts[len(ts) // 2])
-    spectrum_dev = float(
-        np.max(np.abs(toeplitz_spectrum(n, t_probe) - np.linalg.eigvalsh(toeplitz_a(n, t_probe))))
-    )
-    json_path, csv_path = _out_paths(cfg)
-    _write_json(
-        json_path,
-        {
-            "command": "schur",
-            "n": n,
-            "closed_form_slope": 2.0 * cosine_abs_sum(n),
-            "spectrum_max_dev": spectrum_dev,
-            "verdict": report.verdict,
-            "report": report.to_json(),
-        },
-    )
-    _write_csv(csv_path, [(t, f"hopping-n{n}", nrm, der, der > cfg.tau_slope) for t, nrm, der in rows])
-    print(f"schur n={n}: {report.verdict} slope={2.0 * cosine_abs_sum(n):.6f} (json: {json_path}, csv: {csv_path})")
-    return 2 if report.verdict.startswith("NOT_") else 0
+    spectrum_dev = float(np.max(np.abs(toeplitz_spectrum(n, t_probe) - np.linalg.eigvalsh(toeplitz_a(n, t_probe)))))
+    slope = 2.0 * cosine_abs_sum(n)
+    obj = {
+        "command": "schur",
+        "n": n,
+        "closed_form_slope": slope,
+        "spectrum_max_dev": spectrum_dev,
+        "verdict": report.verdict,
+        "report": report.to_json(),
+    }
+    csv_rows = [(t, f"hopping-n{n}", nrm, der, der > cfg.tau_slope) for t, nrm, der in rows]
+    summary = f"schur n={n}: {report.verdict} slope={slope:.6f}"
+    return obj, csv_rows, summary, 2 if report.verdict.startswith("NOT_") else 0
 
 
-def _run_idempotent(cfg: RunConfig) -> int:
+def _run_idempotent(cfg):
     if cfg.preset not in ("idempotent-cp", "idempotent-p-not-cp", "idempotent-not-p"):
         raise ConfigError("idempotent command needs one of the idempotent-* presets")
     n, k = 2, 2
     fns = idempotent_coeff_fns(cfg.preset)
     s, t = cfg.pair if cfg.pair is not None else DESIGNATED_PAIR
+    _check_domain("pair", s, t, IDEMPOTENT_DOMAIN)
     coeffs = divisor_coeffs(*fns(s), *fns(t))
     regime = classify_regime(n, k, fns(s), fns(t))
     # no stencil here, so the grid is checked but its endpoints are not moved
@@ -235,26 +232,21 @@ def _run_idempotent(cfg: RunConfig) -> int:
         flagged = classify_regime(n, k, fns(s), fns(float(tt))) != "CP"
         for name, val in zip(("alpha", "beta", "gamma", "delta"), (al, be, ga, de)):
             csv_rows.append((float(tt), f"divisor-{name}", val, 0.0, flagged))
-    json_path, csv_path = _out_paths(cfg)
-    _write_json(
-        json_path,
-        {
-            "command": "idempotent",
-            "preset": cfg.preset,
-            "n": n,
-            "k": k,
-            "pair": [s, t],
-            "divisor_coeffs": list(coeffs),
-            "regime": regime,
-            "truncations": truncation_report(fns(s), fns(t), k, [2, 3, 4, 8, 16]),
-        },
-    )
-    _write_csv(csv_path, csv_rows)
-    print(f"idempotent {cfg.preset} pair=({s},{t}): regime {regime} (json: {json_path}, csv: {csv_path})")
-    return 0 if regime == "CP" else 2
+    obj = {
+        "command": "idempotent",
+        "preset": cfg.preset,
+        "n": n,
+        "k": k,
+        "pair": [s, t],
+        "divisor_coeffs": list(coeffs),
+        "regime": regime,
+        "truncations": truncation_report(fns(s), fns(t), k, [2, 3, 4, 8, 16]),
+    }
+    summary = f"idempotent {cfg.preset} pair=({s},{t}): regime {regime}"
+    return obj, csv_rows, summary, 0 if regime == "CP" else 2
 
 
-def _run_gaussian(cfg: RunConfig) -> int:
+def _run_gaussian(cfg):
     if cfg.preset not in GAUSSIAN_PRESETS:
         raise ConfigError(
             f"gaussian command needs one of: {', '.join(sorted(GAUSSIAN_PRESETS))}"
@@ -284,158 +276,146 @@ def _run_gaussian(cfg: RunConfig) -> int:
         "all_pairs_valid": bool(pair_valid),
         "ok": bool(all(first["symplectic"].values()) and pair_valid),
     }
-    json_path, csv_path = _out_paths(cfg)
-    _write_json(
-        json_path,
-        {
-            "command": "gaussian",
-            "preset": cfg.preset,
-            "m_keep": entry["m_keep"],
-            "validation": validation,
-            "verdict": verdict,
-            "rows": [
-                {"t": r["t"], "det": r["det"], "ddet": r["ddet"], "violation": r["violation"]}
-                for r in rows
-            ],
-        },
-    )
-    _write_csv(csv_path, [(r["t"], "detX", r["det"], r["ddet"], r["violation"]) for r in rows])
+    obj = {
+        "command": "gaussian",
+        "preset": cfg.preset,
+        "m_keep": entry["m_keep"],
+        "validation": validation,
+        "verdict": verdict,
+        "rows": [{"t": r["t"], "det": r["det"], "ddet": r["ddet"], "violation": r["violation"]} for r in rows],
+    }
+    csv_rows = [(r["t"], "detX", r["det"], r["ddet"], r["violation"]) for r in rows]
     note = "" if validation["ok"] else " [input validation FAILED; see json]"
-    print(f"gaussian {cfg.preset}: {verdict}{note} (json: {json_path}, csv: {csv_path})")
-    return 2 if any_violation else 0
+    return obj, csv_rows, f"gaussian {cfg.preset}: {verdict}{note}", 2 if any_violation else 0
 
 
-def _run_intermediate(cfg: RunConfig) -> int:
+def _run_intermediate(cfg):
     fam, _ = _build_family(cfg)
     if cfg.pair is not None:
         s, t = cfg.pair
-    elif (cfg.preset or "").startswith("idempotent"):
+    elif cfg.preset.startswith("idempotent"):
         s, t = DESIGNATED_PAIR
     else:
-        s, t = _default_pair(fam)
+        lo, hi = fam.t_domain
+        s, t = lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)
     result = intermediate_map(fam, s, t, seed=cfg.seed)
     ch = result["map"]
-    tp_dev = ch.tp_deviation()
     obj = {
         "command": "intermediate",
         "preset": cfg.preset,
         "pair": [s, t],
         "dim": ch.d,
-        "tp_max_deviation": tp_dev,
+        "tp_max_deviation": ch.tp_deviation(),
         "is_cp": result["cp"],
         "positivity_evidence": result["p"]["positive_evidence"],
         "positivity_norms": [result["p"]["input_norm"], result["p"]["output_norm"]],
     }
-    if (cfg.preset or "").startswith("idempotent"):
+    if cfg.preset.startswith("idempotent"):
         fns = idempotent_coeff_fns(cfg.preset)
         obj["divisor_coeffs"] = list(divisor_coeffs(*fns(s), *fns(t)))
         obj["regime"] = classify_regime(2, 2, fns(s), fns(t))
-    json_path, _ = _out_paths(cfg)
-    _write_json(json_path, obj)
-    print(f"intermediate {cfg.preset} ({s} -> {t}): cp={obj['is_cp']} (json: {json_path})")
-    return 0
+    return obj, None, f"intermediate {cfg.preset} ({s} -> {t}): cp={obj['is_cp']}", 0
 
 
-def _default_pair(fam) -> tuple[float, float]:
-    lo, hi = fam.t_domain
-    span = hi - lo
-    return lo + 0.25 * span, lo + 0.75 * span
+# every command takes these; intermediate writes no CSV and ignores --out-csv
+_COMMON = ("seed", "config", "out_json", "out_csv")
+_SCAN = ("preset", "grid", "h", "tau_slope", "n") + _COMMON
 
-
-_RUNNERS = {
-    "scan-p": _run_scan,
-    "scan-cp": _run_scan,
-    "idempotent": _run_idempotent,
-    "schur": _run_schur,
-    "gaussian": _run_gaussian,
-    "intermediate": _run_intermediate,
+# command -> (runner, the options it reads); a runner returns its JSON
+# object, its CSV rows (None for no CSV), a summary line and the exit code
+_COMMANDS = {
+    "scan-p": (_run_scan, _SCAN),
+    "scan-cp": (_run_scan, _SCAN),
+    "idempotent": (_run_idempotent, ("preset", "grid", "pair") + _COMMON),
+    "schur": (_run_schur, ("grid", "h", "tau_slope", "n") + _COMMON),
+    "gaussian": (_run_gaussian, ("preset", "grid", "h", "tau_slope") + _COMMON),
+    "intermediate": (_run_intermediate, ("preset", "pair") + _COMMON),
 }
 
 
-def run(cfg: RunConfig) -> int:
-    threads = os.environ.get("DIVSCAN_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            raise ConfigError(f"DIVSCAN_THREADS must be a positive integer, got {threads!r}")
-    cfg.validate()
-    return _RUNNERS[cfg.command](cfg)
+class _Parser(argparse.ArgumentParser):
+    # a usage error is a ConfigError (exit 1); exit 2 means a NOT_* verdict
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="divscan", description="Divisibility scans for dynamical-map families."
-    )
+    parser = _Parser(prog="divscan", description="Divisibility scans for dynamical-map families.", allow_abbrev=False)
     parser.add_argument("--list-presets", action="store_true", help="list preset names and exit")
     sub = parser.add_subparsers(dest="command")
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--preset")
-        p.add_argument("--config", help="JSON file supplying any of the other options")
-        p.add_argument("--grid", help="t_min:t_max:points")
-        p.add_argument("--h", type=float)
-        p.add_argument("--tau-slope", type=float, dest="tau_slope")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out-json", dest="out_json")
-        p.add_argument("--out-csv", dest="out_csv")
-        if name in ("scan-p", "scan-cp", "schur"):
-            p.add_argument("--n", type=int, help="truncation size for the schur preset")
-        if name in ("idempotent", "intermediate"):
-            p.add_argument("--pair", help="s:t")
+    for name, (_, options) in _COMMANDS.items():
+        # no abbreviations: an unread --h would otherwise be taken for --help
+        p = sub.add_parser(name, allow_abbrev=False)
+        for key in options:
+            p.add_argument(_flag(key), dest=key, help=_OPTIONS[key].help)
     return parser
 
 
-def _merge(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+def _load_config_file(path: str, command: str) -> dict:
+    try:
+        raw = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    fields = [key for key in _COMMANDS[command][1] if key != "config"]
+    for key in obj:
+        if key not in fields:
+            raise ConfigError(f"config file {path}: unknown field {key!r}; {command} reads {', '.join(fields)}")
+    return obj
 
-    def pick(key, fallback=None):
-        val = getattr(args, key, None)
-        if val is not None:
-            return val
-        return file_cfg.get(key, fallback)
 
-    grid = pick("grid")
-    if isinstance(grid, str):
-        grid = _parse_grid(grid)
-    elif isinstance(grid, (list, tuple)):
-        if len(grid) != 3:
-            raise ConfigError(f"config grid must be [t_min, t_max, points], got {grid}")
-        grid = (float(grid[0]), float(grid[1]), int(grid[2]))
-    pair = pick("pair")
-    if isinstance(pair, str):
-        pair = _parse_pair(pair)
-    elif isinstance(pair, (list, tuple)):
-        pair = (float(pair[0]), float(pair[1]))
+def _merge(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's options, each from its flag, else the config file,
+    else its default; options the command does not read keep the default."""
+    file_cfg = _load_config_file(args.config, args.command) if args.config is not None else {}
+    cfg = argparse.Namespace(command=args.command, **{key: opt.default for key, opt in _OPTIONS.items()})
+    for key in _COMMANDS[args.command][1]:
+        check, flag = _OPTIONS[key].check, getattr(args, key)
+        if flag is not None:
+            setattr(cfg, key, check(key, flag if check is _string else _from_text(flag)))
+        elif key in file_cfg:
+            setattr(cfg, key, check(key, file_cfg[key]))
+    return cfg
 
-    return RunConfig(
-        command=args.command,
-        preset=pick("preset"),
-        grid=grid,
-        h=pick("h"),
-        tau_slope=float(pick("tau_slope", 1e-6)),
-        seed=int(pick("seed", 11)),
-        n=pick("n"),
-        pair=pair,
-        out_json=pick("out_json"),
-        out_csv=pick("out_csv"),
-    )
+
+def run(cfg: argparse.Namespace) -> int:
+    """Run one command, then write its JSON and CSV and print its summary."""
+    _thread_count()  # raises ConfigError for a bad DIVSCAN_THREADS
+    obj, rows, summary, code = _COMMANDS[cfg.command][0](cfg)
+    stem = f"divscan_{cfg.command}_{cfg.preset or 'run'}"
+    json_path = cfg.out_json or f"{stem}.json"
+    _write_json(json_path, obj)
+    paths = f"json: {json_path}"
+    if rows is not None:
+        csv_path = cfg.out_csv or f"{stem}.csv"
+        _write_csv(csv_path, rows)
+        paths += f", csv: {csv_path}"
+    print(f"{summary} ({paths})")
+    return code
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.list_presets:
-        for name in list_presets():
-            print(name)
-        return 0
-    if args.command is None:
-        print("error: a command is required (or --list-presets)", file=sys.stderr)
-        return 1
     try:
+        args, unread = _build_parser().parse_known_args(argv)
+        if unread:
+            reads = ", ".join(map(_flag, _COMMANDS[args.command][1] if args.command else ("list_presets",)))
+            raise ConfigError(f"{args.command or 'divscan'} does not read {' '.join(unread)}; it reads {reads}")
+        if args.list_presets:
+            for name in list_presets():
+                print(name)
+            return 0
+        if args.command is None:
+            raise ConfigError("a command is required (or --list-presets)")
         return run(_merge(args))
     except DivscanError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(payload), file=sys.stderr)
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1

@@ -72,6 +72,17 @@ def test_kraus_to_super_rejects_mixed_shapes_with_a_typed_error(shapes):
         kraus_to_super([np.ones(shape) for shape in shapes])
 
 
+def test_empty_kraus_set_is_rejected_at_construction():
+    """An empty Kraus set is no channel: both constructors raise
+    DimensionMismatch before any superoperator is built."""
+    with pytest.raises(DimensionMismatch):
+        kraus_channel([])
+    with pytest.raises(DimensionMismatch):
+        Channel(2, kraus=[])
+    with pytest.raises(DimensionMismatch):
+        Channel(2, kraus=(), super_matrix=np.eye(4))
+
+
 def test_kraus_to_super_peak_memory_stays_near_its_output():
     """16 Kraus operators of size 16 x 16 give a 256 x 256 complex output;
     the build may not hold a temporary of r * d^4 entries on the way."""

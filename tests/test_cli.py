@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import divscan
+import divscan.cli as cli_module
 
 from divscan.cli import main
 from divscan.presets import list_presets
@@ -266,3 +267,176 @@ def test_threads_env_var_sets_blas_threads_before_numpy_loads():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "1"
+
+
+# ------------------------------------------------------------ command table
+
+# a well-formed value for every option, so that only the option's absence
+# from a command's list can make the command reject it
+_FLAG_VALUES = {
+    "preset": "unitary",
+    "grid": "0.1:0.4:5",
+    "h": "1e-5",
+    "tau_slope": "1e-6",
+    "n": "4",
+    "pair": "0.3:0.6",
+}
+_CONFIG_VALUES = {
+    "preset": "unitary",
+    "grid": [0.1, 0.4, 5],
+    "h": 1e-5,
+    "tau_slope": 1e-6,
+    "n": 4,
+    "pair": [0.3, 0.6],
+}
+_UNREAD = [
+    (command, key)
+    for command, (_, options) in cli_module._COMMANDS.items()
+    for key in cli_module._OPTIONS
+    if key not in options
+]
+
+
+def test_table_covers_every_option_and_the_common_ones():
+    assert set(_FLAG_VALUES) | set(cli_module._COMMON) == set(cli_module._OPTIONS)
+    assert set(_CONFIG_VALUES) == set(_FLAG_VALUES)
+    for _, options in cli_module._COMMANDS.values():
+        assert set(cli_module._COMMON) <= set(options)
+    assert len(_UNREAD) == 6 * len(cli_module._OPTIONS) - 47  # 47 command flags in all
+
+
+@pytest.mark.parametrize("command,key", _UNREAD, ids=[f"{c}-{k}" for c, k in _UNREAD])
+def test_an_option_the_command_does_not_read_is_a_config_error(command, key, tmp_path, capsys):
+    flag = "--" + key.replace("_", "-")
+    code, report, csv_text = run_cli([command, flag, _FLAG_VALUES[key]], tmp_path)
+    assert code == 1
+    assert report is None and csv_text is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert f"does not read {flag}" in err["message"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: _CONFIG_VALUES[key]}))
+    code, report, _ = run_cli([command, "--config", str(cfg)], tmp_path, name="file")
+    assert code == 1 and report is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert repr(key) in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-p", "--preset", "unitary", "--bogus", "1"],
+        ["scan-p", "--preset", "unitary", "--seed", "abc"],
+        ["scan-p", "--preset", "unitary", "--seed", "1.5"],
+        ["scan-p", "--preset", "unitary", "--tau", "1e-3"],
+        ["idempotent", "--preset", "idempotent-cp", "--h", "5"],
+        ["scan-p", "--preset", "schur", "--h", "nan"],
+        ["scan-p", "--preset", "schur", "--h", "1" + "0" * 400],
+        ["scan-p", "--preset", "unitary", "--seed=-1"],
+        ["scan-p", "--preset", "unitary", "stray"],
+        ["no-such-command"],
+        ["--bogus"],
+        ["--list-presets", "--bogus"],
+    ],
+    ids=["unknown-flag", "bad-seed", "fractional-seed", "abbreviation", "h-for-help", "nan-h", "huge-h", "negative-seed", "stray", "command", "top-flag", "list-with-flag"],
+)
+def test_usage_errors_exit_one_with_config_error(argv, tmp_path, capsys):
+    """Exit 2 means a NOT_* verdict, so no usage error may exit with it."""
+    code, report, _ = run_cli(argv, tmp_path)
+    assert code == 1 and report is None
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["schur", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--tau-slope" in out and "--preset" not in out
+
+
+def test_summary_line_and_default_file_names(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["scan-p", "--preset", "unitary"]) == 0
+    assert capsys.readouterr().out == (
+        "scan-p unitary: P_EVIDENCE (json: divscan_scan-p_unitary.json, csv: divscan_scan-p_unitary.csv)\n"
+    )
+    assert main(["intermediate", "--preset", "unitary", "--out-csv", "unused.csv"]) == 0
+    assert capsys.readouterr().out == "intermediate unitary (0.5 -> 1.5): cp=True (json: divscan_intermediate_unitary.json)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "divscan_intermediate_unitary.json",
+        "divscan_scan-p_unitary.csv",
+        "divscan_scan-p_unitary.json",
+    ]
+
+
+def test_empty_output_path_is_a_config_error(tmp_path, monkeypatch, capsys):
+    """An empty --out-json would otherwise fall back to the default name."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["scan-p", "--preset", "unitary", "--out-json", ""]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert list(tmp_path.iterdir()) == []
+
+
+# ------------------------------------------------ typed errors for bad input
+
+
+@pytest.mark.parametrize(
+    "argv", [["schur", "--n", "1"], ["scan-p", "--preset", "schur", "--n", "1"]], ids=["schur", "scan-p"]
+)
+def test_schur_size_below_two_is_a_config_error(argv, tmp_path, capsys):
+    code, _, _ = run_cli(argv, tmp_path)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "n must be >= 2" in err["message"]
+
+
+def test_n_with_a_non_schur_preset_is_a_config_error(tmp_path, capsys):
+    code, report, _ = run_cli(["scan-p", "--preset", "unitary", "--n", "5"], tmp_path)
+    assert code == 1 and report is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "schur" in err["message"]
+
+
+def test_idempotent_pair_outside_domain_is_a_config_error(tmp_path, capsys):
+    code, report, _ = run_cli(["idempotent", "--preset", "idempotent-cp", "--pair", "0.5:3"], tmp_path)
+    assert code == 1 and report is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "pair [0.5, 3.0] outside the domain [0.0, 1.0]" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "command,fields,named",
+    [
+        (["idempotent", "--preset", "idempotent-cp"], {"pair": [0.1]}, "pair"),
+        (["idempotent", "--preset", "idempotent-cp"], {"pair": [0.8, 0.3]}, "pair"),
+        (["scan-p", "--preset", "unitary"], {"seed": "x"}, "seed"),
+        (["scan-p"], {"preset": "schur", "n": "5"}, "n"),
+        (["scan-p", "--preset", "unitary"], {"grid": [0.1, 0.4, 5.5]}, "grid points"),
+        (["scan-p", "--preset", "unitary"], {"h": None}, "h"),
+        (["scan-p"], {"preset": 3}, "preset"),
+    ],
+    ids=["short-pair", "reversed-pair", "text-seed", "text-n", "fractional-points", "null-h", "numeric-preset"],
+)
+def test_config_file_values_pass_the_flag_checks(command, fields, named, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    code, report, _ = run_cli(command + ["--config", str(cfg)], tmp_path)
+    assert code == 1 and report is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(named)
+
+
+def test_flag_and_config_file_give_the_same_run(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "schur", "n": 4, "grid": [0.1, 0.4, 5], "h": 1e-5, "tau_slope": 1e-3}))
+    _, from_file, csv_file = run_cli(["scan-p", "--config", str(cfg)], tmp_path, name="file")
+    flags = ["scan-p", "--preset", "schur", "--n", "4", "--grid", "0.1:0.4:5", "--h", "1e-5", "--tau-slope", "1e-3"]
+    _, from_flags, csv_flags = run_cli(flags, tmp_path, name="flags")
+    assert from_file == from_flags and csv_file == csv_flags
+    assert from_file["h"] == 1e-5 and from_file["tau_slope"] == 1e-3

@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import divscan.channels
+import divscan.cli
 import divscan.presets
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -31,3 +32,24 @@ def test_perfbench_tracer_resolves_every_site():
         tracer.uninstall()
     assert divscan.channels.Channel.__dict__["apply"] is apply
     assert divscan.presets.extend_channel is extend
+
+
+def test_perfbench_tracer_records_cli_spans(tmp_path, monkeypatch):
+    """The names tracing.py wraps in divscan.cli are looked up when a runner
+    runs, so a traced CLI run records the scan, closed-form, determinant and
+    write spans of the cli-presets workload."""
+    tracing = _load_tracing()
+    monkeypatch.chdir(tmp_path)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert divscan.cli.main(["scan-p", "--preset", "unitary"]) == 0
+        assert divscan.cli.main(["idempotent", "--preset", "idempotent-cp"]) == 0
+        assert divscan.cli.main(["gaussian", "--preset", "dilation-2x1"]) == 2
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"divisibility.scan", "idempotent.closed_form", "gaussian.det_scan", "cli.write"} <= names
+    written = sum(span[4]["bytes"] for span in tracer.spans if span[0] == "cli.write")
+    assert written == sum(path.stat().st_size for path in tmp_path.iterdir())
+    assert not hasattr(divscan.cli._write_json, "__perfbench_span__")
