@@ -27,6 +27,9 @@ from .operators import trace_norm, vec
 
 CP_ATOL = 1e-9
 TP_ATOL = 1e-9
+TP_HYPOTHESIS_ATOL = 1e-8  # TP check of family members and of probed maps
+RCOND = 1e-10  # rank cut-off relative to the largest singular value
+GROWTH_ATOL = 1e-9  # trace-norm growth that certifies non-positivity
 
 
 def kraus_to_super(kraus) -> np.ndarray:
@@ -99,8 +102,8 @@ class Channel:
     def is_tp(self, atol: float = TP_ATOL) -> bool:
         return self.tp_deviation() <= atol
 
-    def is_cp(self, atol: float = CP_ATOL) -> bool:
-        return choi(self).is_psd(atol=atol)
+    def is_cp(self) -> bool:
+        return choi(self).is_psd()
 
 
 def kraus_channel(kraus) -> Channel:
@@ -117,9 +120,9 @@ class ChoiMatrix:
     matrix: np.ndarray
     d: int
 
-    def is_psd(self, atol: float = CP_ATOL) -> bool:
+    def is_psd(self) -> bool:
         vals = np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)
-        return bool(vals.min() >= -atol)
+        return bool(vals.min() >= -CP_ATOL)
 
     def output_trace(self) -> np.ndarray:
         """Partial trace over the output factor; equals I_d iff the map is TP."""
@@ -145,17 +148,17 @@ def compose(after: Channel, before: Channel) -> Channel:
     return Channel(d=after.d, super_matrix=after.super @ before.super)
 
 
-def inverse(ch: Channel, rcond: float = 1e-10) -> Channel:
+def inverse(ch: Channel) -> Channel:
     """Exact superoperator inverse.
 
     Raises SingularChannel (with the singular-value report) when the smallest
-    singular value falls below rcond times the largest.
+    singular value falls below RCOND times the largest.
     """
     s = ch.super
     sv = np.linalg.svd(s, compute_uv=False)
-    if sv[-1] <= rcond * sv[0]:
+    if sv[-1] <= RCOND * sv[0]:
         raise SingularChannel(
-            f"superoperator is singular at rcond={rcond:.1e}: "
+            f"superoperator is singular at rcond={RCOND:.1e}: "
             f"smallest/largest singular value = {sv[-1]:.3e}/{sv[0]:.3e}",
             singular_values=sv,
         )
@@ -223,17 +226,12 @@ def transpose_channel(d: int) -> Channel:
     return Channel(d=d, super_matrix=s)
 
 
-def positivity_by_contractivity(
-    ch: Channel,
-    n_samples: int = 400,
-    seed: int = 7,
-    tol: float = 1e-9,
-    rng: np.random.Generator | None = None,
-):
+def positivity_by_contractivity(ch: Channel, n_samples: int = 400, seed: int = 7):
     """Probe positivity of a TP map through trace-norm contractivity.
 
     A positive TP map cannot increase any Hermitian trace norm, so a single
-    operand X with ||Lambda(X)||_1 > ||X||_1 + tol certifies non-positivity.
+    operand X with ||Lambda(X)||_1 > ||X||_1 + GROWTH_ATOL certifies
+    non-positivity.
     The search runs a deterministic sweep first (rank-1 basis projectors,
     rank-1 and rank-2 projector differences), then random rank-1 differences
     and random Hermitian samples until n_samples operands have been checked.
@@ -244,10 +242,9 @@ def positivity_by_contractivity(
     `output_norm`, `n_checked`. No witness means evidence of positivity, not
     proof. Raises HypothesisViolated for non-TP input.
     """
-    if not ch.is_tp(atol=1e-8):
+    if not ch.is_tp(atol=TP_HYPOTHESIS_ATOL):
         raise HypothesisViolated("contractivity probe requires a trace-preserving map")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     d = ch.d
 
     def sweep():
@@ -281,7 +278,7 @@ def positivity_by_contractivity(
         checked += 1
         nin = trace_norm(x)
         nout = trace_norm(ch.apply(x), atol=1e-8)
-        if nout > nin + tol:
+        if nout > nin + GROWTH_ATOL:
             return {
                 "positive_evidence": False,
                 "witness": x,

@@ -31,6 +31,7 @@ from .divisibility import (
 )
 from .gaussian import GaussianFamily, det_criterion_scan
 from .idempotent import classify_regime, divisor_coeffs, truncation_report
+from .operators import TAU_SLOPE
 from .presets import (
     DESIGNATED_PAIR,
     FAMILY_PRESETS,
@@ -107,7 +108,7 @@ _OPTIONS = {
     "preset": _Option(_string, help="preset name (see --list-presets)"),
     "grid": _Option(lambda name, val: _span(name, val, ("t_min", "t_max", "points")), help="t_min:t_max:points"),
     "h": _Option(_positive, help="central-difference step"),
-    "tau_slope": _Option(_positive, 1e-6, "growth threshold"),
+    "tau_slope": _Option(_positive, TAU_SLOPE, "growth threshold"),
     "n": _Option(lambda name, val: _integer(name, val, least=2), help="size of the schur family"),
     "pair": _Option(lambda name, val: _span(name, val, ("s", "t")), help="s:t"),
     "seed": _Option(lambda name, val: _integer(name, val, least=0), 11, "witness RNG seed"),
@@ -253,11 +254,9 @@ def _run_gaussian(cfg):
         )
     entry = GAUSSIAN_PRESETS[cfg.preset]
     dom = entry["t_domain"]
-    ts, h = _grid_and_h(cfg, entry, dom)
-    if cfg.h is None:
-        # determinant slopes keep their default of 1e-4 times the grid span;
-        # it is at most the domain-based h, so the clamped stencil stays inside
-        h = 1e-4 * float(ts[-1] - ts[0])
+    # without --h, det_criterion_scan's default h of 1e-4 times the grid span
+    # is at most the domain-based h, so the clamped stencil stays inside
+    ts, _ = _grid_and_h(cfg, entry, dom)
 
     first = gaussian_pair_at(cfg.preset, float(ts[0]))
     pair_valid = all(gaussian_pair_at(cfg.preset, float(t))["pair_valid"] for t in ts)
@@ -267,7 +266,7 @@ def _run_gaussian(cfg):
         t_domain=dom,
         name=cfg.preset,
     )
-    rows = det_criterion_scan(fam, ts, h=h, tau_slope=cfg.tau_slope)
+    rows = det_criterion_scan(fam, ts, h=cfg.h, tau_slope=cfg.tau_slope)
     any_violation = any(r["violation"] for r in rows)
     verdict = "NOT_P_DIVISIBLE" if any_violation else "P_EVIDENCE"
     validation = {
@@ -317,18 +316,19 @@ def _run_intermediate(cfg):
     return obj, None, f"intermediate {cfg.preset} ({s} -> {t}): cp={obj['is_cp']}", 0
 
 
-# every command takes these; intermediate writes no CSV and ignores --out-csv
-_COMMON = ("seed", "config", "out_json", "out_csv")
-_SCAN = ("preset", "grid", "h", "tau_slope", "n") + _COMMON
+# every command takes these; the five that write a CSV take _CSV
+_COMMON = ("seed", "config", "out_json")
+_CSV = _COMMON + ("out_csv",)
+_SCAN = ("preset", "grid", "h", "tau_slope", "n") + _CSV
 
 # command -> (runner, the options it reads); a runner returns its JSON
 # object, its CSV rows (None for no CSV), a summary line and the exit code
 _COMMANDS = {
     "scan-p": (_run_scan, _SCAN),
     "scan-cp": (_run_scan, _SCAN),
-    "idempotent": (_run_idempotent, ("preset", "grid", "pair") + _COMMON),
-    "schur": (_run_schur, ("grid", "h", "tau_slope", "n") + _COMMON),
-    "gaussian": (_run_gaussian, ("preset", "grid", "h", "tau_slope") + _COMMON),
+    "idempotent": (_run_idempotent, ("preset", "grid", "pair") + _CSV),
+    "schur": (_run_schur, ("grid", "h", "tau_slope", "n") + _CSV),
+    "gaussian": (_run_gaussian, ("preset", "grid", "h", "tau_slope") + _CSV),
     "intermediate": (_run_intermediate, ("preset", "pair") + _COMMON),
 }
 

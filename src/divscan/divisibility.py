@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._errors import DimensionMismatch, DomainExceeded, InvalidFamily
-from .channels import Channel, _matrix_to_json, stacked_apply
+from .channels import RCOND, TP_HYPOTHESIS_ATOL, Channel, _matrix_to_json, stacked_apply
 from .operators import TAU_SLOPE, random_hermitian, random_projector_difference, trace_norms
 
 # Neither is called here; perfbench/tracing.py wraps each under this name.
@@ -73,15 +73,12 @@ def make_dynamical_family(
     witnesses=(),
     cp_witnesses=(),
     validate: bool = True,
-    grid_points: int = 21,
-    cp_atol: float = 1e-9,
-    tp_atol: float = 1e-8,
 ) -> DynamicalFamily:
-    """Build a family and check CP + TP on a validation grid.
+    """Build a family and check CP + TP on a 21-point validation grid.
 
-    Kraus-form channels are CP by construction and only get the TP check;
-    super-only channels get a dense Choi PSD test. Raises InvalidFamily with
-    the first offending t.
+    Kraus-form channels are CP by construction and only get the TP check
+    (at TP_HYPOTHESIS_ATOL); super-only channels get a dense Choi PSD test
+    (at CP_ATOL). Raises InvalidFamily with the first offending t.
     """
     fam = DynamicalFamily(
         d=d,
@@ -92,11 +89,11 @@ def make_dynamical_family(
         cp_witnesses=tuple(cp_witnesses),
     )
     if validate:
-        for t in np.linspace(fam.t_domain[0], fam.t_domain[1], grid_points):
+        for t in np.linspace(fam.t_domain[0], fam.t_domain[1], 21):
             ch = fam.channel(float(t))
-            if not ch.is_tp(atol=tp_atol):
+            if not ch.is_tp(atol=TP_HYPOTHESIS_ATOL):
                 raise InvalidFamily(f"{name or 'family'} not TP at t={t}", t=float(t))
-            if ch.kraus is None and not ch.is_cp(atol=cp_atol):
+            if ch.kraus is None and not ch.is_cp():
                 raise InvalidFamily(f"{name or 'family'} not CP at t={t}", t=float(t))
     return fam
 
@@ -147,11 +144,6 @@ class DivisibilityReport:
     def csv_rows(self):
         """(t, witness_id, trace_norm, derivative) per grid point per witness."""
         return list(self.rows)
-
-
-def _default_grid(fam: DynamicalFamily, h: float, points: int = 51) -> np.ndarray:
-    lo, hi = fam.t_domain
-    return np.linspace(lo + h, hi - h, points)
 
 
 def _check_grid(fam: DynamicalFamily, grid: np.ndarray, h: float) -> None:
@@ -208,7 +200,7 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     lo, hi = fam.t_domain
     if h is None:
         h = 1e-4 * (hi - lo)
-    grid = _default_grid(fam, h) if grid is None else np.asarray(grid, dtype=float)
+    grid = np.linspace(lo + h, hi - h, 51) if grid is None else np.asarray(grid, dtype=float)
     _check_grid(fam, grid, h)
     dim = fam.d * fam.d if extended else fam.d
     if witnesses is None:
@@ -304,26 +296,26 @@ def central_difference(f, t: float, h: float) -> float:
     return (f(t + h) - f(t - h)) / (2 * h)
 
 
-def _null_basis(s: np.ndarray, rcond: float) -> np.ndarray:
+def _null_basis(s: np.ndarray) -> np.ndarray:
     _, sv, vh = np.linalg.svd(s)
     if sv.size == 0 or sv[0] == 0.0:
         return vh.conj().T  # zero map: everything is kernel
-    rank = int(np.sum(sv > rcond * sv[0]))
+    rank = int(np.sum(sv > RCOND * sv[0]))
     return vh[rank:].conj().T
 
 
-def kernel_inclusion_divisible(fam: DynamicalFamily, s: float, t: float, rcond: float = 1e-10) -> bool:
+def kernel_inclusion_divisible(fam: DynamicalFamily, s: float, t: float) -> bool:
     """Exact divisibility test: some Phi with Lambda_t = Phi Lambda_s exists
     iff Ker(Lambda_s) is contained in Ker(Lambda_t).
 
     Decided from an SVD null-space basis of the source superoperator; rank
-    thresholds use rcond relative to the largest singular value.
+    thresholds use RCOND relative to the largest singular value.
     """
     if t < s:
         raise DomainExceeded(f"need s <= t, got s={s}, t={t}")
     ss = fam.channel(s).super
     st = fam.channel(t).super
-    null = _null_basis(ss, rcond)
+    null = _null_basis(ss)
     if null.shape[1] == 0:
         return True
     scale = float(np.linalg.norm(st, 2))
@@ -332,8 +324,8 @@ def kernel_inclusion_divisible(fam: DynamicalFamily, s: float, t: float, rcond: 
     return float(np.max(np.abs(st @ null))) <= 1e-8 * scale
 
 
-def kernel_inclusion_report(fam: DynamicalFamily, s: float, t: float, rcond: float = 1e-10) -> DivisibilityReport:
-    ok = kernel_inclusion_divisible(fam, s, t, rcond=rcond)
+def kernel_inclusion_report(fam: DynamicalFamily, s: float, t: float) -> DivisibilityReport:
+    ok = kernel_inclusion_divisible(fam, s, t)
     return DivisibilityReport(
         verdict=DIVISIBLE_KERNEL_OK if ok else NOT_DIVISIBLE,
         mode="kernel",
@@ -342,14 +334,13 @@ def kernel_inclusion_report(fam: DynamicalFamily, s: float, t: float, rcond: flo
     )
 
 
-def intermediate_map(fam: DynamicalFamily, s: float, t: float, rcond: float = 1e-10,
-                     n_samples: int = 400, seed: int = 7) -> dict:
+def intermediate_map(fam: DynamicalFamily, s: float, t: float, seed: int = 7) -> dict:
     """Phi_{t,s} = Lambda_t . Lambda_s^{-1} through the superoperator inverse.
 
     Returns {"map": Channel, "cp": bool, "p": ...} where "p" is the
     sampling-based contractivity report for the connecting map (evidence,
     not proof). Propagates SingularChannel (with the singular-value
-    report) when Lambda_s is not invertible at rcond; callers should fall
+    report) when Lambda_s is not invertible at RCOND; callers should fall
     back to kernel_inclusion_report in that case.
     """
     from .channels import compose, inverse, positivity_by_contractivity
@@ -358,6 +349,6 @@ def intermediate_map(fam: DynamicalFamily, s: float, t: float, rcond: float = 1e
         raise DomainExceeded(f"need s <= t, got s={s}, t={t}")
     ch_s = fam.channel(s)
     ch_t = fam.channel(t)
-    mid = compose(ch_t, inverse(ch_s, rcond=rcond))
-    contr = positivity_by_contractivity(mid, n_samples=n_samples, seed=seed)
+    mid = compose(ch_t, inverse(ch_s))
+    contr = positivity_by_contractivity(mid, seed=seed)
     return {"map": mid, "cp": bool(mid.is_cp()), "p": contr}

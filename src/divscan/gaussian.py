@@ -4,7 +4,8 @@ determinant criterion for P-divisibility.
 Phase-space ordering is qq..pp throughout: the symplectic form is
 J = [[0, I_m], [-I_m, 0]]. A channel is the pair (X, Y) acting on covariance
 matrices as S -> X S X^T + Y/2, valid iff the Hermitian matrix
-Y - i(J - X^T J X) is PSD. A state covariance S is valid iff 2S + iJ is PSD.
+Y + i(J - X J X^T) is PSD (Heinosaari, Holevo & Wolf, QIC 10, 619 (2010)).
+A state covariance S is valid iff 2S + iJ is PSD.
 
 For a P-divisible family with invertible X_t, det X_t cannot increase; the
 scan flags any grid point where its central-difference derivative is
@@ -27,8 +28,10 @@ from ._errors import (
     NotSymplectic,
     SingularX,
 )
+from .operators import TAU_SLOPE
 
 VALID_ATOL = 1e-9
+DET_FLOOR = 1e-12  # |det X_t| at or below this: X_t counts as singular
 
 
 def jmat(m: int) -> np.ndarray:
@@ -46,8 +49,8 @@ def symplectic_deviation(r: np.ndarray) -> float:
     return float(np.max(np.abs(r @ j @ r.T - j)))
 
 
-def is_symplectic(r: np.ndarray, atol: float = VALID_ATOL) -> bool:
-    return symplectic_deviation(r) <= atol
+def is_symplectic(r: np.ndarray) -> bool:
+    return symplectic_deviation(r) <= VALID_ATOL
 
 
 def block_r(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -74,10 +77,10 @@ def planar_rotation(m: int, i: int, j: int, theta: float) -> np.ndarray:
     return np.block([[o, z], [z, o]])
 
 
-def random_symplectic(m: int, rng: np.random.Generator, n_factors: int = 6) -> np.ndarray:
-    """Product of random planar rotations and squeezers."""
+def random_symplectic(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Product of six random planar rotations and squeezers."""
     r = np.eye(2 * m)
-    for _ in range(n_factors):
+    for _ in range(6):
         if m >= 2 and rng.random() < 0.5:
             i, j = rng.choice(m, size=2, replace=False)
             r = r @ planar_rotation(m, int(i), int(j), float(rng.uniform(0, 2 * np.pi)))
@@ -96,48 +99,48 @@ class GaussianPair:
 
     def validity_matrix(self) -> np.ndarray:
         j = jmat(self.m)
-        return self.y.astype(complex) - 1j * (j - self.x.T @ j @ self.x)
+        return self.y.astype(complex) + 1j * (j - self.x @ j @ self.x.T)
 
     def min_validity_eig(self) -> float:
         v = self.validity_matrix()
         return float(np.linalg.eigvalsh((v + v.conj().T) / 2).min())
 
-    def is_valid(self, atol: float = VALID_ATOL) -> bool:
-        return self.min_validity_eig() >= -atol
+    def is_valid(self) -> bool:
+        return self.min_validity_eig() >= -VALID_ATOL
 
 
-def make_pair(x: np.ndarray, y: np.ndarray, check: bool = True, atol: float = VALID_ATOL) -> GaussianPair:
+def make_pair(x: np.ndarray, y: np.ndarray) -> GaussianPair:
+    """GaussianPair(...) checked: InvalidChannel unless Y is symmetric and valid."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % 2:
         raise DimensionMismatch(f"X, Y must share a square even shape; got {x.shape}, {y.shape}")
-    if np.max(np.abs(y - y.T)) > 1e-9:
+    if np.max(np.abs(y - y.T)) > VALID_ATOL:
         raise InvalidChannel("Y must be symmetric")
     pair = GaussianPair(m=x.shape[0] // 2, x=x, y=(y + y.T) / 2)
-    if check and not pair.is_valid(atol=atol):
+    if not pair.is_valid():
         raise InvalidChannel(
             f"validity matrix has min eigenvalue {pair.min_validity_eig():.3e}"
         )
     return pair
 
 
-def is_valid_state(s_cov: np.ndarray, atol: float = VALID_ATOL) -> bool:
+def is_valid_state(s_cov: np.ndarray) -> bool:
     s_cov = np.asarray(s_cov, dtype=float)
     m = s_cov.shape[0] // 2
     h = 2 * s_cov.astype(complex) + 1j * jmat(m)
-    return float(np.linalg.eigvalsh((h + h.conj().T) / 2).min()) >= -atol
+    return float(np.linalg.eigvalsh((h + h.conj().T) / 2).min()) >= -VALID_ATOL
 
 
-def apply_to_covariance(pair: GaussianPair, s_cov: np.ndarray, check: bool = True) -> np.ndarray:
-    """S -> X S X^T + Y/2."""
+def apply_to_covariance(pair: GaussianPair, s_cov: np.ndarray) -> np.ndarray:
+    """S -> X S X^T + Y/2, for a valid pair and a valid state."""
     s_cov = np.asarray(s_cov, dtype=float)
     if s_cov.shape != pair.x.shape:
         raise DimensionMismatch(f"covariance shape {s_cov.shape} vs channel {pair.x.shape}")
-    if check:
-        if not pair.is_valid():
-            raise InvalidChannel("channel pair fails the validity inequality")
-        if not is_valid_state(s_cov):
-            raise InvalidState("input covariance fails 2S + iJ >= 0")
+    if not pair.is_valid():
+        raise InvalidChannel("channel pair fails the validity inequality")
+    if not is_valid_state(s_cov):
+        raise InvalidState("input covariance fails 2S + iJ >= 0")
     return pair.x @ s_cov @ pair.x.T + pair.y / 2
 
 
@@ -147,7 +150,7 @@ def _keep_env_indices(m_total: int, m_keep: int):
     return keep, env
 
 
-def dilation_report(r1, t, r2, m_keep: int, atol: float = VALID_ATOL) -> dict:
+def dilation_report(r1, t, r2, m_keep: int) -> dict:
     """Run the dilation pipeline without raising: L = R1 T R2 in qq..pp
     ordering, keep the first m_keep modes, environment in the vacuum-like
     state (1/2) I. Returns the extracted pair plus every validation flag so
@@ -172,17 +175,18 @@ def dilation_report(r1, t, r2, m_keep: int, atol: float = VALID_ATOL) -> dict:
         "pair": pair,
         "L": l_full,
         "deviations": devs,
-        "symplectic": {name: dev <= atol for name, dev in devs.items()},
-        "pair_valid": pair.is_valid(atol=atol),
+        "symplectic": {name: dev <= VALID_ATOL for name, dev in devs.items()},
+        "pair_valid": pair.is_valid(),
         "validity_min_eig": pair.min_validity_eig(),
     }
 
 
-def dilation_channel(r1, t, r2, m_keep: int, atol: float = VALID_ATOL) -> GaussianPair:
+def dilation_channel(r1, t, r2, m_keep: int) -> GaussianPair:
     """Strict form of the dilation: raises NotSymplectic naming the first
     offending factor, and InvalidDilation when the extracted pair violates
-    the validity inequality."""
-    rep = dilation_report(r1, t, r2, m_keep, atol=atol)
+    the validity inequality (a round-off guard: symplectic factors give a
+    validity matrix L12 (I + iJ) L12^T, which is PSD)."""
+    rep = dilation_report(r1, t, r2, m_keep)
     for name in ("R1", "T", "R2"):
         if not rep["symplectic"][name]:
             raise NotSymplectic(
@@ -208,18 +212,17 @@ class GaussianFamily:
         return self.generator(t)
 
 
-def make_gaussian_family(generator, m: int, t_domain, name: str = "", grid_points: int = 9,
-                         validate: bool = True, atol: float = VALID_ATOL) -> GaussianFamily:
+def make_gaussian_family(generator, m: int, t_domain, name: str = "") -> GaussianFamily:
+    """GaussianFamily(...) checked: InvalidFamily at its first invalid pair of 9."""
     fam = GaussianFamily(m=m, generator=generator, t_domain=(float(t_domain[0]), float(t_domain[1])), name=name)
-    if validate:
-        for t in np.linspace(fam.t_domain[0], fam.t_domain[1], grid_points):
-            p = fam.pair(float(t))
-            if not p.is_valid(atol=atol):
-                raise InvalidFamily(
-                    f"{name or 'gaussian family'} pair invalid at t={t} "
-                    f"(min eigenvalue {p.min_validity_eig():.3e})",
-                    t=float(t),
-                )
+    for t in np.linspace(fam.t_domain[0], fam.t_domain[1], 9):
+        p = fam.pair(float(t))
+        if not p.is_valid():
+            raise InvalidFamily(
+                f"{name or 'gaussian family'} pair invalid at t={t} "
+                f"(min eigenvalue {p.min_validity_eig():.3e})",
+                t=float(t),
+            )
     return fam
 
 
@@ -228,12 +231,13 @@ def det_x(fam: GaussianFamily, t: float) -> float:
 
 
 def det_criterion_scan(fam: GaussianFamily, grid, h: float | None = None,
-                       tau_slope: float = 1e-6, det_floor: float = 1e-12) -> list[dict]:
-    """Central-difference derivative of det X_t over the grid.
+                       tau_slope: float = TAU_SLOPE) -> list[dict]:
+    """Central-difference derivative of det X_t over the grid; h defaults
+    to 1e-4 times the grid span.
 
     violation=True where the derivative exceeds tau_slope (a P-divisible
     family with invertible X_t cannot have increasing determinant). Raises
-    SingularX when |det| falls below det_floor anywhere on the stencil.
+    SingularX when |det| falls to DET_FLOOR anywhere on the stencil.
     """
     grid = np.asarray(grid, dtype=float)
     if h is None:
@@ -244,7 +248,7 @@ def det_criterion_scan(fam: GaussianFamily, grid, h: float | None = None,
         t = float(t)
         dets = {tau: det_x(fam, tau) for tau in (t - h, t, t + h)}
         for tau, dv in dets.items():
-            if abs(dv) <= det_floor:
+            if abs(dv) <= DET_FLOOR:
                 raise SingularX(f"det X_t = {dv:.3e} at t={tau}; criterion needs invertible X_t")
         ddet = (dets[t + h] - dets[t - h]) / (2 * h)
         rows.append({"t": t, "det": dets[t], "ddet": ddet, "violation": bool(ddet > tau_slope)})

@@ -26,6 +26,8 @@ from .channels import Channel
 from .divisibility import DynamicalFamily, make_dynamical_family
 from .operators import vec
 
+COEFF_ATOL = 1e-12  # sign slack of closed-form coefficients and partial sums
+
 
 @dataclass(frozen=True)
 class IdempotentParams:
@@ -127,12 +129,12 @@ def choi_spectrum_closed_form(params: IdempotentParams):
     ]
 
 
-def cp_condition(params: IdempotentParams, atol: float = 1e-12) -> bool:
+def cp_condition(params: IdempotentParams, atol: float = COEFF_ATOL) -> bool:
     """CP iff all four closed-form Choi eigenvalues are nonnegative."""
     return all(val >= -atol for val, _ in choi_spectrum_closed_form(params))
 
 
-def two_positive_necessary(params: IdempotentParams, atol: float = 1e-12) -> bool:
+def two_positive_necessary(params: IdempotentParams, atol: float = COEFF_ATOL) -> bool:
     """Necessary conditions for 2-positivity (no converse implemented)."""
     n, k = params.n, params.k
     a, b, c, d = params.coeffs()
@@ -158,7 +160,7 @@ def two_positive_probe_choi(params: IdempotentParams) -> np.ndarray:
     return c2
 
 
-def l_positive_condition(params: IdempotentParams, l: int, norm_ce_sl: float | None = None, atol: float = 1e-12) -> bool:
+def l_positive_condition(params: IdempotentParams, l: int, norm_ce_sl: float | None = None) -> bool:
     """Evaluate b*||C_E||_S(l) + c + d + a*l >= 0 (stated hypothesis a,b <= 0).
 
     l = 1 defaults the norm to k; for l >= 2 the Schmidt-rank-constrained
@@ -167,7 +169,7 @@ def l_positive_condition(params: IdempotentParams, l: int, norm_ce_sl: float | N
     """
     n, k = params.n, params.k
     a, b, c, d = params.coeffs()
-    if a > atol or b > atol:
+    if a > COEFF_ATOL or b > COEFF_ATOL:
         raise HypothesisViolated(f"condition stated for a, b <= 0; got a={a}, b={b}")
     if not 1 <= l <= n * k:
         raise HypothesisViolated(f"need 1 <= l <= nk = {n * k}, got l={l}")
@@ -175,10 +177,10 @@ def l_positive_condition(params: IdempotentParams, l: int, norm_ce_sl: float | N
         if l != 1:
             raise HypothesisViolated("||C_E||_S(l) must be supplied for l >= 2")
         norm_ce_sl = float(k)
-    return bool(b * norm_ce_sl + c + d + a * l >= -atol)
+    return bool(b * norm_ce_sl + c + d + a * l >= -COEFF_ATOL)
 
 
-def positivity_sufficient(n: int, k: int, alpha: float, beta: float, gamma: float, delta: float, atol: float = 1e-12) -> bool:
+def positivity_sufficient(n: int, k: int, alpha: float, beta: float, gamma: float, delta: float) -> bool:
     """Sufficient (not necessary) condition for Phi(alpha..delta) positive.
 
     Either all four coefficients are nonnegative, or alpha, delta >= 0,
@@ -186,10 +188,10 @@ def positivity_sufficient(n: int, k: int, alpha: float, beta: float, gamma: floa
     from bounding each block of the output from below by
     (beta + gamma/k + delta/nk) * tr(X_block) * (unit direction).
     """
-    if min(alpha, beta, gamma, delta) >= -atol:
+    if min(alpha, beta, gamma, delta) >= -COEFF_ATOL:
         return True
     w = beta + gamma / k + delta / (n * k)
-    return bool(alpha >= -atol and delta >= -atol and beta <= atol and w >= -atol)
+    return bool(alpha >= -COEFF_ATOL and delta >= -COEFF_ATOL and beta <= COEFF_ATOL and w >= -COEFF_ATOL)
 
 
 def _partial_sums(coeffs) -> list[float]:
@@ -204,7 +206,7 @@ def _partial_sums(coeffs) -> list[float]:
 _SUM_NAMES = ("a_s", "a_s+b_s", "a_s+b_s+c_s", "a_s+b_s+c_s+d_s")
 
 
-def divisor_coeffs(a_s, b_s, c_s, d_s, a_t, b_t, c_t, d_t, atol: float = 1e-12):
+def divisor_coeffs(a_s, b_s, c_s, d_s, a_t, b_t, c_t, d_t):
     """Closed-form left-divisor coefficients: Phi(out) . Phi(s) = Phi(t).
 
         alpha = a_t/a_s
@@ -217,7 +219,7 @@ def divisor_coeffs(a_s, b_s, c_s, d_s, a_t, b_t, c_t, d_t, atol: float = 1e-12):
     """
     sums = _partial_sums((a_s, b_s, c_s, d_s))
     for name, val in zip(_SUM_NAMES, sums):
-        if abs(val) <= atol:
+        if abs(val) <= COEFF_ATOL:
             raise DegenerateDenominator(f"partial sum {name} vanishes ({val:.3e})")
     s1, s2, s3, s4 = sums
     alpha = a_t / s1
@@ -239,7 +241,7 @@ def idempotent_product(x, y):
     return y * sx + x * sy
 
 
-def solve_left_divisor(x, z, atol: float = 1e-12):
+def solve_left_divisor(x, z):
     """Solve idempotent_product(y, x) = z for y.
 
     Triangular recursion: y_1 = z_1/x_1 and
@@ -252,7 +254,7 @@ def solve_left_divisor(x, z, atol: float = 1e-12):
         raise ValueError(f"coefficient vectors differ in length: {x.shape} vs {z.shape}")
     sx = np.cumsum(x)
     for i, val in enumerate(sx):
-        if abs(val) <= atol:
+        if abs(val) <= COEFF_ATOL:
             raise DegenerateDenominator(f"partial sum of x through index {i} vanishes ({val:.3e})")
     sz = np.cumsum(z)
     y = np.empty_like(x)
@@ -262,16 +264,16 @@ def solve_left_divisor(x, z, atol: float = 1e-12):
     return y
 
 
-def make_family(coeff_fns, n: int, k: int, t_domain, name: str = "", grid_points: int = 41,
+def make_family(coeff_fns, n: int, k: int, t_domain, name: str = "",
                 witnesses=(), cp_witnesses=()) -> DynamicalFamily:
     """Family Lambda_t = Phi(a_t, b_t, c_t, d_t) on C^(nk).
 
     coeff_fns maps t to the coefficient 4-tuple. Validity at construction:
-    coefficients sum to 1 (TP) and the CP condition holds at every grid point;
-    InvalidFamily carries the first offending t.
+    coefficients sum to 1 (TP) and the CP condition holds at each of 41 grid
+    points; InvalidFamily carries the first offending t.
     """
     lo, hi = float(t_domain[0]), float(t_domain[1])
-    for t in np.linspace(lo, hi, grid_points):
+    for t in np.linspace(lo, hi, 41):
         a, b, c, d = coeff_fns(float(t))
         if abs(a + b + c + d - 1.0) > 1e-9:
             raise InvalidFamily(f"coefficients do not sum to 1 at t={t}", t=float(t))
@@ -293,7 +295,7 @@ def make_family(coeff_fns, n: int, k: int, t_domain, name: str = "", grid_points
     )
 
 
-def classify_regime(n: int, k: int, s_coeffs, t_coeffs, atol: float = 1e-12) -> str:
+def classify_regime(n: int, k: int, s_coeffs, t_coeffs) -> str:
     """Divisor-based regime label for the step s -> t.
 
     'CP' when the divisor meets the CP condition; within the a,b <= 0
@@ -302,10 +304,10 @@ def classify_regime(n: int, k: int, s_coeffs, t_coeffs, atol: float = 1e-12) -> 
     """
     alpha, beta, gamma, delta = divisor_coeffs(*s_coeffs, *t_coeffs)
     div = IdempotentParams(n, k, alpha, beta, gamma, delta)
-    if cp_condition(div, atol=atol):
+    if cp_condition(div):
         return "CP"
-    if alpha <= atol and beta <= atol:
-        if l_positive_condition(div, 1, atol=atol):
+    if alpha <= COEFF_ATOL and beta <= COEFF_ATOL:
+        if l_positive_condition(div, 1):
             return "P-not-CP"
         return "not-P"
     return "undetermined"

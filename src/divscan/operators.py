@@ -80,10 +80,8 @@ def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     return h / tn if tn > 0 else h
 
 
-def random_projector_difference(d: int, rng: np.random.Generator, rank: int = 1) -> np.ndarray:
-    """psi psi* - phi phi* style witness with Haar-ish random ranges."""
-    g = rng.standard_normal((d, 2 * rank)) + 1j * rng.standard_normal((d, 2 * rank))
+def random_projector_difference(d: int, rng: np.random.Generator) -> np.ndarray:
+    """psi psi* - phi phi* for orthonormal Haar-ish random psi, phi."""
+    g = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
     q, _ = np.linalg.qr(g)
-    p1 = q[:, :rank] @ q[:, :rank].conj().T
-    p2 = q[:, rank : 2 * rank] @ q[:, rank : 2 * rank].conj().T
-    return p1 - p2
+    return q[:, :1] @ q[:, :1].conj().T - q[:, 1:] @ q[:, 1:].conj().T

@@ -15,9 +15,12 @@ from divscan.presets import list_presets
 
 
 def run_cli(args, tmp_path, name="out"):
+    """Run the CLI with --out-json, and --out-csv where the command reads it."""
     jp = tmp_path / f"{name}.json"
     cp = tmp_path / f"{name}.csv"
-    code = main(args + ["--out-json", str(jp), "--out-csv", str(cp)])
+    _, options = cli_module._COMMANDS.get(args[0] if args else None, (None, ()))
+    csv_flag = ["--out-csv", str(cp)] if "out_csv" in options else []
+    code = main(args + ["--out-json", str(jp)] + csv_flag)
     report = json.loads(jp.read_text()) if jp.exists() else None
     csv_text = cp.read_text() if cp.exists() else None
     return code, report, csv_text
@@ -280,6 +283,7 @@ _FLAG_VALUES = {
     "tau_slope": "1e-6",
     "n": "4",
     "pair": "0.3:0.6",
+    "out_csv": "unread.csv",
 }
 _CONFIG_VALUES = {
     "preset": "unitary",
@@ -288,6 +292,7 @@ _CONFIG_VALUES = {
     "tau_slope": 1e-6,
     "n": 4,
     "pair": [0.3, 0.6],
+    "out_csv": "unread.csv",
 }
 _UNREAD = [
     (command, key)
@@ -302,7 +307,7 @@ def test_table_covers_every_option_and_the_common_ones():
     assert set(_CONFIG_VALUES) == set(_FLAG_VALUES)
     for _, options in cli_module._COMMANDS.values():
         assert set(cli_module._COMMON) <= set(options)
-    assert len(_UNREAD) == 6 * len(cli_module._OPTIONS) - 47  # 47 command flags in all
+    assert len(_UNREAD) == 6 * len(cli_module._OPTIONS) - 46  # 46 command flags in all
 
 
 @pytest.mark.parametrize("command,key", _UNREAD, ids=[f"{c}-{k}" for c, k in _UNREAD])
@@ -362,7 +367,9 @@ def test_summary_line_and_default_file_names(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == (
         "scan-p unitary: P_EVIDENCE (json: divscan_scan-p_unitary.json, csv: divscan_scan-p_unitary.csv)\n"
     )
-    assert main(["intermediate", "--preset", "unitary", "--out-csv", "unused.csv"]) == 0
+    assert main(["intermediate", "--preset", "unitary", "--out-csv", "unused.csv"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert main(["intermediate", "--preset", "unitary"]) == 0
     assert capsys.readouterr().out == "intermediate unitary (0.5 -> 1.5): cp=True (json: divscan_intermediate_unitary.json)\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "divscan_intermediate_unitary.json",

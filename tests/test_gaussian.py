@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from divscan._errors import (
     DimensionMismatch,
     InvalidChannel,
-    InvalidDilation,
     InvalidFamily,
     InvalidState,
     NotSymplectic,
@@ -147,13 +148,57 @@ def test_strict_dilation_names_offending_factor():
     assert err.value.deviation > 0.1
 
 
-def test_strict_dilation_rejects_validity_violations():
-    # symplectic inputs, but a 2-of-3 keep lands outside the checked inequality
+def test_symplectic_dilations_are_valid():
+    """L J L^T = J gives J - X J X^T = L12 J L12^T, so the validity matrix
+    Y + i(J - X J X^T) is L12 (I + iJ) L12^T, which is PSD."""
+    rng = np.random.default_rng(77)
+    for m_total, m_keep in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3)):
+        keep = list(range(m_keep)) + list(range(m_total, m_total + m_keep))
+        env = [i for i in range(2 * m_total) if i not in keep]
+        for _ in range(20):
+            r1, r2 = random_symplectic(m_total, rng), random_symplectic(m_total, rng)
+            t = squeeze_diag(np.exp(rng.uniform(-1.0, 1.0, size=m_total)))
+            rep = dilation_report(r1, t, r2, m_keep)
+            l12 = rep["L"][np.ix_(keep, env)]
+            factored = l12 @ (np.eye(len(env)) + 1j * jmat(m_total - m_keep)) @ l12.T
+            assert np.max(np.abs(rep["pair"].validity_matrix() - factored)) < 1e-9
+            assert rep["validity_min_eig"] >= -1e-12
+            dilation_channel(r1, t, r2, m_keep)  # raises neither error
+
+
+def test_validity_inequality_rejects_invalid_pairs():
+    """One mode, X = 2I: Y + i(J - X J X^T) = Y - 3iJ, PSD for Y = yI iff
+    y >= 3. Two modes: with X^T in place of X the matrix is the complex
+    conjugate of Y - i(J - X^T J X), the form the check used to apply,
+    which a valid 2-of-3 dilation pair fails."""
+    with pytest.raises(InvalidChannel):
+        make_pair(2.0 * np.eye(2), 2.9 * np.eye(2))
+    assert make_pair(2.0 * np.eye(2), 3.0 * np.eye(2)).is_valid()
     rng = np.random.default_rng(77)
     r1, r2 = random_symplectic(3, rng), random_symplectic(3, rng)
-    t = squeeze_diag([1.0, 1.3, 0.8])
-    with pytest.raises(InvalidDilation):
-        dilation_channel(r1, t, r2, m_keep=2)
+    pair = dilation_channel(r1, squeeze_diag([1.0, 1.3, 0.8]), r2, m_keep=2)
+    with pytest.raises(InvalidChannel):
+        make_pair(pair.x.T, pair.y)
+
+
+@st.composite
+def _dilation_inputs(draw):
+    m_total = draw(st.sampled_from([2, 3, 4]))
+    m_keep = draw(st.integers(1, m_total - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    squeeze = draw(st.lists(st.floats(-1.0, 1.0), min_size=m_total, max_size=m_total))
+    return rng, m_total, m_keep, squeeze_diag(np.exp(squeeze))
+
+
+@given(_dilation_inputs())
+def test_dilations_and_their_compositions_stay_valid(inputs):
+    rng, m_total, m_keep, t = inputs
+    first, second = (
+        dilation_report(random_symplectic(m_total, rng), t, random_symplectic(m_total, rng), m_keep)
+        for _ in range(2)
+    )
+    assert first["pair_valid"] and second["pair_valid"]
+    assert compose_pairs(second["pair"], first["pair"]).is_valid()
 
 
 def test_dilation_keep_range_checked():
@@ -202,7 +247,7 @@ def test_det_scan_flags_growth_after_one():
 
 def test_det_scan_raises_on_singular_x():
     def gen(t):
-        return make_pair((1.5 - t) * np.eye(2), np.eye(2) * 3.0, check=False)
+        return GaussianPair(m=1, x=(1.5 - t) * np.eye(2), y=np.eye(2) * 3.0)
 
     fam = GaussianFamily(m=1, generator=gen, t_domain=(0.0, 3.0), name="sing")
     with pytest.raises(SingularX):
@@ -233,7 +278,7 @@ def test_composition_built_family_has_nonincreasing_det():
 
 def test_make_gaussian_family_validates_grid():
     def bad(t):
-        return make_pair(2.0 * np.eye(2), np.zeros((2, 2)), check=False)
+        return GaussianPair(m=1, x=2.0 * np.eye(2), y=np.zeros((2, 2)))
 
     with pytest.raises(InvalidFamily):
         make_gaussian_family(bad, m=1, t_domain=(0.0, 1.0), name="bad")
