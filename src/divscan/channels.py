@@ -30,6 +30,7 @@ TP_ATOL = 1e-9
 TP_HYPOTHESIS_ATOL = 1e-8  # TP check of family members and of probed maps
 RCOND = 1e-10  # rank cut-off relative to the largest singular value
 GROWTH_ATOL = 1e-9  # trace-norm growth that certifies non-positivity
+PROBE_HERM_ATOL = 1e-8  # Hermiticity slack of probed images
 
 
 def kraus_to_super(kraus) -> np.ndarray:
@@ -277,7 +278,7 @@ def positivity_by_contractivity(ch: Channel, n_samples: int = 400, seed: int = 7
                 x = (g + g.conj().T) / 2
         checked += 1
         nin = trace_norm(x)
-        nout = trace_norm(ch.apply(x), atol=1e-8)
+        nout = trace_norm(ch.apply(x), atol=PROBE_HERM_ATOL)
         if nout > nin + GROWTH_ATOL:
             return {
                 "positive_evidence": False,

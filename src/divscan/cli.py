@@ -25,6 +25,8 @@ import numpy as np
 from . import _thread_count
 from ._errors import ConfigError, DivscanError
 from .divisibility import (
+    DOMAIN_ATOL,
+    STENCIL_WIDTH,
     cp_divisibility_scan,
     intermediate_map,
     p_divisibility_scan,
@@ -149,7 +151,7 @@ def _build_family(cfg):
 
 
 def _check_domain(what: str, lo: float, hi: float, domain: tuple[float, float]) -> None:
-    if lo < domain[0] - 1e-12 or hi > domain[1] + 1e-12:
+    if lo < domain[0] - DOMAIN_ATOL or hi > domain[1] + DOMAIN_ATOL:
         raise ConfigError(f"{what} [{lo}, {hi}] outside the domain {list(domain)}")
 
 
@@ -161,10 +163,11 @@ def _checked_grid(cfg, entry: dict, domain: tuple[float, float]) -> np.ndarray:
 
 
 def _grid_and_h(cfg, entry: dict, domain: tuple[float, float]):
-    """Grid and stencil width h for the scan, schur and gaussian commands:
-    the checked grid, with h = cfg.h or 1e-4 times the domain span."""
+    """The checked grid and h = cfg.h or STENCIL_WIDTH times the span of the
+    domain, or of the grid for gaussian (its goldens pin that default)."""
     ts = _checked_grid(cfg, entry, domain)
-    h = cfg.h if cfg.h is not None else 1e-4 * (domain[1] - domain[0])
+    lo, hi = (ts[0], ts[-1]) if cfg.command == "gaussian" else domain
+    h = cfg.h if cfg.h is not None else STENCIL_WIDTH * float(hi - lo)
     # grids may touch the domain boundary; pull those points in by h so the
     # finite-difference stencil stays inside
     ts[0] = max(ts[0], domain[0] + h)
@@ -192,9 +195,9 @@ def _run_scan(cfg):
 
 
 def _run_schur(cfg):
-    n = cfg.n if cfg.n is not None else 8
     entry = FAMILY_PRESETS["schur"]
-    fam = entry["build"](n)
+    fam = entry["build"]() if cfg.n is None else entry["build"](cfg.n)
+    n = fam.d
     ts, h = _grid_and_h(cfg, entry, fam.t_domain)
     rows = witness_growth(n, ts)
     report = p_divisibility_scan(fam, grid=ts, h=h, seed=cfg.seed, tau_slope=cfg.tau_slope)
@@ -254,9 +257,7 @@ def _run_gaussian(cfg):
         )
     entry = GAUSSIAN_PRESETS[cfg.preset]
     dom = entry["t_domain"]
-    # without --h, det_criterion_scan's default h of 1e-4 times the grid span
-    # is at most the domain-based h, so the clamped stencil stays inside
-    ts, _ = _grid_and_h(cfg, entry, dom)
+    ts, h = _grid_and_h(cfg, entry, dom)
 
     first = gaussian_pair_at(cfg.preset, float(ts[0]))
     pair_valid = all(gaussian_pair_at(cfg.preset, float(t))["pair_valid"] for t in ts)
@@ -266,7 +267,7 @@ def _run_gaussian(cfg):
         t_domain=dom,
         name=cfg.preset,
     )
-    rows = det_criterion_scan(fam, ts, h=cfg.h, tau_slope=cfg.tau_slope)
+    rows = det_criterion_scan(fam, ts, h=h, tau_slope=cfg.tau_slope)
     any_violation = any(r["violation"] for r in rows)
     verdict = "NOT_P_DIVISIBLE" if any_violation else "P_EVIDENCE"
     validation = {
@@ -292,8 +293,6 @@ def _run_intermediate(cfg):
     fam, _ = _build_family(cfg)
     if cfg.pair is not None:
         s, t = cfg.pair
-    elif cfg.preset.startswith("idempotent"):
-        s, t = DESIGNATED_PAIR
     else:
         lo, hi = fam.t_domain
         s, t = lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._errors import DimensionMismatch, DomainExceeded, InvalidFamily
+from ._errors import DimensionMismatch, DomainExceeded, HypothesisViolated, InvalidFamily
 from .channels import RCOND, TP_HYPOTHESIS_ATOL, Channel, _matrix_to_json, stacked_apply
 from .operators import TAU_SLOPE, random_hermitian, random_projector_difference, trace_norms
 
@@ -40,6 +40,26 @@ P_EVIDENCE = "P_EVIDENCE"
 CP_EVIDENCE = "CP_EVIDENCE"
 DIVISIBLE_KERNEL_OK = "DIVISIBLE_KERNEL_OK"
 NOT_DIVISIBLE = "NOT_DIVISIBLE"
+
+STENCIL_WIDTH = 1e-4  # default h, relative to the span of the domain or grid
+DOMAIN_ATOL = 1e-12  # slack of every time-in-domain check
+SCAN_HERM_ATOL = 1e-7  # Hermiticity slack of scanned witness images
+KERNEL_ATOL = 1e-8  # kernel-inclusion residual, relative to ||Lambda_t||_2
+
+
+def _check_time(t: float, domain: tuple[float, float], what: str = "t") -> None:
+    lo, hi = domain
+    if not lo - DOMAIN_ATOL <= t <= hi + DOMAIN_ATOL:
+        raise DomainExceeded(f"{what}={t} outside domain [{lo}, {hi}]")
+
+
+def _check_stencil(grid: np.ndarray, h, domain: tuple[float, float]) -> None:
+    """The stencil rule: a non-empty grid and a finite h > 0, else
+    HypothesisViolated; every t +/- h in the domain, else DomainExceeded."""
+    if len(grid) == 0 or not (np.isfinite(h) and h > 0):
+        raise HypothesisViolated(f"a scan needs a non-empty grid and a finite h > 0; got {len(grid)} times, h={h}")
+    _check_time(float(np.min(grid)) - h, domain, what="stencil point t - h")
+    _check_time(float(np.max(grid)) + h, domain, what="stencil point t + h")
 
 
 @dataclass
@@ -59,9 +79,7 @@ class DynamicalFamily:
     cp_witnesses: tuple = ()
 
     def channel(self, t: float) -> Channel:
-        lo, hi = self.t_domain
-        if t < lo - 1e-12 or t > hi + 1e-12:
-            raise DomainExceeded(f"t={t} outside domain [{lo}, {hi}]")
+        _check_time(t, self.t_domain)
         return self.channel_at(t)
 
 
@@ -146,15 +164,6 @@ class DivisibilityReport:
         return list(self.rows)
 
 
-def _check_grid(fam: DynamicalFamily, grid: np.ndarray, h: float) -> None:
-    lo, hi = fam.t_domain
-    for t in grid:
-        if t - h < lo - 1e-12 or t + h > hi + 1e-12:
-            raise DomainExceeded(
-                f"stencil point {t} +/- {h} leaves the family domain [{lo}, {hi}]"
-            )
-
-
 def _chunks(n: int, early_stop: bool):
     """Witness index ranges: all at once, or 1, 2, 4, ... with early stop so
     that a violation among the first witnesses ends the scan early."""
@@ -177,19 +186,18 @@ def _curves(fam, grid, h, ws, tau_slope, extended):
     NaN where the slope did not exceed tau_slope.
     """
 
-    def norms(tau: float, ys: np.ndarray) -> np.ndarray:
-        out = stacked_apply(fam.channel(tau).super, fam.d, ys, extended=extended)
-        return trace_norms(out, atol=1e-7)
+    def norms(ys: np.ndarray):  # tau -> trace norms of Lambda_tau on the stack ys
+        return lambda tau: trace_norms(stacked_apply(fam.channel(tau).super, fam.d, ys, extended), SCAN_HERM_ATOL)
 
     shape = (len(grid), len(ws))
     values, derivs, fine = np.empty(shape), np.empty(shape), np.full(shape, np.nan)
+    curve = norms(ws)
     for k, t in enumerate(grid.tolist()):
-        values[k] = norms(t, ws)
-        derivs[k] = (norms(t + h, ws) - norms(t - h, ws)) / (2 * h)
+        values[k] = curve(t)
+        derivs[k] = central_difference(curve, t, h)
         flagged = np.flatnonzero(derivs[k] > tau_slope)
         if flagged.size:
-            sub = ws[flagged]
-            fine[k, flagged] = (norms(t + h / 10, sub) - norms(t - h / 10, sub)) / (2 * h / 10)
+            fine[k, flagged] = central_difference(norms(ws[flagged]), t, h / 10)
     return values, derivs, fine
 
 
@@ -199,9 +207,9 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     extended = mode == "CP"
     lo, hi = fam.t_domain
     if h is None:
-        h = 1e-4 * (hi - lo)
+        h = STENCIL_WIDTH * (hi - lo)
     grid = np.linspace(lo + h, hi - h, 51) if grid is None else np.asarray(grid, dtype=float)
-    _check_grid(fam, grid, h)
+    _check_stencil(grid, h, fam.t_domain)
     dim = fam.d * fam.d if extended else fam.d
     if witnesses is None:
         rng = np.random.default_rng(seed)
@@ -212,6 +220,8 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
         else:
             witnesses += default_witnesses(dim, rng)
     witnesses = list(witnesses)
+    if not witnesses:
+        raise HypothesisViolated("the witness library is empty; an empty scan is no evidence")
     for wid, w in witnesses:
         if np.shape(w) != (dim, dim):
             raise DimensionMismatch(f"witness {wid} has shape {np.shape(w)}, expected {(dim, dim)}")
@@ -272,9 +282,10 @@ def p_divisibility_scan(
 ) -> DivisibilityReport:
     """Scan d/dt ||Lambda_t(X)||_1 over a witness library.
 
-    Requires every stencil point t +/- h to stay inside the family domain
-    (DomainExceeded otherwise). witnesses=None selects the family's canonical
-    witnesses followed by the default library.
+    h defaults to STENCIL_WIDTH times the domain span. HypothesisViolated
+    for an empty grid or library or an h that is not finite and positive;
+    DomainExceeded when a stencil point t +/- h leaves the family domain.
+    witnesses=None selects the canonical witnesses, then the default library.
     """
     return _scan(fam, grid, h, witnesses, seed, tau_slope, mode="P", early_stop=early_stop)
 
@@ -292,7 +303,7 @@ def cp_divisibility_scan(
     return _scan(fam, grid, h, witnesses, seed, tau_slope, mode="CP", early_stop=early_stop)
 
 
-def central_difference(f, t: float, h: float) -> float:
+def central_difference(f, t: float, h: float):
     return (f(t + h) - f(t - h)) / (2 * h)
 
 
@@ -308,20 +319,14 @@ def kernel_inclusion_divisible(fam: DynamicalFamily, s: float, t: float) -> bool
     """Exact divisibility test: some Phi with Lambda_t = Phi Lambda_s exists
     iff Ker(Lambda_s) is contained in Ker(Lambda_t).
 
-    Decided from an SVD null-space basis of the source superoperator; rank
-    thresholds use RCOND relative to the largest singular value.
+    Decided from an SVD null-space basis of Lambda_s: the rank cut-off RCOND
+    and the residual bound KERNEL_ATOL are relative to each map's 2-norm.
     """
     if t < s:
         raise DomainExceeded(f"need s <= t, got s={s}, t={t}")
     ss = fam.channel(s).super
     st = fam.channel(t).super
-    null = _null_basis(ss)
-    if null.shape[1] == 0:
-        return True
-    scale = float(np.linalg.norm(st, 2))
-    if scale == 0.0:
-        return True
-    return float(np.max(np.abs(st @ null))) <= 1e-8 * scale
+    return float(np.max(np.abs(st @ _null_basis(ss)), initial=0.0)) <= KERNEL_ATOL * float(np.linalg.norm(st, 2))
 
 
 def kernel_inclusion_report(fam: DynamicalFamily, s: float, t: float) -> DivisibilityReport:

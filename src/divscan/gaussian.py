@@ -10,7 +10,7 @@ A state covariance S is valid iff 2S + iJ is PSD.
 For a P-divisible family with invertible X_t, det X_t cannot increase; the
 scan flags any grid point where its central-difference derivative is
 positive. The scalar stand-in for the trace norm of a displaced-operator
-image is phi(0,0) * det X_t, so the same slope machinery applies.
+image is phi(0,0) * det X_t, so the divisibility scans' stencil rule applies.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from ._errors import (
     NotSymplectic,
     SingularX,
 )
+from .divisibility import STENCIL_WIDTH, _check_stencil, _check_time, central_difference
 from .operators import TAU_SLOPE
 
 VALID_ATOL = 1e-9
@@ -171,13 +172,14 @@ def dilation_report(r1, t, r2, m_keep: int) -> dict:
     x = l_full[np.ix_(keep, keep)]
     l12 = l_full[np.ix_(keep, env)]
     pair = GaussianPair(m=m_keep, x=x, y=l12 @ l12.T)
+    min_eig = pair.min_validity_eig()
     return {
         "pair": pair,
         "L": l_full,
         "deviations": devs,
         "symplectic": {name: dev <= VALID_ATOL for name, dev in devs.items()},
-        "pair_valid": pair.is_valid(),
-        "validity_min_eig": pair.min_validity_eig(),
+        "pair_valid": min_eig >= -VALID_ATOL,
+        "validity_min_eig": min_eig,
     }
 
 
@@ -209,6 +211,7 @@ class GaussianFamily:
     name: str = ""
 
     def pair(self, t: float) -> GaussianPair:
+        _check_time(t, self.t_domain)
         return self.generator(t)
 
 
@@ -233,25 +236,27 @@ def det_x(fam: GaussianFamily, t: float) -> float:
 def det_criterion_scan(fam: GaussianFamily, grid, h: float | None = None,
                        tau_slope: float = TAU_SLOPE) -> list[dict]:
     """Central-difference derivative of det X_t over the grid; h defaults
-    to 1e-4 times the grid span.
+    to STENCIL_WIDTH times the grid span, checked as in the P/CP scans.
 
     violation=True where the derivative exceeds tau_slope (a P-divisible
     family with invertible X_t cannot have increasing determinant). Raises
     SingularX when |det| falls to DET_FLOOR anywhere on the stencil.
     """
     grid = np.asarray(grid, dtype=float)
-    if h is None:
-        span = float(grid[-1] - grid[0]) if len(grid) > 1 else 1.0
-        h = 1e-4 * span
+    if h is None and len(grid):
+        h = STENCIL_WIDTH * float(grid[-1] - grid[0])
+    _check_stencil(grid, h, fam.t_domain)
+
+    def det(tau: float) -> float:
+        dv = det_x(fam, tau)
+        if abs(dv) <= DET_FLOOR:
+            raise SingularX(f"det X_t = {dv:.3e} at t={tau}; criterion needs invertible X_t")
+        return dv
+
     rows = []
-    for t in grid:
-        t = float(t)
-        dets = {tau: det_x(fam, tau) for tau in (t - h, t, t + h)}
-        for tau, dv in dets.items():
-            if abs(dv) <= DET_FLOOR:
-                raise SingularX(f"det X_t = {dv:.3e} at t={tau}; criterion needs invertible X_t")
-        ddet = (dets[t + h] - dets[t - h]) / (2 * h)
-        rows.append({"t": t, "det": dets[t], "ddet": ddet, "violation": bool(ddet > tau_slope)})
+    for t in grid.tolist():
+        ddet = central_difference(det, t, h)
+        rows.append({"t": t, "det": det(t), "ddet": ddet, "violation": bool(ddet > tau_slope)})
     return rows
 
 

@@ -22,7 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ._errors import DegenerateDenominator, HypothesisViolated, InvalidFamily
-from .channels import Channel
+from .channels import TP_ATOL, Channel
 from .divisibility import DynamicalFamily, make_dynamical_family
 from .operators import vec
 
@@ -275,7 +275,7 @@ def make_family(coeff_fns, n: int, k: int, t_domain, name: str = "",
     lo, hi = float(t_domain[0]), float(t_domain[1])
     for t in np.linspace(lo, hi, 41):
         a, b, c, d = coeff_fns(float(t))
-        if abs(a + b + c + d - 1.0) > 1e-9:
+        if abs(a + b + c + d - 1.0) > TP_ATOL:
             raise InvalidFamily(f"coefficients do not sum to 1 at t={t}", t=float(t))
         if not cp_condition(IdempotentParams(n, k, a, b, c, d)):
             raise InvalidFamily(f"CP condition fails at t={t}", t=float(t))

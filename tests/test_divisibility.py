@@ -6,6 +6,7 @@ import pytest
 from divscan._errors import (
     DimensionMismatch,
     DomainExceeded,
+    HypothesisViolated,
     InvalidFamily,
     NonHermitianInput,
     SingularChannel,
@@ -102,6 +103,26 @@ def test_scan_respects_domain():
     fam = unitary_family()
     with pytest.raises(DomainExceeded):
         p_divisibility_scan(fam, grid=np.array([1.95, 2.5]), h=1e-4)
+
+
+@pytest.mark.parametrize(
+    "grid, h, witnesses",
+    [
+        ([0.5], 0.0, None),
+        ([0.5], -1e-4, None),
+        ([0.5], np.nan, None),
+        ([0.5], np.inf, None),
+        ([], 1e-4, None),
+        ([0.5], 1e-4, []),
+    ],
+    ids=["h-zero", "h-negative", "h-nan", "h-inf", "empty-grid", "no-witnesses"],
+)
+@pytest.mark.parametrize("scan", [p_divisibility_scan, cp_divisibility_scan])
+def test_scan_without_a_stencil_or_witnesses_is_no_evidence(scan, grid, h, witnesses):
+    """With h=0 the CP scan of generic-noncp used to read CP_EVIDENCE from a
+    NaN slope, and an empty grid or library gave evidence from zero rows."""
+    with pytest.raises(HypothesisViolated):
+        scan(generic_noncp_family(), grid=np.array(grid, dtype=float), h=h, witnesses=witnesses)
 
 
 def test_scan_soundness_recheck_at_finer_h():

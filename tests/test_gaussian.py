@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from divscan._errors import (
     DimensionMismatch,
+    DomainExceeded,
+    HypothesisViolated,
     InvalidChannel,
     InvalidFamily,
     InvalidState,
@@ -36,6 +38,10 @@ from divscan.presets import GAUSSIAN_PRESETS, gaussian_pair_at
 
 def dilation_2x1(t):
     return gaussian_pair_at("dilation-2x1", t)
+
+
+def dilation_2x1_family():
+    return GaussianFamily(m=1, generator=lambda t: dilation_2x1(t)["pair"], t_domain=(0.05, 5.0), name="d21")
 
 
 def printed_l_2x1(t):
@@ -215,7 +221,7 @@ def test_reconstructed_l_matches_frozen_closed_form():
 
 
 def test_det_x_closed_form_for_two_mode_dilation():
-    fam = GaussianFamily(m=1, generator=lambda t: dilation_2x1(t)["pair"], t_domain=(0.05, 5.0), name="d21")
+    fam = dilation_2x1_family()
     for t in (0.5, 1.0, 2.0, 3.0):
         assert abs(det_x(fam, t) - (2.0 + t + 1.0 / t) / 4.0) < 1e-12
 
@@ -229,7 +235,7 @@ def test_det_scan_constant_family_clean():
 
 
 def test_det_scan_flags_growth_after_one():
-    fam = GaussianFamily(m=1, generator=lambda t: dilation_2x1(t)["pair"], t_domain=(0.05, 5.0), name="d21")
+    fam = dilation_2x1_family()
     rows = det_criterion_scan(fam, np.linspace(0.5, 2.0, 16))
     for r in rows:
         assert r["violation"] == (r["t"] > 1.0 + 1e-9), r
@@ -252,6 +258,39 @@ def test_det_scan_raises_on_singular_x():
     fam = GaussianFamily(m=1, generator=gen, t_domain=(0.0, 3.0), name="sing")
     with pytest.raises(SingularX):
         det_criterion_scan(fam, np.linspace(1.0, 2.0, 11))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.05 - 1e-9, 5.0 + 1e-9, 6.0, np.nan])
+def test_gaussian_family_pair_checks_the_domain(t):
+    fam = dilation_2x1_family()
+    fam.pair(0.05)
+    fam.pair(5.0)
+    with pytest.raises(DomainExceeded):
+        fam.pair(t)
+
+
+@pytest.mark.parametrize(
+    "grid, h, error",
+    [
+        ([0.0, 1.0], None, DomainExceeded),
+        ([6.0, 7.0], None, DomainExceeded),
+        ([1.0], None, HypothesisViolated),
+        ([], None, HypothesisViolated),
+        ([], 1e-4, HypothesisViolated),
+        ([1.0, 2.0], 0.0, HypothesisViolated),
+        ([1.0, 2.0], -1e-4, HypothesisViolated),
+        ([1.0, 2.0], np.nan, HypothesisViolated),
+    ],
+    ids=["below-domain", "above-domain", "one-point-default-h", "empty-default-h", "empty",
+         "h-zero", "h-negative", "h-nan"],
+)
+def test_det_scan_checks_its_stencil(grid, h, error):
+    """The domain is [0.05, 5]: t=0 used to raise ZeroDivisionError inside
+    the generator and t=6 was scanned without complaint. A one-point grid
+    has no span, so no default h; the scan used to make one up from a span
+    of 1."""
+    with pytest.raises(error):
+        det_criterion_scan(dilation_2x1_family(), grid, h=h)
 
 
 def test_compose_pairs_matches_sequential_action():

@@ -1,6 +1,7 @@
 """Checks on the repository's tooling that the library code must keep
 working."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import divscan.channels
 import divscan.cli
 import divscan.presets
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -53,3 +55,27 @@ def test_perfbench_tracer_records_cli_spans(tmp_path, monkeypatch):
     written = sum(span[4]["bytes"] for span in tracer.spans if span[0] == "cli.write")
     assert written == sum(path.stat().st_size for path in tmp_path.iterdir())
     assert not hasattr(divscan.cli._write_json, "__perfbench_span__")
+
+
+def test_no_inline_thresholds():
+    """Every small tolerance or step in src/ is a named module constant: a
+    float literal with 0 < |x| < 1e-3 may appear only in a module-level
+    assignment, so each threshold is decided in one place."""
+    inline = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {
+            id(node)
+            for stmt in tree.body
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            for node in ast.walk(stmt)
+        }
+        inline += [
+            f"{path.name}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, float)
+            and 0 < abs(node.value) < 1e-3
+            and id(node) not in named
+        ]
+    assert not inline, inline
