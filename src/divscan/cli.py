@@ -31,16 +31,16 @@ from .divisibility import (
     intermediate_map,
     p_divisibility_scan,
 )
-from .gaussian import GaussianFamily, det_criterion_scan
+from .gaussian import det_criterion_scan
 from .idempotent import classify_regime, divisor_coeffs, truncation_report
 from .operators import TAU_SLOPE
 from .presets import (
-    DESIGNATED_PAIR,
     FAMILY_PRESETS,
     GAUSSIAN_PRESETS,
-    IDEMPOTENT_DOMAIN,
+    IDEMPOTENT_PRESETS,
+    SCHUR_PRESET,
+    gaussian_family,
     gaussian_pair_at,
-    idempotent_coeff_fns,
     list_presets,
 )
 from .schur import cosine_abs_sum, toeplitz_a, toeplitz_spectrum, witness_growth
@@ -135,19 +135,22 @@ def _write_json(path: str, obj: dict) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _build_family(cfg):
-    if cfg.preset is None:
-        raise ConfigError("a --preset is required for this command")
-    if cfg.preset in GAUSSIAN_PRESETS:
-        raise ConfigError(f"preset {cfg.preset!r} is covariance-level; use the gaussian command")
-    if cfg.preset not in FAMILY_PRESETS:
-        raise ConfigError(f"unknown preset {cfg.preset!r}; available: {', '.join(list_presets())}")
-    entry = FAMILY_PRESETS[cfg.preset]
+def _preset(cfg, table: dict) -> dict:
+    """The entry of cfg.preset in `table`, the preset table the command reads."""
+    if cfg.preset in table:
+        return table[cfg.preset]
+    got = "no preset" if cfg.preset is None else f"preset {cfg.preset!r}"
+    hint = " (covariance-level: use the gaussian command)" if cfg.preset in GAUSSIAN_PRESETS else ""
+    raise ConfigError(f"{cfg.command} needs --preset, one of: {', '.join(sorted(table))}; got {got}{hint}")
+
+
+def _build_family(cfg, entry: dict):
+    """The family of a FAMILY_PRESETS entry, sized by cfg.n where it takes one."""
     if cfg.n is None:
-        return entry["build"](), entry
-    if cfg.preset != "schur":
+        return entry["build"]()
+    if not entry.get("takes_n"):
         raise ConfigError(f"n sets the size of the schur preset only; preset {cfg.preset!r} has none")
-    return entry["build"](cfg.n), entry
+    return entry["build"](cfg.n)
 
 
 def _check_domain(what: str, lo: float, hi: float, domain: tuple[float, float]) -> None:
@@ -176,7 +179,8 @@ def _grid_and_h(cfg, entry: dict, domain: tuple[float, float]):
 
 
 def _run_scan(cfg):
-    fam, entry = _build_family(cfg)
+    entry = _preset(cfg, FAMILY_PRESETS)
+    fam = _build_family(cfg, entry)
     ts, h = _grid_and_h(cfg, entry, fam.t_domain)
     scan = p_divisibility_scan if cfg.command == "scan-p" else cp_divisibility_scan
     report = scan(fam, grid=ts, h=h, seed=cfg.seed, tau_slope=cfg.tau_slope)
@@ -195,10 +199,9 @@ def _run_scan(cfg):
 
 
 def _run_schur(cfg):
-    entry = FAMILY_PRESETS["schur"]
-    fam = entry["build"]() if cfg.n is None else entry["build"](cfg.n)
+    fam = _build_family(cfg, SCHUR_PRESET)
     n = fam.d
-    ts, h = _grid_and_h(cfg, entry, fam.t_domain)
+    ts, h = _grid_and_h(cfg, SCHUR_PRESET, fam.t_domain)
     rows = witness_growth(n, ts)
     report = p_divisibility_scan(fam, grid=ts, h=h, seed=cfg.seed, tau_slope=cfg.tau_slope)
     t_probe = float(ts[len(ts) // 2])
@@ -217,57 +220,48 @@ def _run_schur(cfg):
     return obj, csv_rows, summary, 2 if report.verdict.startswith("NOT_") else 0
 
 
+def _divisor(entry: dict, s: float, t: float):
+    """Coefficients and regime of the s -> t divisor of an idempotent preset."""
+    fns, (n, k) = entry["coeff_fns"], entry["blocks"]
+    return list(divisor_coeffs(*fns(s), *fns(t))), classify_regime(n, k, fns(s), fns(t))
+
+
 def _run_idempotent(cfg):
-    if cfg.preset not in ("idempotent-cp", "idempotent-p-not-cp", "idempotent-not-p"):
-        raise ConfigError("idempotent command needs one of the idempotent-* presets")
-    n, k = 2, 2
-    fns = idempotent_coeff_fns(cfg.preset)
-    s, t = cfg.pair if cfg.pair is not None else DESIGNATED_PAIR
-    _check_domain("pair", s, t, IDEMPOTENT_DOMAIN)
-    coeffs = divisor_coeffs(*fns(s), *fns(t))
-    regime = classify_regime(n, k, fns(s), fns(t))
+    entry = _preset(cfg, IDEMPOTENT_PRESETS)
+    n, k = entry["blocks"]
+    s, t = cfg.pair if cfg.pair is not None else entry["default_pair"]
+    _check_domain("pair", s, t, entry["t_domain"])
+    coeffs, regime = _divisor(entry, s, t)
     # no stencil here, so the grid is checked but its endpoints are not moved
-    ts = _checked_grid(cfg, FAMILY_PRESETS[cfg.preset], IDEMPOTENT_DOMAIN)
+    ts = _checked_grid(cfg, entry, entry["t_domain"])
     csv_rows = []
     for tt in ts:
         if tt <= s:
             continue
-        al, be, ga, de = divisor_coeffs(*fns(s), *fns(float(tt)))
-        flagged = classify_regime(n, k, fns(s), fns(float(tt))) != "CP"
-        for name, val in zip(("alpha", "beta", "gamma", "delta"), (al, be, ga, de)):
-            csv_rows.append((float(tt), f"divisor-{name}", val, 0.0, flagged))
+        divisor, tt_regime = _divisor(entry, s, float(tt))
+        for name, val in zip(("alpha", "beta", "gamma", "delta"), divisor):
+            csv_rows.append((float(tt), f"divisor-{name}", val, 0.0, tt_regime != "CP"))
     obj = {
         "command": "idempotent",
         "preset": cfg.preset,
         "n": n,
         "k": k,
         "pair": [s, t],
-        "divisor_coeffs": list(coeffs),
+        "divisor_coeffs": coeffs,
         "regime": regime,
-        "truncations": truncation_report(fns(s), fns(t), k, [2, 3, 4, 8, 16]),
+        "truncations": truncation_report(entry["coeff_fns"](s), entry["coeff_fns"](t), k, [2, 3, 4, 8, 16]),
     }
     summary = f"idempotent {cfg.preset} pair=({s},{t}): regime {regime}"
     return obj, csv_rows, summary, 0 if regime == "CP" else 2
 
 
 def _run_gaussian(cfg):
-    if cfg.preset not in GAUSSIAN_PRESETS:
-        raise ConfigError(
-            f"gaussian command needs one of: {', '.join(sorted(GAUSSIAN_PRESETS))}"
-        )
-    entry = GAUSSIAN_PRESETS[cfg.preset]
-    dom = entry["t_domain"]
-    ts, h = _grid_and_h(cfg, entry, dom)
-
+    entry = _preset(cfg, GAUSSIAN_PRESETS)
+    ts, h = _grid_and_h(cfg, entry, entry["t_domain"])
+    rows = det_criterion_scan(gaussian_family(cfg.preset), ts, h=h, tau_slope=cfg.tau_slope)
+    # the scan checked every grid pair; the first is rebuilt for its factors
     first = gaussian_pair_at(cfg.preset, float(ts[0]))
-    pair_valid = all(gaussian_pair_at(cfg.preset, float(t))["pair_valid"] for t in ts)
-    fam = GaussianFamily(
-        m=entry["m_keep"],
-        generator=lambda t: gaussian_pair_at(cfg.preset, t)["pair"],
-        t_domain=dom,
-        name=cfg.preset,
-    )
-    rows = det_criterion_scan(fam, ts, h=h, tau_slope=cfg.tau_slope)
+    pair_valid = all(r["valid"] for r in rows)
     any_violation = any(r["violation"] for r in rows)
     verdict = "NOT_P_DIVISIBLE" if any_violation else "P_EVIDENCE"
     validation = {
@@ -290,7 +284,8 @@ def _run_gaussian(cfg):
 
 
 def _run_intermediate(cfg):
-    fam, _ = _build_family(cfg)
+    entry = _preset(cfg, FAMILY_PRESETS)
+    fam = _build_family(cfg, entry)
     if cfg.pair is not None:
         s, t = cfg.pair
     else:
@@ -308,10 +303,8 @@ def _run_intermediate(cfg):
         "positivity_evidence": result["p"]["positive_evidence"],
         "positivity_norms": [result["p"]["input_norm"], result["p"]["output_norm"]],
     }
-    if cfg.preset.startswith("idempotent"):
-        fns = idempotent_coeff_fns(cfg.preset)
-        obj["divisor_coeffs"] = list(divisor_coeffs(*fns(s), *fns(t)))
-        obj["regime"] = classify_regime(2, 2, fns(s), fns(t))
+    if cfg.preset in IDEMPOTENT_PRESETS:
+        obj["divisor_coeffs"], obj["regime"] = _divisor(entry, s, t)
     return obj, None, f"intermediate {cfg.preset} ({s} -> {t}): cp={obj['is_cp']}", 0
 
 

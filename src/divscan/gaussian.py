@@ -7,10 +7,10 @@ matrices as S -> X S X^T + Y/2, valid iff the Hermitian matrix
 Y + i(J - X J X^T) is PSD (Heinosaari, Holevo & Wolf, QIC 10, 619 (2010)).
 A state covariance S is valid iff 2S + iJ is PSD.
 
-For a P-divisible family with invertible X_t, det X_t cannot increase; the
-scan flags any grid point where its central-difference derivative is
-positive. The scalar stand-in for the trace norm of a displaced-operator
-image is phi(0,0) * det X_t, so the divisibility scans' stencil rule applies.
+The determinant scan flags each grid point where the central-difference
+slope of det X_t exceeds tau_slope. A flag is not a proof: det X_t = e^t
+rises along the CP-divisible one-mode amplifier X_t = e^{t/2} I,
+Y_t = (e^t - 1) I, which is flagged everywhere. ROADMAP item 1 settles this.
 """
 
 from __future__ import annotations
@@ -238,25 +238,27 @@ def det_criterion_scan(fam: GaussianFamily, grid, h: float | None = None,
     """Central-difference derivative of det X_t over the grid; h defaults
     to STENCIL_WIDTH times the grid span, checked as in the P/CP scans.
 
-    violation=True where the derivative exceeds tau_slope (a P-divisible
-    family with invertible X_t cannot have increasing determinant). Raises
-    SingularX when |det| falls to DET_FLOOR anywhere on the stencil.
+    violation=True where it exceeds tau_slope (not a proof; see above), and
+    valid=True where the pair at t is valid. Raises SingularX when |det|
+    falls to DET_FLOOR anywhere on the stencil.
     """
     grid = np.asarray(grid, dtype=float)
     if h is None and len(grid):
         h = STENCIL_WIDTH * float(grid[-1] - grid[0])
     _check_stencil(grid, h, fam.t_domain)
 
-    def det(tau: float) -> float:
-        dv = det_x(fam, tau)
+    def det(tau: float, pair: GaussianPair) -> float:
+        dv = float(np.linalg.det(pair.x))
         if abs(dv) <= DET_FLOOR:
             raise SingularX(f"det X_t = {dv:.3e} at t={tau}; criterion needs invertible X_t")
         return dv
 
     rows = []
     for t in grid.tolist():
-        ddet = central_difference(det, t, h)
-        rows.append({"t": t, "det": det(t), "ddet": ddet, "violation": bool(ddet > tau_slope)})
+        ddet = central_difference(lambda tau: det(tau, fam.pair(tau)), t, h)
+        pair = fam.pair(t)
+        valid = pair.is_valid()
+        rows.append({"t": t, "det": det(t, pair), "ddet": ddet, "violation": bool(ddet > tau_slope), "valid": valid})
     return rows
 
 

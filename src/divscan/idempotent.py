@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._errors import DegenerateDenominator, HypothesisViolated, InvalidFamily
+from ._errors import DegenerateDenominator, DimensionMismatch, HypothesisViolated, InvalidFamily
 from .channels import TP_ATOL, Channel
 from .divisibility import DynamicalFamily, make_dynamical_family
 from .operators import vec
@@ -72,7 +72,7 @@ def build_basis(n: int, k: int):
     enough for concurrent callers.
     """
     if n < 1 or k < 1:
-        raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
+        raise DimensionMismatch(f"need n, k >= 1, got n={n}, k={k}")
     d = n * k
     projs = _block_projectors(n, k)
     s_i, s_e, s_b, s_d = _basis_supers(n, k)
@@ -235,7 +235,7 @@ def idempotent_product(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
-        raise ValueError(f"coefficient vectors differ in length: {x.shape} vs {y.shape}")
+        raise DimensionMismatch(f"coefficient vectors differ in length: {x.shape} vs {y.shape}")
     sx = np.cumsum(x)
     sy = np.concatenate(([0.0], np.cumsum(y)[:-1]))
     return y * sx + x * sy
@@ -251,7 +251,7 @@ def solve_left_divisor(x, z):
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if x.shape != z.shape:
-        raise ValueError(f"coefficient vectors differ in length: {x.shape} vs {z.shape}")
+        raise DimensionMismatch(f"coefficient vectors differ in length: {x.shape} vs {z.shape}")
     sx = np.cumsum(x)
     for i, val in enumerate(sx):
         if abs(val) <= COEFF_ATOL:

@@ -37,13 +37,14 @@ from .channels import Channel, choi, inverse, stacked_apply
 # Not called here; perfbench/tracing.py wraps it under this name.
 from .channels import extend_channel  # noqa: F401
 from .divisibility import DynamicalFamily, make_dynamical_family
-from .gaussian import block_r, dilation_report
+from .gaussian import GaussianFamily, block_r, dilation_report
 from .idempotent import IdempotentParams, divisor_coeffs, make_family, phi
 from .schur import make_schur_family
 
 T_JUMP = 0.5
 DESIGNATED_PAIR = (0.25, 0.75)
 IDEMPOTENT_DOMAIN = (0.0, 1.0)
+IDEMPOTENT_BLOCKS = (2, 2)  # (n, k): every idempotent preset acts on n blocks of size k
 
 
 # ---------------------------------------------------------------- unitary
@@ -111,18 +112,14 @@ def _coeffs_from_sums(s1: float, s2: float, s3: float):
     return (s1, s2 - s1, s3 - s2, 1.0 - s3)
 
 
-def p_not_cp_sums(t: float):
-    s1 = 0.1 * max(1.0 - 2.0 * t, 0.0)
-    s2 = 0.15 if t < T_JUMP else -0.075
-    s3 = 0.6 if t < T_JUMP else 0.54
-    return s1, s2, s3
+def _jump_sums(s2_after: float):
+    """Partial sums that jump at T_JUMP, s2 falling from 0.15 to s2_after."""
 
+    def sums(t: float):
+        s1 = 0.1 * max(1.0 - 2.0 * t, 0.0)
+        return (s1, 0.15, 0.6) if t < T_JUMP else (s1, s2_after, 0.54)
 
-def not_p_sums(t: float):
-    s1 = 0.1 * max(1.0 - 2.0 * t, 0.0)
-    s2 = 0.15 if t < T_JUMP else -0.225
-    s3 = 0.6 if t < T_JUMP else 0.54
-    return s1, s2, s3
+    return sums
 
 
 def cp_sums(t: float):
@@ -131,18 +128,14 @@ def cp_sums(t: float):
 
 _IDEMPOTENT_SUMS = {
     "idempotent-cp": cp_sums,
-    "idempotent-p-not-cp": p_not_cp_sums,
-    "idempotent-not-p": not_p_sums,
+    "idempotent-p-not-cp": _jump_sums(-0.075),
+    "idempotent-not-p": _jump_sums(-0.225),
 }
 
 
 def idempotent_coeff_fns(kind: str):
     sums = _IDEMPOTENT_SUMS[kind]
-
-    def fns(t: float):
-        return _coeffs_from_sums(*sums(t))
-
-    return fns
+    return lambda t: _coeffs_from_sums(*sums(t))
 
 
 def _choi_negative_witness(n: int, k: int, s_coeffs, t_coeffs) -> np.ndarray:
@@ -161,7 +154,7 @@ def _choi_negative_witness(n: int, k: int, s_coeffs, t_coeffs) -> np.ndarray:
     return (y + y.conj().T) / 2
 
 
-def idempotent_family_preset(kind: str, n: int = 2, k: int = 2) -> DynamicalFamily:
+def idempotent_family_preset(kind: str, n: int, k: int) -> DynamicalFamily:
     fns = idempotent_coeff_fns(kind)
     cp_witnesses = ()
     if kind in ("idempotent-p-not-cp", "idempotent-not-p"):
@@ -256,22 +249,33 @@ def gaussian_pair_at(preset: str, t: float) -> dict:
     return dilation_report(r1, tt, r2, cfg["m_keep"])
 
 
+def gaussian_family(preset: str) -> GaussianFamily:
+    """The preset's dilated pairs (X_t, Y_t) as a family on its kept modes."""
+    cfg = GAUSSIAN_PRESETS[preset]
+    return GaussianFamily(cfg["m_keep"], lambda t: gaussian_pair_at(preset, t)["pair"], cfg["t_domain"], preset)
+
+
+# A family preset: "build" makes it (from a size n if "takes_n") to scan on
+# "default_grid"; an idempotent one adds what its closed forms read.
+def _idempotent_entry(kind: str) -> dict:
+    return {
+        "build": lambda: idempotent_family_preset(kind, *IDEMPOTENT_BLOCKS),
+        "default_grid": (0.05, 0.95, 19),
+        "blocks": IDEMPOTENT_BLOCKS,
+        "coeff_fns": idempotent_coeff_fns(kind),
+        "t_domain": IDEMPOTENT_DOMAIN,
+        "default_pair": DESIGNATED_PAIR,
+    }
+
+
+IDEMPOTENT_PRESETS = {kind: _idempotent_entry(kind) for kind in _IDEMPOTENT_SUMS}
+SCHUR_PRESET = {"build": lambda n=8: make_schur_family(n), "default_grid": (0.05, 0.45, 41), "takes_n": True}
+
 FAMILY_PRESETS = {
     "unitary": {"build": unitary_family, "default_grid": (0.1, 1.9, 19)},
     "generic-noncp": {"build": generic_noncp_family, "default_grid": (0.1, 0.9, 17)},
-    "idempotent-cp": {
-        "build": lambda: idempotent_family_preset("idempotent-cp"),
-        "default_grid": (0.05, 0.95, 19),
-    },
-    "idempotent-p-not-cp": {
-        "build": lambda: idempotent_family_preset("idempotent-p-not-cp"),
-        "default_grid": (0.05, 0.95, 19),
-    },
-    "idempotent-not-p": {
-        "build": lambda: idempotent_family_preset("idempotent-not-p"),
-        "default_grid": (0.05, 0.95, 19),
-    },
-    "schur": {"build": lambda n=8: make_schur_family(n), "default_grid": (0.05, 0.45, 41)},
+    **IDEMPOTENT_PRESETS,
+    "schur": SCHUR_PRESET,
 }
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._errors import OutsideValidityWindow
+from ._errors import DimensionMismatch, OutsideValidityWindow
 from .channels import Channel
 from .divisibility import DynamicalFamily, make_dynamical_family
 from .operators import trace_norm
@@ -24,9 +24,9 @@ _WINDOW_ATOL = 1e-12
 def toeplitz_a(n: int, t: float) -> np.ndarray:
     """The mask matrix: ones on the diagonal, t on the off-diagonals."""
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise DimensionMismatch(f"need n >= 2, got {n}")
     if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
+        raise OutsideValidityWindow(f"need t >= 0, got {t}")
     a = np.eye(n)
     idx = np.arange(n - 1)
     a[idx, idx + 1] = t

@@ -11,7 +11,7 @@ import divscan
 import divscan.cli as cli_module
 
 from divscan.cli import main
-from divscan.presets import list_presets
+from divscan.presets import FAMILY_PRESETS, GAUSSIAN_PRESETS, IDEMPOTENT_PRESETS, list_presets
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -91,17 +91,38 @@ def test_malformed_grid_spec(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
-def test_unknown_preset_lists_alternatives(tmp_path, capsys):
-    code, _, _ = run_cli(["scan-p", "--preset", "nope"], tmp_path)
-    assert code == 1
-    msg = json.loads(capsys.readouterr().err)["message"]
-    assert "unitary" in msg
+# every command that reads --preset, the presets it accepts, and a preset
+# that another command reads
+_PRESET_TABLES = {
+    "scan-p": (FAMILY_PRESETS, "dilation-2x1"),
+    "scan-cp": (FAMILY_PRESETS, "dilation-2x1"),
+    "idempotent": (IDEMPOTENT_PRESETS, "unitary"),
+    "gaussian": (GAUSSIAN_PRESETS, "unitary"),
+    "intermediate": (FAMILY_PRESETS, "dilation-3x2"),
+}
+_WRONG_PRESETS = [
+    (command, case) for command in _PRESET_TABLES for case in ("missing", "unknown", "other-table")
+]
 
 
-def test_gaussian_preset_routed_to_gaussian_command(tmp_path, capsys):
-    code, _, _ = run_cli(["scan-p", "--preset", "dilation-2x1"], tmp_path)
-    assert code == 1
-    assert "gaussian" in json.loads(capsys.readouterr().err)["message"]
+def test_preset_tables_cover_every_command_that_reads_a_preset():
+    readers = {command for command, (_, options) in cli_module._COMMANDS.items() if "preset" in options}
+    assert readers == set(_PRESET_TABLES)
+    assert set(IDEMPOTENT_PRESETS) < set(FAMILY_PRESETS)
+    assert sorted(set(FAMILY_PRESETS) | set(GAUSSIAN_PRESETS)) == list_presets()
+
+
+@pytest.mark.parametrize("command,case", _WRONG_PRESETS, ids=[f"{c}-{k}" for c, k in _WRONG_PRESETS])
+def test_wrong_preset_lists_the_presets_the_command_accepts(command, case, tmp_path, capsys):
+    table, other = _PRESET_TABLES[command]
+    preset = {"missing": [], "unknown": ["--preset", "nope"], "other-table": ["--preset", other]}[case]
+    code, report, csv_text = run_cli([command] + preset, tmp_path)
+    assert code == 1 and report is None and csv_text is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert f"one of: {', '.join(sorted(table))};" in err["message"]
+    if case == "other-table" and other in GAUSSIAN_PRESETS:
+        assert "use the gaussian command" in err["message"]
 
 
 def test_idempotent_command_cp_preset_exits_zero(tmp_path):
@@ -148,10 +169,11 @@ def test_idempotent_grid_touching_the_domain_is_kept(tmp_path):
     assert ts == [0.5, 0.75, 1.0]
 
 
-def test_idempotent_requires_idempotent_preset(tmp_path, capsys):
-    code, _, _ = run_cli(["idempotent", "--preset", "schur"], tmp_path)
-    assert code == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+@pytest.mark.parametrize("preset", sorted(IDEMPOTENT_PRESETS))
+def test_idempotent_block_sizes_match_the_family_the_preset_builds(preset, tmp_path):
+    code, report, _ = run_cli(["idempotent", "--preset", preset], tmp_path)
+    assert code in (0, 2)
+    assert report["n"] * report["k"] == FAMILY_PRESETS[preset]["build"]().d
 
 
 def test_schur_command_emits_growth_table(tmp_path):

@@ -33,7 +33,7 @@ from divscan.gaussian import (
     squeeze_diag,
     symplectic_deviation,
 )
-from divscan.presets import GAUSSIAN_PRESETS, gaussian_pair_at
+from divscan.presets import GAUSSIAN_PRESETS, gaussian_family, gaussian_pair_at
 
 
 def dilation_2x1(t):
@@ -249,6 +249,30 @@ def test_det_scan_flags_growth_after_one():
         else:
             hi = mid
     assert 0.99 <= 0.5 * (lo + hi) <= 1.01
+
+
+def test_det_scan_flags_the_cp_divisible_amplifier():
+    """A flag is not a proof: the one-mode amplifier X_t = e^{t/2} I,
+    Y_t = (e^t - 1) I has a valid s -> t pair for every s < t, so it is
+    CP-divisible, yet det X_t = e^t rises and every grid point is flagged."""
+    fam = GaussianFamily(
+        m=1, generator=lambda t: make_pair(np.exp(t / 2) * np.eye(2), np.expm1(t) * np.eye(2)), t_domain=(0.0, 3.0)
+    )
+    ts = np.linspace(0.1, 2.9, 20)
+    for i, s in enumerate(ts):
+        for t in ts[i + 1:]:
+            x = fam.pair(t).x @ np.linalg.inv(fam.pair(s).x)
+            assert GaussianPair(m=1, x=x, y=fam.pair(t).y - x @ fam.pair(s).y @ x.T).is_valid()
+    rows = det_criterion_scan(fam, ts)
+    assert all(r["violation"] and r["valid"] for r in rows)
+
+
+def test_det_scan_reports_the_validity_of_each_pair():
+    """The scan's valid flags agree with the dilation report's pair_valid."""
+    for name in GAUSSIAN_PRESETS:
+        ts = np.linspace(*GAUSSIAN_PRESETS[name]["default_grid"])
+        rows = det_criterion_scan(gaussian_family(name), ts)
+        assert [r["valid"] for r in rows] == [gaussian_pair_at(name, t)["pair_valid"] for t in ts]
 
 
 def test_det_scan_raises_on_singular_x():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divscan._errors import OutsideValidityWindow
+from divscan._errors import DimensionMismatch, OutsideValidityWindow
 from divscan.channels import choi, kraus_to_super
 from divscan.divisibility import cp_divisibility_scan, p_divisibility_scan
 from divscan.operators import trace_norm, vec
@@ -24,9 +24,9 @@ def test_toeplitz_matrix_shape_and_guards():
     a = toeplitz_a(3, 0.2)
     assert np.array_equal(np.diag(a), np.ones(3))
     assert a[0, 1] == 0.2 and a[1, 0] == 0.2 and a[0, 2] == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         toeplitz_a(1, 0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutsideValidityWindow):
         toeplitz_a(3, -0.1)
 
 

@@ -5,6 +5,7 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import divscan._errors
 import divscan.channels
 import divscan.cli
 import divscan.presets
@@ -39,7 +40,9 @@ def test_perfbench_tracer_resolves_every_site():
 def test_perfbench_tracer_records_cli_spans(tmp_path, monkeypatch):
     """The names tracing.py wraps in divscan.cli are looked up when a runner
     runs, so a traced CLI run records the scan, closed-form, determinant and
-    write spans of the cli-presets workload."""
+    write spans of the cli-presets workload. The gaussian run builds the
+    dilation once per stencil point (3 per grid time, 20 grid times) and
+    the first grid time once more."""
     tracing = _load_tracing()
     monkeypatch.chdir(tmp_path)
     tracer = tracing.Tracer()
@@ -52,6 +55,7 @@ def test_perfbench_tracer_records_cli_spans(tmp_path, monkeypatch):
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     assert {"divisibility.scan", "idempotent.closed_form", "gaussian.det_scan", "cli.write"} <= names
+    assert sum(span[0] == "gaussian.dilation_report" for span in tracer.spans) == 61
     written = sum(span[4]["bytes"] for span in tracer.spans if span[0] == "cli.write")
     assert written == sum(path.stat().st_size for path in tmp_path.iterdir())
     assert not hasattr(divscan.cli._write_json, "__perfbench_span__")
@@ -79,3 +83,23 @@ def test_no_inline_thresholds():
             and id(node) not in named
         ]
     assert not inline, inline
+
+
+def test_every_raise_names_a_package_error():
+    """Every raise in src/ names a DivscanError subclass from _errors, so
+    each failure of the library reaches callers as a typed error; the one
+    other raise is the SystemExit that carries the CLI's exit code."""
+    typed = {"SystemExit"} | {
+        name
+        for name, obj in vars(divscan._errors).items()
+        if isinstance(obj, type) and issubclass(obj, divscan._errors.DivscanError)
+    }
+    untyped = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id in typed):
+                untyped.append(f"{path.name}:{node.lineno}")
+    assert not untyped, untyped
