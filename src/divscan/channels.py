@@ -23,7 +23,7 @@ from ._errors import (
     HypothesisViolated,
     SingularChannel,
 )
-from .operators import trace_norm, vec
+from .operators import random_projector_difference, trace_norm, vec
 
 CP_ATOL = 1e-9
 TP_ATOL = 1e-9
@@ -124,11 +124,6 @@ class ChoiMatrix:
     def is_psd(self) -> bool:
         vals = np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)
         return bool(vals.min() >= -CP_ATOL)
-
-    def output_trace(self) -> np.ndarray:
-        """Partial trace over the output factor; equals I_d iff the map is TP."""
-        c = self.matrix.reshape(self.d, self.d, self.d, self.d)
-        return np.trace(c, axis1=1, axis2=3)
 
 
 def choi_from_super(s: np.ndarray, d: int) -> np.ndarray:
@@ -270,9 +265,7 @@ def positivity_by_contractivity(ch: Channel, n_samples: int = 400, seed: int = 7
         x = next(candidates, None)
         if x is None:
             if checked % 2 == 0:
-                g = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
-                q, _ = np.linalg.qr(g)
-                x = np.outer(q[:, 0], q[:, 0].conj()) - np.outer(q[:, 1], q[:, 1].conj())
+                x = random_projector_difference(d, rng)
             else:
                 g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 x = (g + g.conj().T) / 2

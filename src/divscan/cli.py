@@ -39,6 +39,7 @@ from .presets import (
     GAUSSIAN_PRESETS,
     IDEMPOTENT_PRESETS,
     SCHUR_PRESET,
+    default_pair,
     gaussian_family,
     gaussian_pair_at,
     list_presets,
@@ -229,7 +230,7 @@ def _divisor(entry: dict, s: float, t: float):
 def _run_idempotent(cfg):
     entry = _preset(cfg, IDEMPOTENT_PRESETS)
     n, k = entry["blocks"]
-    s, t = cfg.pair if cfg.pair is not None else entry["default_pair"]
+    s, t = cfg.pair if cfg.pair is not None else default_pair(entry["t_domain"])
     _check_domain("pair", s, t, entry["t_domain"])
     coeffs, regime = _divisor(entry, s, t)
     # no stencil here, so the grid is checked but its endpoints are not moved
@@ -286,11 +287,7 @@ def _run_gaussian(cfg):
 def _run_intermediate(cfg):
     entry = _preset(cfg, FAMILY_PRESETS)
     fam = _build_family(cfg, entry)
-    if cfg.pair is not None:
-        s, t = cfg.pair
-    else:
-        lo, hi = fam.t_domain
-        s, t = lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)
+    s, t = cfg.pair if cfg.pair is not None else default_pair(fam.t_domain)
     result = intermediate_map(fam, s, t, seed=cfg.seed)
     ch = result["map"]
     obj = {

@@ -151,15 +151,21 @@ def _keep_env_indices(m_total: int, m_keep: int):
     return keep, env
 
 
+def dilate(r1, t, r2, m_keep: int) -> tuple[np.ndarray, GaussianPair]:
+    """L = R1 T R2 in qq..pp ordering and the pair (X, Y) = (L11, L12 L12^T)
+    it gives on the first m_keep modes, the environment in the vacuum-like
+    state (1/2) I. Checks nothing; dilation_report validates."""
+    l_full = np.asarray(r1, dtype=float) @ np.asarray(t, dtype=float) @ np.asarray(r2, dtype=float)
+    keep, env = _keep_env_indices(l_full.shape[0] // 2, m_keep)
+    l12 = l_full[np.ix_(keep, env)]
+    return l_full, GaussianPair(m=m_keep, x=l_full[np.ix_(keep, keep)], y=l12 @ l12.T)
+
+
 def dilation_report(r1, t, r2, m_keep: int) -> dict:
-    """Run the dilation pipeline without raising: L = R1 T R2 in qq..pp
-    ordering, keep the first m_keep modes, environment in the vacuum-like
-    state (1/2) I. Returns the extracted pair plus every validation flag so
-    defective inputs are reported rather than fatal."""
-    r1 = np.asarray(r1, dtype=float)
-    t = np.asarray(t, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    m_total = r1.shape[0] // 2
+    """Run the dilation pipeline without raising: dilate, then check each
+    factor and the extracted pair. Returns the pair plus every validation
+    flag so defective inputs are reported rather than fatal."""
+    m_total = np.shape(r1)[0] // 2
     if not 1 <= m_keep <= m_total:
         raise DimensionMismatch(f"need 1 <= m_keep <= {m_total}, got {m_keep}")
     devs = {
@@ -167,11 +173,7 @@ def dilation_report(r1, t, r2, m_keep: int) -> dict:
         "T": symplectic_deviation(t),
         "R2": symplectic_deviation(r2),
     }
-    l_full = r1 @ t @ r2
-    keep, env = _keep_env_indices(m_total, m_keep)
-    x = l_full[np.ix_(keep, keep)]
-    l12 = l_full[np.ix_(keep, env)]
-    pair = GaussianPair(m=m_keep, x=x, y=l12 @ l12.T)
+    l_full, pair = dilate(r1, t, r2, m_keep)
     min_eig = pair.min_validity_eig()
     return {
         "pair": pair,
@@ -247,18 +249,17 @@ def det_criterion_scan(fam: GaussianFamily, grid, h: float | None = None,
         h = STENCIL_WIDTH * float(grid[-1] - grid[0])
     _check_stencil(grid, h, fam.t_domain)
 
-    def det(tau: float, pair: GaussianPair) -> float:
-        dv = float(np.linalg.det(pair.x))
+    def det(tau: float) -> float:
+        dv = det_x(fam, tau)
         if abs(dv) <= DET_FLOOR:
             raise SingularX(f"det X_t = {dv:.3e} at t={tau}; criterion needs invertible X_t")
         return dv
 
     rows = []
     for t in grid.tolist():
-        ddet = central_difference(lambda tau: det(tau, fam.pair(tau)), t, h)
-        pair = fam.pair(t)
-        valid = pair.is_valid()
-        rows.append({"t": t, "det": det(t, pair), "ddet": ddet, "violation": bool(ddet > tau_slope), "valid": valid})
+        ddet = central_difference(det, t, h)
+        violation = bool(ddet > tau_slope)
+        rows.append({"t": t, "det": det(t), "ddet": ddet, "violation": violation, "valid": fam.pair(t).is_valid()})
     return rows
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -63,14 +62,9 @@ def _basis_supers(n: int, k: int):
     return s_i, s_e, s_b, s_d
 
 
-@lru_cache(maxsize=None)
-def build_basis(n: int, k: int):
-    """The four basis channels as a read-only mapping {'I','E','B','D'}.
-
-    Each carries Kraus operators (so CP is structural) and the exact
-    superoperator. Cached per (n, k); lru_cache keeps population atomic
-    enough for concurrent callers.
-    """
+def build_basis(n: int, k: int) -> dict[str, Channel]:
+    """The four basis channels as a dict {'I','E','B','D'}. Each carries
+    Kraus operators (so CP is structural) and the exact superoperator."""
     if n < 1 or k < 1:
         raise DimensionMismatch(f"need n, k >= 1, got n={n}, k={k}")
     d = n * k
@@ -91,13 +85,12 @@ def build_basis(n: int, k: int):
             m[a, b] = 1.0 / np.sqrt(d)
             kraus_d.append(m)
 
-    basis = {
+    return {
         "I": Channel(d=d, kraus=[np.eye(d)], super_matrix=s_i),
         "E": Channel(d=d, kraus=projs, super_matrix=s_e),
         "B": Channel(d=d, kraus=kraus_b, super_matrix=s_b),
         "D": Channel(d=d, kraus=kraus_d, super_matrix=s_d),
     }
-    return MappingProxyType(basis)
 
 
 def phi(params: IdempotentParams) -> Channel:
@@ -330,7 +323,7 @@ def truncation_report(s_coeffs, t_coeffs, k: int, n_list):
                 "delta": delta,
                 "cp": cp_condition(div),
                 "two_positive": two_positive_necessary(div),
-                "l1": l_positive_condition(div, 1) if alpha <= 0 and beta <= 0 else None,
+                "l1": l_positive_condition(div, 1) if alpha <= COEFF_ATOL and beta <= COEFF_ATOL else None,
             }
         )
     return rows

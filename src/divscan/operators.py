@@ -76,7 +76,7 @@ def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     """GUE-style Hermitian sample, normalized to unit trace norm."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (g + g.conj().T) / 2
-    tn = float(np.sum(np.abs(np.linalg.eigvalsh(h))))
+    tn = trace_norm(h)
     return h / tn if tn > 0 else h
 
 

@@ -37,21 +37,31 @@ from .channels import Channel, choi, inverse, stacked_apply
 # Not called here; perfbench/tracing.py wraps it under this name.
 from .channels import extend_channel  # noqa: F401
 from .divisibility import DynamicalFamily, make_dynamical_family
-from .gaussian import GaussianFamily, block_r, dilation_report
+from .gaussian import GaussianFamily, block_r, dilate, dilation_report
 from .idempotent import IdempotentParams, divisor_coeffs, make_family, phi
 from .schur import make_schur_family
 
+
+def default_pair(domain) -> tuple[float, float]:
+    """The points at 25% and 75% of the domain: the time pair `idempotent`
+    and `intermediate` read when no --pair is given."""
+    lo, hi = domain
+    return lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)
+
+
 T_JUMP = 0.5
-DESIGNATED_PAIR = (0.25, 0.75)
 IDEMPOTENT_DOMAIN = (0.0, 1.0)
+DESIGNATED_PAIR = default_pair(IDEMPOTENT_DOMAIN)  # where the CP witnesses are built
 IDEMPOTENT_BLOCKS = (2, 2)  # (n, k): every idempotent preset acts on n blocks of size k
 
 
 # ---------------------------------------------------------------- unitary
 
-def unitary_family(d: int = 4, seed: int = 5, t_domain=(0.0, 2.0)) -> DynamicalFamily:
-    """Lambda_t(X) = U_t X U_t* for U_t = exp(-i t H) with a fixed random H."""
-    rng = np.random.default_rng(seed)
+def unitary_family() -> DynamicalFamily:
+    """Lambda_t(X) = U_t X U_t* on C^4, t in [0, 2], for U_t = exp(-i t H)
+    with a fixed random H (seed 5)."""
+    d = 4
+    rng = np.random.default_rng(5)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (g + g.conj().T) / 2
     w, v = np.linalg.eigh(h)
@@ -60,7 +70,7 @@ def unitary_family(d: int = 4, seed: int = 5, t_domain=(0.0, 2.0)) -> DynamicalF
         u = (v * np.exp(-1j * w * t)) @ v.conj().T
         return Channel(d=d, kraus=[u])
 
-    return make_dynamical_family(channel_at, d=d, t_domain=t_domain, name="unitary")
+    return make_dynamical_family(channel_at, d=d, t_domain=(0.0, 2.0), name="unitary")
 
 
 # ----------------------------------------------------------- generic-noncp
@@ -88,10 +98,11 @@ def paired_difference_witness(d: int) -> np.ndarray:
     return np.outer(psi, psi) - np.outer(ph, ph)
 
 
-def generic_noncp_family(d: int = 4) -> DynamicalFamily:
-    """Mixing weights (t, (1-t)/2, (1-t)/2) over the Kraus triple; CPTP on
-    [0, 1], with ||(I (x) Lambda_t)(Y)||_1 = 4t for the paired-difference
-    witness, hence never CP-divisible on (0, 1)."""
+def generic_noncp_family() -> DynamicalFamily:
+    """Mixing weights (t, (1-t)/2, (1-t)/2) over the Kraus triple on C^4;
+    CPTP on [0, 1], with ||(I (x) Lambda_t)(Y)||_1 = 4t for the
+    paired-difference witness, hence never CP-divisible on (0, 1)."""
+    d = 4
     e1, e2, e3 = _mix_kraus(d)
 
     def channel_at(t: float) -> Channel:
@@ -250,9 +261,11 @@ def gaussian_pair_at(preset: str, t: float) -> dict:
 
 
 def gaussian_family(preset: str) -> GaussianFamily:
-    """The preset's dilated pairs (X_t, Y_t) as a family on its kept modes."""
+    """The preset's dilated pairs (X_t, Y_t) as a family on its kept modes;
+    each pair is extracted from the dilation and nothing is validated."""
     cfg = GAUSSIAN_PRESETS[preset]
-    return GaussianFamily(cfg["m_keep"], lambda t: gaussian_pair_at(preset, t)["pair"], cfg["t_domain"], preset)
+    factors, m_keep = cfg["factors"], cfg["m_keep"]
+    return GaussianFamily(m_keep, lambda t: dilate(*factors(t), m_keep)[1], cfg["t_domain"], preset)
 
 
 # A family preset: "build" makes it (from a size n if "takes_n") to scan on
@@ -264,7 +277,6 @@ def _idempotent_entry(kind: str) -> dict:
         "blocks": IDEMPOTENT_BLOCKS,
         "coeff_fns": idempotent_coeff_fns(kind),
         "t_domain": IDEMPOTENT_DOMAIN,
-        "default_pair": DESIGNATED_PAIR,
     }
 
 

@@ -15,10 +15,8 @@ import numpy as np
 
 from ._errors import DimensionMismatch, OutsideValidityWindow
 from .channels import Channel
-from .divisibility import DynamicalFamily, make_dynamical_family
+from .divisibility import DOMAIN_ATOL, DynamicalFamily, make_dynamical_family
 from .operators import trace_norm
-
-_WINDOW_ATOL = 1e-12
 
 
 def toeplitz_a(n: int, t: float) -> np.ndarray:
@@ -63,7 +61,7 @@ def schur_channel(n: int, t: float) -> Channel:
     """X -> A_t o X as a Kraus channel (diagonal Kraus operators from the
     eigendecomposition of A_t). Raises OutsideValidityWindow for t outside
     [0, 1/2], where the mask stops being PSD."""
-    if t < -_WINDOW_ATOL or t > 0.5 + _WINDOW_ATOL:
+    if t < -DOMAIN_ATOL or t > 0.5 + DOMAIN_ATOL:
         raise OutsideValidityWindow(f"t={t} outside the CP window [0, 0.5]")
     a = toeplitz_a(n, max(t, 0.0))
     vals, vecs = np.linalg.eigh(a)
@@ -87,14 +85,12 @@ def witness_growth(n: int, grid) -> list[tuple[float, float, float]]:
     return rows
 
 
-def make_schur_family(n: int, t_domain=(0.0, 0.5)) -> DynamicalFamily:
-    lo, hi = float(t_domain[0]), float(t_domain[1])
-    if lo < 0 or hi > 0.5:
-        raise OutsideValidityWindow(f"domain [{lo}, {hi}] exceeds the CP window [0, 0.5]")
+def make_schur_family(n: int) -> DynamicalFamily:
+    """The Schur family on C^n over its whole CP window [0, 1/2]."""
     return make_dynamical_family(
         lambda t: schur_channel(n, t),
         d=n,
-        t_domain=(lo, hi),
+        t_domain=(0.0, 0.5),
         name=f"schur(n={n})",
         witnesses=(hopping_witness(n),),
         cp_witnesses=(cp_block_witness(n),),

@@ -11,7 +11,7 @@ import divscan
 import divscan.cli as cli_module
 
 from divscan.cli import main
-from divscan.presets import FAMILY_PRESETS, GAUSSIAN_PRESETS, IDEMPOTENT_PRESETS, list_presets
+from divscan.presets import FAMILY_PRESETS, GAUSSIAN_PRESETS, IDEMPOTENT_PRESETS, default_pair, list_presets
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -174,6 +174,15 @@ def test_idempotent_block_sizes_match_the_family_the_preset_builds(preset, tmp_p
     code, report, _ = run_cli(["idempotent", "--preset", preset], tmp_path)
     assert code in (0, 2)
     assert report["n"] * report["k"] == FAMILY_PRESETS[preset]["build"]().d
+
+
+@pytest.mark.parametrize("preset", sorted(IDEMPOTENT_PRESETS))
+def test_idempotent_and_intermediate_default_to_one_pair(preset, tmp_path):
+    """Without --pair both commands read the points at 25% and 75% of [0, 1]."""
+    for command in ("idempotent", "intermediate"):
+        code, report, _ = run_cli([command, "--preset", preset], tmp_path, name=command)
+        assert code in (0, 2)
+        assert report["pair"] == list(default_pair((0, 1))) == [0.25, 0.75]
 
 
 def test_schur_command_emits_growth_table(tmp_path):

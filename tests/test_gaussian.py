@@ -275,6 +275,19 @@ def test_det_scan_reports_the_validity_of_each_pair():
         assert [r["valid"] for r in rows] == [gaussian_pair_at(name, t)["pair_valid"] for t in ts]
 
 
+def test_gaussian_family_pairs_equal_the_dilation_report_pairs():
+    """The family extracts each pair without a report; the pairs are the
+    report's own, bit for bit, at grid and stencil times."""
+    for name, cfg in GAUSSIAN_PRESETS.items():
+        fam = gaussian_family(name)
+        grid = np.linspace(*cfg["default_grid"])
+        h = 1e-4 * (grid[-1] - grid[0])
+        for t in np.concatenate([grid, grid + h, grid - h]).tolist():
+            pair, expect = fam.pair(t), gaussian_pair_at(name, t)["pair"]
+            assert np.array_equal(pair.x, expect.x) and np.array_equal(pair.y, expect.y)
+            assert pair.m == expect.m == cfg["m_keep"]
+
+
 def test_det_scan_raises_on_singular_x():
     def gen(t):
         return GaussianPair(m=1, x=(1.5 - t) * np.eye(2), y=np.eye(2) * 3.0)
@@ -282,6 +295,15 @@ def test_det_scan_raises_on_singular_x():
     fam = GaussianFamily(m=1, generator=gen, t_domain=(0.0, 3.0), name="sing")
     with pytest.raises(SingularX):
         det_criterion_scan(fam, np.linspace(1.0, 2.0, 11))
+
+    def singular_at(times):  # X_t = 0 exactly at the given times
+        return GaussianFamily(m=1, generator=lambda t: GaussianPair(m=1, x=(t not in times) * np.eye(2), y=np.eye(2)),
+                              t_domain=(0.0, 2.0))
+
+    # the stencil points are checked in the order t + h, t - h, t
+    for times, named in (({1.5, 0.5, 1.0}, 1.5), ({0.5, 1.0}, 0.5), ({1.0}, 1.0)):
+        with pytest.raises(SingularX, match=f"at t={named};"):
+            det_criterion_scan(singular_at(times), [1.0], h=0.5)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.05 - 1e-9, 5.0 + 1e-9, 6.0, np.nan])

@@ -4,9 +4,11 @@ import pytest
 from divscan._errors import DegenerateDenominator, HypothesisViolated, InvalidFamily
 from divscan.channels import choi, compose
 from divscan.idempotent import (
+    COEFF_ATOL,
     IdempotentParams,
     build_basis,
     choi_spectrum_closed_form,
+    classify_regime,
     cp_condition,
     divisor_coeffs,
     idempotent_product,
@@ -256,6 +258,18 @@ def test_make_family_rejects_non_cp_instants():
 
     with pytest.raises(InvalidFamily):
         make_family(fns, 2, 2, (0.0, 1.0), name="bad-cp")
+
+
+def test_truncation_report_and_classify_regime_share_the_hypothesis_rule():
+    """A divisor with 0 < alpha <= COEFF_ATOL is inside the a, b <= 0
+    hypothesis for both: each size's l1 entry gives its regime."""
+    s_coeffs = (0.1, 0.05, 0.45, 0.4)
+    t_coeffs = (5e-14, -0.075, 0.615, 0.46 - 5e-14)
+    rows = truncation_report(s_coeffs, t_coeffs, 2, [2, 3, 4, 8])
+    assert 0 < rows[0]["alpha"] <= COEFF_ATOL and rows[0]["beta"] <= 0
+    for r in rows:
+        assert not r["cp"] and r["l1"] is not None
+        assert classify_regime(r["n"], 2, s_coeffs, t_coeffs) == ("P-not-CP" if r["l1"] else "not-P")
 
 
 def test_truncation_report_tracks_divisor_conditions_across_sizes():

@@ -40,9 +40,10 @@ def test_perfbench_tracer_resolves_every_site():
 def test_perfbench_tracer_records_cli_spans(tmp_path, monkeypatch):
     """The names tracing.py wraps in divscan.cli are looked up when a runner
     runs, so a traced CLI run records the scan, closed-form, determinant and
-    write spans of the cli-presets workload. The gaussian run builds the
-    dilation once per stencil point (3 per grid time, 20 grid times) and
-    the first grid time once more."""
+    write spans of the cli-presets workload. The gaussian run validates the
+    dilation only at the first grid time; its family extracts every other
+    pair without a report. intermediate_map imports the probe when it runs,
+    so the wrapped positivity_by_contractivity records a span."""
     tracing = _load_tracing()
     monkeypatch.chdir(tmp_path)
     tracer = tracing.Tracer()
@@ -51,11 +52,12 @@ def test_perfbench_tracer_records_cli_spans(tmp_path, monkeypatch):
         assert divscan.cli.main(["scan-p", "--preset", "unitary"]) == 0
         assert divscan.cli.main(["idempotent", "--preset", "idempotent-cp"]) == 0
         assert divscan.cli.main(["gaussian", "--preset", "dilation-2x1"]) == 2
+        assert divscan.cli.main(["intermediate", "--preset", "unitary"]) == 0
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
-    assert {"divisibility.scan", "idempotent.closed_form", "gaussian.det_scan", "cli.write"} <= names
-    assert sum(span[0] == "gaussian.dilation_report" for span in tracer.spans) == 61
+    assert {"divisibility.scan", "idempotent.closed_form", "gaussian.det_scan", "cli.write", "channels.probe"} <= names
+    assert sum(span[0] == "gaussian.dilation_report" for span in tracer.spans) == 1
     written = sum(span[4]["bytes"] for span in tracer.spans if span[0] == "cli.write")
     assert written == sum(path.stat().st_size for path in tmp_path.iterdir())
     assert not hasattr(divscan.cli._write_json, "__perfbench_span__")
