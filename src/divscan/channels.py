@@ -23,7 +23,7 @@ from ._errors import (
     HypothesisViolated,
     SingularChannel,
 )
-from .operators import random_projector_difference, trace_norm, vec
+from .operators import _inexact, random_projector_difference, trace_norm, vec
 
 CP_ATOL = 1e-9
 TP_ATOL = 1e-9
@@ -36,14 +36,14 @@ PROBE_HERM_ATOL = 1e-8  # Hermiticity slack of probed images
 def kraus_to_super(kraus) -> np.ndarray:
     """sum_j kron(conj(K_j), K_j) as one matmul over the Kraus index: with
     K_j flattened into row j of F, (F^H F)[(i, j), (k, l)] is the kron entry
-    ((i, k), (j, l)). Raises DimensionMismatch unless the K_j are matrices
-    of one shape."""
-    ks = [np.asarray(k, dtype=complex) for k in kraus]
+    ((i, k), (j, l)). Real Kraus operators give a real superoperator. Raises
+    DimensionMismatch unless the K_j are matrices of one shape."""
+    ks = [np.asarray(k) for k in kraus]
     shape = ks[0].shape if ks else ()
     if len(shape) != 2 or any(k.shape != shape for k in ks):
         raise DimensionMismatch("Kraus operators must be matrices of one shape")
     d_out, d_in = shape
-    f = np.stack(ks).reshape(len(ks), d_out * d_in)
+    f = _inexact(np.stack(ks)).reshape(len(ks), d_out * d_in)
     g = (f.conj().T @ f).reshape(d_out, d_in, d_out, d_in)
     return g.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
 
@@ -54,15 +54,17 @@ class Channel:
 
     apply() prefers the Kraus form (cheaper and exact for large d); the
     superoperator is materialized lazily and cached. Channels built from
-    Kraus operators are CP by construction.
+    Kraus operators are CP by construction. A channel keeps the dtype it is
+    given: real Kraus operators or a real superoperator stay float64, and
+    so does the superoperator built from them.
     """
 
     def __init__(self, d: int, kraus=None, super_matrix=None):
         if kraus is None and super_matrix is None:
             raise DimensionMismatch("need Kraus operators or a superoperator")
         self.d = int(d)
-        self.kraus = None if kraus is None else tuple(np.asarray(k, dtype=complex) for k in kraus)
-        self._super = None if super_matrix is None else np.asarray(super_matrix, dtype=complex)
+        self.kraus = None if kraus is None else tuple(_inexact(k) for k in kraus)
+        self._super = None if super_matrix is None else _inexact(super_matrix)
         if self._super is not None and self._super.shape != (d * d, d * d):
             raise DimensionMismatch(
                 f"superoperator shape {self._super.shape} does not match d={d}"
@@ -108,7 +110,7 @@ class Channel:
 
 
 def kraus_channel(kraus) -> Channel:
-    ks = [np.asarray(k, dtype=complex) for k in kraus]
+    ks = [np.asarray(k) for k in kraus]
     return Channel(d=ks[0].shape[0] if ks else 0, kraus=ks)
 
 
@@ -158,7 +160,7 @@ def inverse(ch: Channel) -> Channel:
             f"smallest/largest singular value = {sv[-1]:.3e}/{sv[0]:.3e}",
             singular_values=sv,
         )
-    return Channel(d=ch.d, super_matrix=np.linalg.solve(s, np.eye(s.shape[0], dtype=complex)))
+    return Channel(d=ch.d, super_matrix=np.linalg.solve(s, np.eye(s.shape[0])))
 
 
 def _interleave_perm(d: int) -> np.ndarray:
@@ -177,7 +179,7 @@ def _interleave_perm(d: int) -> np.ndarray:
 def extend_super(s: np.ndarray, d: int) -> np.ndarray:
     """Superoperator of I (x) Lambda on (C^d (x) C^d), built from kron of
     superoperators plus the index-interleaving permutation."""
-    big = np.kron(np.eye(d * d, dtype=complex), s)
+    big = np.kron(np.eye(d * d), s)
     perm = _interleave_perm(d)
     return big[perm][:, perm]
 
@@ -198,11 +200,12 @@ def stacked_apply(s: np.ndarray, d: int, ys: np.ndarray, extended: bool = False)
 
     ys has shape (N, d, d), or with extended=True shape (N, d*d, d*d): each
     operand then lives on C^d (x) C^d and s acts on every d x d block, which
-    is (I (x) Lambda)(Y) without building I (x) Lambda. Raises
+    is (I (x) Lambda)(Y) without building I (x) Lambda. The result has the
+    dtype of ys @ s.T, so a real s on a real stack is one dgemm. Raises
     DimensionMismatch for any other shape.
     """
     m = d if extended else 1
-    ys = np.asarray(ys, dtype=complex)
+    ys = _inexact(ys)
     if ys.ndim != 3 or ys.shape[1:] != (m * d, m * d):
         raise DimensionMismatch(f"operand stack shape {ys.shape}, expected (N, {m * d}, {m * d})")
     n = ys.shape[0]

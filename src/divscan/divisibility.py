@@ -13,11 +13,17 @@ stencil artifacts near kinks.
 
 P and CP scans run one engine. At each stencil time tau (t and t +/- h, plus
 t +/- h/10 for a re-check) it builds the d^2 x d^2 superoperator S_tau once
-and applies it to the whole witness stack in one matmul: to each witness in P
-mode, and to every d x d block of each doubled-space witness in CP mode, so
-I (x) Lambda_t is never built. One stacked eigensolve then gives every trace
+and applies it to the whole witness stack: to each witness in P mode, and to
+every d x d block of each doubled-space witness in CP mode, so
+I (x) Lambda_t is never built. Stacked eigensolves then give every trace
 norm. Nothing is kept past the stencil time that built it, so memory grows
 with library size x D^2 (D the witness dimension), not with grid length.
+
+Real maps and real witnesses run in float64 throughout. The stack is split
+by value into its real rows and its complex rows, once per stack; each part
+takes one matmul and one stacked eigensolve (dgemm and dsyevd for a real
+map on the real part), and the norms are written back in the original row
+order, so rows, verdicts and the argmax do not depend on the split.
 """
 
 from __future__ import annotations
@@ -128,7 +134,7 @@ def default_witnesses(d: int, rng: np.random.Generator, n_proj: int = 20, n_herm
     for i, j in pairs:
         e = np.zeros(d)
         e[i], e[j] = 1.0, -1.0
-        out.append((f"diag({i}-{j})", np.diag(e).astype(complex)))
+        out.append((f"diag({i}-{j})", np.diag(e)))
     for r in range(n_proj):
         out.append((f"projdiff-{r}", random_projector_difference(d, rng)))
     for r in range(n_herm):
@@ -177,17 +183,35 @@ def _chunks(n: int, early_stop: bool):
         size *= 2
 
 
+def _by_dtype(ws: np.ndarray):
+    """Split a witness stack by value into (rows, stack) parts: the real
+    rows held as float64, then the complex rows. Empty parts are dropped."""
+    real = ~np.any(ws.imag, axis=(1, 2))
+    parts = ((np.flatnonzero(real), ws[real].real), (np.flatnonzero(~real), ws[~real]))
+    return [(rows, ys) for rows, ys in parts if rows.size]
+
+
 def _curves(fam, grid, h, ws, tau_slope, extended):
     """Norms, central-difference slopes and h/10 re-check slopes, each of
     shape (len(grid), N), for one stack of N witnesses.
 
-    S_tau is built once per stencil time and applied to the whole stack;
-    nothing outlives the stencil time that built it. Re-check slopes are
-    NaN where the slope did not exceed tau_slope.
+    S_tau is built once per stencil time and applied to the real and the
+    complex rows of the stack, and the norms go back in row order; nothing
+    outlives the stencil time that built it. Re-check slopes are NaN where
+    the slope did not exceed tau_slope.
     """
 
     def norms(ys: np.ndarray):  # tau -> trace norms of Lambda_tau on the stack ys
-        return lambda tau: trace_norms(stacked_apply(fam.channel(tau).super, fam.d, ys, extended), SCAN_HERM_ATOL)
+        parts = _by_dtype(ys)
+
+        def at(tau):
+            s = fam.channel(tau).super
+            out = np.empty(len(ys))
+            for rows, part in parts:
+                out[rows] = trace_norms(stacked_apply(s, fam.d, part, extended), SCAN_HERM_ATOL)
+            return out
+
+        return at
 
     shape = (len(grid), len(ws))
     values, derivs, fine = np.empty(shape), np.empty(shape), np.full(shape, np.nan)
@@ -231,7 +255,7 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     best = None  # (derivative, t, id, matrix)
     for start, stop in _chunks(len(witnesses), early_stop):
         chunk = witnesses[start:stop]
-        ws = np.stack([np.asarray(w, dtype=complex) for _, w in chunk])
+        ws = np.stack([np.asarray(w) for _, w in chunk])
         values, derivs, fine = _curves(fam, grid, h, ws, tau_slope, extended)
         for n, (wid, w) in enumerate(chunk):
             for k, t in enumerate(grid):

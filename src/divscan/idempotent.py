@@ -54,11 +54,11 @@ def _block_projectors(n: int, k: int) -> list[np.ndarray]:
 def _basis_supers(n: int, k: int):
     d = n * k
     projs = _block_projectors(n, k)
-    s_i = np.eye(d * d, dtype=complex)
-    s_e = sum(np.kron(p, p) for p in projs).astype(complex)
-    s_b = sum(np.outer(vec(p), vec(p)) / k for p in projs).astype(complex)
+    s_i = np.eye(d * d)
+    s_e = sum(np.kron(p, p) for p in projs)
+    s_b = sum(np.outer(vec(p), vec(p)) / k for p in projs)
     vi = vec(np.eye(d))
-    s_d = np.outer(vi, vi).astype(complex) / d
+    s_d = np.outer(vi, vi) / d
     return s_i, s_e, s_b, s_d
 
 
@@ -153,12 +153,13 @@ def two_positive_probe_choi(params: IdempotentParams) -> np.ndarray:
     return c2
 
 
-def l_positive_condition(params: IdempotentParams, l: int, norm_ce_sl: float | None = None) -> bool:
+def l_positive_condition(params: IdempotentParams, l: int) -> bool:
     """Evaluate b*||C_E||_S(l) + c + d + a*l >= 0 (stated hypothesis a,b <= 0).
 
-    l = 1 defaults the norm to k; for l >= 2 the Schmidt-rank-constrained
-    norm is caller-supplied (computing it generically is out of scope).
-    Raises HypothesisViolated when a > 0 or b > 0, or when l is out of range.
+    Only l = 1 is computed, where the norm ||C_E||_S(1) is k; the
+    Schmidt-rank-constrained norm for l >= 2 is out of scope. Raises
+    HypothesisViolated when a > 0 or b > 0, when l is out of range, or
+    for l >= 2.
     """
     n, k = params.n, params.k
     a, b, c, d = params.coeffs()
@@ -166,11 +167,9 @@ def l_positive_condition(params: IdempotentParams, l: int, norm_ce_sl: float | N
         raise HypothesisViolated(f"condition stated for a, b <= 0; got a={a}, b={b}")
     if not 1 <= l <= n * k:
         raise HypothesisViolated(f"need 1 <= l <= nk = {n * k}, got l={l}")
-    if norm_ce_sl is None:
-        if l != 1:
-            raise HypothesisViolated("||C_E||_S(l) must be supplied for l >= 2")
-        norm_ce_sl = float(k)
-    return bool(b * norm_ce_sl + c + d + a * l >= -COEFF_ATOL)
+    if l != 1:
+        raise HypothesisViolated(f"only l = 1 is computed; ||C_E||_S(l) for l={l} is out of scope")
+    return bool(b * k + c + d + a >= -COEFF_ATOL)
 
 
 def positivity_sufficient(n: int, k: int, alpha: float, beta: float, gamma: float, delta: float) -> bool:

@@ -18,13 +18,21 @@ TAU_HERM = 1e-10
 TAU_SLOPE = 1e-6
 
 
+def _inexact(x) -> np.ndarray:
+    """x as an array of its own float or complex dtype, at least float64:
+    real data stays real, so its products and eigensolves run in dgemm and
+    dsyevd rather than zgemm and zheevd."""
+    x = np.asarray(x)
+    return x.astype(np.result_type(x, np.float64), copy=False)
+
+
 def require_hermitian(x: np.ndarray, atol: float = TAU_HERM) -> np.ndarray:
     """Validate Hermiticity and return the exactly-Hermitian part (X + X*)/2.
 
     Raises NonHermitianInput when max|X - X*| exceeds atol, and
-    DimensionMismatch for non-square input.
+    DimensionMismatch for non-square input. Real input stays real.
     """
-    x = np.asarray(x, dtype=complex)
+    x = _inexact(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {x.shape}")
     dev = float(np.max(np.abs(x - x.conj().T))) if x.size else 0.0
@@ -49,18 +57,19 @@ def trace_norms(xs: np.ndarray, atol: float = TAU_HERM) -> np.ndarray:
 
     Applies require_hermitian's check to the whole stack: NonHermitianInput
     when any max|X - X*| exceeds atol, DimensionMismatch for a stack that is
-    not of square matrices.
+    not of square matrices. A real stack is taken as it is, so its
+    eigensolve is the real symmetric one.
     """
-    xs = np.asarray(xs, dtype=complex)
+    xs = _inexact(xs)
     if xs.ndim != 3 or xs.shape[1] != xs.shape[2]:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {xs.shape}")
-    xh = xs.conj().swapaxes(1, 2)
+    xh = xs.conj().swapaxes(1, 2)  # a view of xs itself when xs is real
     dev = float(np.max(np.abs(xs - xh))) if xs.size else 0.0
     if dev > atol:
         raise NonHermitianInput(f"matrix deviates from Hermitian by {dev:.3e} (atol={atol:.1e})")
-    xh += xs
-    xh *= 0.5
-    return np.sum(np.abs(np.linalg.eigvalsh(xh)), axis=-1)
+    sym = xs + xh
+    sym *= 0.5
+    return np.sum(np.abs(np.linalg.eigvalsh(sym)), axis=-1)
 
 
 def vec(x: np.ndarray) -> np.ndarray:

@@ -72,6 +72,42 @@ def test_kraus_to_super_rejects_mixed_shapes_with_a_typed_error(shapes):
         kraus_to_super([np.ones(shape) for shape in shapes])
 
 
+def test_real_input_stays_float64_and_matches_the_complex_route():
+    """Real Kraus operators give a float64 superoperator from kraus_to_super
+    and Channel.super, a real superoperator stays float64 in a Channel, and
+    stacked_apply of a real map on a real stack is float64 in P and in
+    extended mode; each agrees with the same computation on complex casts."""
+    rng = np.random.default_rng(31)
+    ks = [rng.normal(size=(3, 3)) for _ in range(3)]
+    s = kraus_to_super(ks)
+    s_complex = kraus_to_super([k.astype(complex) for k in ks])
+    assert s.dtype == np.float64
+    assert np.max(np.abs(s - s_complex)) <= 1e-12
+    assert Channel(3, kraus=ks).super.dtype == np.float64
+    assert Channel(3, super_matrix=s).super.dtype == np.float64
+    assert np.max(np.abs(Channel(3, kraus=ks).super - s_complex)) <= 1e-12
+    for stack, extended in ((rng.normal(size=(4, 3, 3)), False), (rng.normal(size=(4, 9, 9)), True)):
+        out = stacked_apply(s, 3, stack, extended=extended)
+        assert out.dtype == np.float64
+        want = stacked_apply(s_complex, 3, stack.astype(complex), extended=extended)
+        assert np.max(np.abs(out - want)) <= 1e-12
+
+
+def test_complex_or_mixed_input_stays_complex():
+    rng = np.random.default_rng(32)
+    real = rng.normal(size=(3, 3))
+    cplx = real + 1j * rng.normal(size=(3, 3))
+    assert kraus_to_super([real, cplx]).dtype == complex
+    assert Channel(3, kraus=[real, cplx]).super.dtype == complex
+    assert Channel(3, super_matrix=kraus_to_super([cplx])).super.dtype == complex
+    s_real, s_complex = kraus_to_super([real]), kraus_to_super([cplx])
+    for extended, dim in ((False, 3), (True, 9)):
+        xs_real = rng.normal(size=(2, dim, dim))
+        xs_complex = xs_real + 1j * rng.normal(size=(2, dim, dim))
+        assert stacked_apply(s_real, 3, xs_complex, extended=extended).dtype == complex
+        assert stacked_apply(s_complex, 3, xs_real, extended=extended).dtype == complex
+
+
 def test_empty_kraus_set_is_rejected_at_construction():
     """An empty Kraus set is no channel: both constructors raise
     DimensionMismatch before any superoperator is built."""

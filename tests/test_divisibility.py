@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divscan._errors import (
     DimensionMismatch,
@@ -332,6 +334,64 @@ def test_batched_engine_matches_witness_by_witness_reference(case, mode, early_s
     assert (report.witness_id, report.witness_t) in ties
     if witness_fn is not None:
         assert report.witness_id == ("grows" if early_stop else "grows-twice")
+
+
+# a real Kraus map, a real Kraus map with a CP witness, and a complex one
+MIXED_FAMILIES = {
+    "schur-3": lambda: make_schur_family(3),
+    "generic-noncp": generic_noncp_family,
+    "unitary": unitary_family,
+}
+
+
+@st.composite
+def _mixed_libraries(draw):
+    """A small library whose real and complex rows interleave: a random
+    real/complex mask over random Hermitian rows (a real row is the real
+    part of one), with the family's canonical witnesses inserted at random
+    places so that some rows grow."""
+    fam = MIXED_FAMILIES[draw(st.sampled_from(sorted(MIXED_FAMILIES)))]()
+    mode = draw(st.sampled_from(["P", "CP"]))
+    dim = fam.d if mode == "P" else fam.d * fam.d
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    witnesses = []
+    for i, real in enumerate(draw(st.lists(st.booleans(), min_size=2, max_size=6))):
+        w = random_hermitian(dim, rng)
+        witnesses.append((f"real-{i}", w.real) if real else (f"complex-{i}", w))
+    for i, w in enumerate(fam.witnesses if mode == "P" else fam.cp_witnesses):
+        witnesses.insert(draw(st.integers(0, len(witnesses))), (f"canonical-{i}", w))
+    return fam, mode, witnesses
+
+
+@settings(max_examples=40)
+@given(_mixed_libraries(), st.booleans())
+def test_split_by_dtype_keeps_row_order_and_matches_the_complex_reference(case, early_stop):
+    """The engine splits each stack into its real and its complex rows; the
+    rows come back in library order, and values, slopes and the pick match
+    the witness-by-witness reference run on all-complex casts."""
+    fam, mode, witnesses = case
+    lo, hi = fam.t_domain
+    grid = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 3)
+    h = 1e-4 * (hi - lo)
+    scan = p_divisibility_scan if mode == "P" else cp_divisibility_scan
+    report = scan(fam, grid=grid, h=h, witnesses=witnesses, early_stop=early_stop)
+    as_complex = [(wid, np.asarray(w, dtype=complex)) for wid, w in witnesses]
+    confirmed, rows, notes = reference_scan(fam, grid, h, as_complex, 1e-6, mode, early_stop)
+
+    assert report.notes == notes
+    assert [(t, wid) for t, wid, _, _ in report.rows] == [(t, wid) for t, wid, _, _ in rows]
+    got = np.array([(v, d) for _, _, v, d in report.rows])
+    want = np.array([(v, d) for _, _, v, d in rows])
+    assert np.max(np.abs(got - want)) <= 1e-9
+    if not confirmed:
+        assert report.witness_id is None and report.witness_t is None
+        return
+    top = max(d for d, _, _ in confirmed)
+    assert abs(report.derivative - top) <= 1e-9
+    # slopes within 1e-9 of the top differ by rounding alone (the canonical
+    # Schur witness's slope is constant in t), so any of them may win
+    ties = [(wid, t) for d, t, wid in confirmed if d >= top - 1e-9]
+    assert any(wid == report.witness_id and abs(t - report.witness_t) <= 1e-9 for wid, t in ties)
 
 
 def _skewing_family():

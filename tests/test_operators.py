@@ -48,6 +48,24 @@ def test_trace_norms_of_a_stack_match_trace_norm_and_keep_its_checks():
         trace_norms(np.ones((2, 2, 3)))
 
 
+def test_real_stacks_stay_real_and_match_the_complex_route():
+    """A real symmetric stack is taken as it is (dsyevd, not zheevd): its
+    norms are float64 and agree with the complex cast's within 1e-12, and
+    require_hermitian keeps the dtype it is given."""
+    rng = np.random.default_rng(41)
+    g = rng.normal(size=(5, 6, 6))
+    xs = g + g.transpose(0, 2, 1)
+    xs[:, 0, 1] += 1e-12  # within the slack; the caller's stack must not be symmetrized
+    before = xs.copy()
+    norms = trace_norms(xs)
+    assert np.array_equal(xs, before)
+    assert norms.dtype == np.float64
+    assert np.max(np.abs(norms - trace_norms(xs.astype(complex)))) <= 1e-12
+    assert abs(trace_norm(xs[0]) - norms[0]) <= 1e-12
+    assert require_hermitian(xs[0]).dtype == np.float64
+    assert require_hermitian(xs[0] + 0j).dtype == complex
+
+
 def test_trace_norm_of_difference_of_orthogonal_projectors_is_two():
     rng = np.random.default_rng(1)
     x = random_projector_difference(6, rng)

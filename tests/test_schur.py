@@ -136,3 +136,21 @@ def test_verdict_stable_under_growing_truncation():
         assert report.verdict == "NOT_P_DIVISIBLE"
         slopes.append(report.derivative)
     assert slopes[1] > slopes[0] + 1.0
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_real_kraus_superoperator_is_bitwise_the_complex_build(n):
+    """Schur's Kraus operators are real, and kraus_to_super of them in
+    float64 equals the build from the same operators cast to complex bit
+    for bit: the real parts are equal and the imaginary part is exactly
+    zero. This is what keeps Schur witness_t where the benchmark goldens
+    put it. The hopping witness's slope is constant in t, so witness_t is
+    the argmax of slopes that differ by rounding alone, and a superoperator
+    that moved by one ulp could move it."""
+    for t in np.linspace(0.0, 0.5, 201):
+        ks = schur_channel(n, float(t)).kraus
+        real = kraus_to_super(ks)
+        cplx = kraus_to_super([k.astype(complex) for k in ks])
+        assert real.dtype == np.float64
+        assert np.array_equal(cplx.real, real), t
+        assert not np.any(cplx.imag), t
