@@ -69,9 +69,7 @@ from .channels import (
     inverse,
     kraus_channel,
     kraus_to_super,
-    load_channel,
     positivity_by_contractivity,
-    save_channel,
     super_channel,
     transpose_channel,
 )
@@ -165,7 +163,6 @@ __all__ = [
     "kraus_channel",
     "kraus_to_super",
     "l_positive_condition",
-    "load_channel",
     "make_dynamical_family",
     "make_gaussian_family",
     "make_pair",
@@ -176,7 +173,6 @@ __all__ = [
     "positivity_sufficient",
     "random_hermitian",
     "require_hermitian",
-    "save_channel",
     "schur_channel",
     "solve_left_divisor",
     "super_channel",

@@ -1,5 +1,6 @@
-"""Finite-dimensional channels: Kraus/superoperator forms, Choi matrices,
-composition, inversion, and the contractivity-based positivity probe.
+"""Finite-dimensional channels: each held as its superoperator (Kraus
+operators kept only as the CP certificate), Choi matrices, composition,
+inversion, and the contractivity-based positivity probe.
 
 Conventions (column-stacking, fixed package-wide):
 
@@ -12,9 +13,7 @@ Conventions (column-stacking, fixed package-wide):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from ._errors import (
     HypothesisViolated,
     SingularChannel,
 )
-from .operators import _inexact, random_projector_difference, trace_norm, vec
+from .operators import _inexact, random_projector_difference, trace_norm, unvec, vec
 
 CP_ATOL = 1e-9
 TP_ATOL = 1e-9
@@ -49,14 +48,11 @@ def kraus_to_super(kraus) -> np.ndarray:
 
 
 class Channel:
-    """A linear map on d x d matrices, held as Kraus operators, a
-    superoperator, or both.
-
-    apply() prefers the Kraus form (cheaper and exact for large d); the
-    superoperator is materialized lazily and cached. Channels built from
-    Kraus operators are CP by construction. A channel keeps the dtype it is
-    given: real Kraus operators or a real superoperator stay float64, and
-    so does the superoperator built from them.
+    """A linear map on d x d matrices, held as its d^2 x d^2 superoperator
+    `super`, formed once at construction; every computation runs on it.
+    Kraus operators, when given, are kept as `kraus` only to certify CP.
+    Real Kraus operators or a real superoperator stay float64, and so does
+    apply() of a real operand.
     """
 
     def __init__(self, d: int, kraus=None, super_matrix=None):
@@ -64,41 +60,24 @@ class Channel:
             raise DimensionMismatch("need Kraus operators or a superoperator")
         self.d = int(d)
         self.kraus = None if kraus is None else tuple(_inexact(k) for k in kraus)
-        self._super = None if super_matrix is None else _inexact(super_matrix)
-        if self._super is not None and self._super.shape != (d * d, d * d):
-            raise DimensionMismatch(
-                f"superoperator shape {self._super.shape} does not match d={d}"
-            )
         if self.kraus is not None:
             if not self.kraus:
                 raise DimensionMismatch("need at least one Kraus operator")
             for k in self.kraus:
                 if k.shape != (d, d):
                     raise DimensionMismatch(f"Kraus shape {k.shape} does not match d={d}")
-
-    @property
-    def super(self) -> np.ndarray:
-        if self._super is None:
-            self._super = kraus_to_super(self.kraus)
-        return self._super
+        self.super = kraus_to_super(self.kraus) if super_matrix is None else _inexact(super_matrix)
+        if self.super.shape != (d * d, d * d):
+            raise DimensionMismatch(f"superoperator shape {self.super.shape} does not match d={d}")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
+        x = _inexact(x)
         if x.shape != (self.d, self.d):
             raise DimensionMismatch(f"operand shape {x.shape}, channel dimension {self.d}")
-        if self.kraus is not None:
-            out = np.zeros_like(x)
-            for k in self.kraus:
-                out += k @ x @ k.conj().T
-            return out
-        v = self.super @ x.reshape(-1, order="F")
-        return v.reshape((self.d, self.d), order="F")
+        return unvec(self.super @ vec(x), self.d)
 
     def tp_deviation(self) -> float:
         """max |Lambda^*(I) - I|, entrywise; zero exactly when the map is TP."""
-        if self.kraus is not None:
-            acc = sum(k.conj().T @ k for k in self.kraus)
-            return float(np.max(np.abs(acc - np.eye(self.d))))
         vi = vec(np.eye(self.d))
         return float(np.max(np.abs(self.super.conj().T @ vi - vi)))
 
@@ -106,7 +85,8 @@ class Channel:
         return self.tp_deviation() <= atol
 
     def is_cp(self) -> bool:
-        return choi(self).is_psd()
+        """Kraus operators certify CP; otherwise the Choi matrix is PSD."""
+        return self.kraus is not None or choi(self).is_psd()
 
 
 def kraus_channel(kraus) -> Channel:
@@ -140,9 +120,6 @@ def compose(after: Channel, before: Channel) -> Channel:
     """after . before, i.e. apply `before` first."""
     if after.d != before.d:
         raise DimensionMismatch(f"dimensions differ: {after.d} vs {before.d}")
-    if after.kraus is not None and before.kraus is not None:
-        ks = [a @ b for a in after.kraus for b in before.kraus]
-        return Channel(d=after.d, kraus=ks)
     return Channel(d=after.d, super_matrix=after.super @ before.super)
 
 
@@ -294,33 +271,3 @@ def positivity_by_contractivity(ch: Channel, n_samples: int = 400, seed: int = 7
 
 def _matrix_to_json(m: np.ndarray):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
-def channel_to_json(ch: Channel) -> dict:
-    obj = {"dim_in": ch.d, "dim_out": ch.d}
-    if ch.kraus is not None:
-        obj["kraus"] = [_matrix_to_json(k) for k in ch.kraus]
-    else:
-        obj["super"] = _matrix_to_json(ch.super)
-    return obj
-
-
-def channel_from_json(obj: dict) -> Channel:
-    d = int(obj["dim_in"])
-    if int(obj["dim_out"]) != d:
-        raise DimensionMismatch("only square channels are supported")
-    if "kraus" in obj:
-        return Channel(d=d, kraus=[_matrix_from_json(k) for k in obj["kraus"]])
-    return Channel(d=d, super_matrix=_matrix_from_json(obj["super"]))
-
-
-def save_channel(ch: Channel, path) -> None:
-    Path(path).write_text(json.dumps(channel_to_json(ch)))
-
-
-def load_channel(path) -> Channel:
-    return channel_from_json(json.loads(Path(path).read_text()))

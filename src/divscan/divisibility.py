@@ -100,9 +100,9 @@ def make_dynamical_family(
 ) -> DynamicalFamily:
     """Build a family and check CP + TP on a 21-point validation grid.
 
-    Kraus-form channels are CP by construction and only get the TP check
-    (at TP_HYPOTHESIS_ATOL); super-only channels get a dense Choi PSD test
-    (at CP_ATOL). Raises InvalidFamily with the first offending t.
+    Every member is checked for TP (at TP_HYPOTHESIS_ATOL) and CP: Kraus
+    operators certify CP, a member given only as a superoperator needs a
+    Choi PSD test (at CP_ATOL). Raises InvalidFamily with the first offending t.
     """
     fam = DynamicalFamily(
         d=d,
@@ -117,7 +117,7 @@ def make_dynamical_family(
             ch = fam.channel(float(t))
             if not ch.is_tp(atol=TP_HYPOTHESIS_ATOL):
                 raise InvalidFamily(f"{name or 'family'} not TP at t={t}", t=float(t))
-            if ch.kraus is None and not ch.is_cp():
+            if not ch.is_cp():
                 raise InvalidFamily(f"{name or 'family'} not CP at t={t}", t=float(t))
     return fam
 
@@ -369,8 +369,9 @@ def intermediate_map(fam: DynamicalFamily, s: float, t: float, seed: int = 7) ->
     Returns {"map": Channel, "cp": bool, "p": ...} where "p" is the
     sampling-based contractivity report for the connecting map (evidence,
     not proof). Propagates SingularChannel (with the singular-value
-    report) when Lambda_s is not invertible at RCOND; callers should fall
-    back to kernel_inclusion_report in that case.
+    report) when Lambda_s is not invertible at RCOND; the CLI reports it
+    and exits 1. Falling back to kernel_inclusion_report there is open
+    (ROADMAP item 9, step 1).
     """
     from .channels import compose, inverse, positivity_by_contractivity
 

@@ -58,9 +58,10 @@ def cp_block_witness(n: int) -> np.ndarray:
 
 
 def schur_channel(n: int, t: float) -> Channel:
-    """X -> A_t o X as a Kraus channel (diagonal Kraus operators from the
-    eigendecomposition of A_t). Raises OutsideValidityWindow for t outside
-    [0, 1/2], where the mask stops being PSD."""
+    """X -> A_t o X, built from diagonal Kraus operators (from the
+    eigendecomposition of A_t) that certify it CP; its superoperator is
+    formed from them at construction. Raises OutsideValidityWindow for t
+    outside [0, 1/2], where the mask stops being PSD."""
     if t < -DOMAIN_ATOL or t > 0.5 + DOMAIN_ATOL:
         raise OutsideValidityWindow(f"t={t} outside the CP window [0, 0.5]")
     a = toeplitz_a(n, max(t, 0.0))

@@ -6,8 +6,6 @@ import pytest
 from divscan._errors import DimensionMismatch, HypothesisViolated, SingularChannel
 from divscan.channels import (
     Channel,
-    channel_from_json,
-    channel_to_json,
     choi,
     choi_from_super,
     compose,
@@ -16,9 +14,7 @@ from divscan.channels import (
     inverse,
     kraus_channel,
     kraus_to_super,
-    load_channel,
     positivity_by_contractivity,
-    save_channel,
     stacked_apply,
     super_channel,
     transpose_channel,
@@ -91,6 +87,23 @@ def test_real_input_stays_float64_and_matches_the_complex_route():
         assert out.dtype == np.float64
         want = stacked_apply(s_complex, 3, stack.astype(complex), extended=extended)
         assert np.max(np.abs(out - want)) <= 1e-12
+
+
+def test_apply_keeps_real_operands_real():
+    """A real map on a real operand is applied in float64, whether the map
+    was given as Kraus operators or as a superoperator, and agrees with the
+    same application on complex casts."""
+    rng = np.random.default_rng(33)
+    ks = [rng.normal(size=(3, 3)) for _ in range(2)]
+    x = rng.normal(size=(3, 3))
+    x = x + x.T
+    want = sum(k.astype(complex) @ x.astype(complex) @ k.T for k in ks)
+    for ch in (kraus_channel(ks), super_channel(kraus_to_super(ks), 3)):
+        out = ch.apply(x)
+        assert out.dtype == np.float64
+        assert np.max(np.abs(out - want)) <= 1e-12
+        via_complex = unvec(ch.super.astype(complex) @ vec(x.astype(complex)), 3)
+        assert np.max(np.abs(out - via_complex)) <= 1e-12
 
 
 def test_complex_or_mixed_input_stays_complex():
@@ -179,6 +192,8 @@ def test_compose_is_matrix_product_in_right_order():
     lhs = compose(a, b).apply(x)
     rhs = a.apply(b.apply(x))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+    products = kraus_to_super([ak @ bk for ak in a.kraus for bk in b.kraus])
+    assert np.max(np.abs(compose(a, b).super - products)) < 1e-12
 
 
 def test_inverse_roundtrip_and_singular_report():
@@ -244,6 +259,8 @@ def test_tp_deviation_reads_the_trace_defect_in_both_forms():
     ch = random_cptp(3, 2, rng)
     assert ch.tp_deviation() < 1e-12 and ch.is_tp()
     scaled = kraus_channel([np.sqrt(0.9) * k for k in ch.kraus])
+    defect = float(np.max(np.abs(sum(k.conj().T @ k for k in scaled.kraus) - np.eye(3))))
+    assert abs(scaled.tp_deviation() - defect) < 1e-12
     for form in (scaled, super_channel(scaled.super, 3)):
         assert abs(form.tp_deviation() - 0.1) < 1e-12
         assert not form.is_tp()
@@ -291,31 +308,6 @@ def test_contractivity_probe_requires_tp():
     ch = kraus_channel([np.eye(2) * 0.5])
     with pytest.raises(HypothesisViolated):
         positivity_by_contractivity(ch)
-
-
-def test_json_roundtrip_preserves_super_exactly():
-    rng = np.random.default_rng(18)
-    ch = random_cptp(3, 2, rng)
-    back = channel_from_json(channel_to_json(ch))
-    assert np.max(np.abs(back.super - ch.super)) < 1e-12
-    assert back.d == 3
-
-
-def test_save_load_channel(tmp_path):
-    rng = np.random.default_rng(19)
-    ch = random_cptp(2, 2, rng)
-    p = tmp_path / "ch.json"
-    save_channel(ch, p)
-    back = load_channel(p)
-    assert np.max(np.abs(back.super - ch.super)) < 1e-12
-
-
-def test_super_only_channel_roundtrips_without_kraus():
-    s = np.eye(4, dtype=complex)
-    obj = channel_to_json(super_channel(s, 2))
-    assert "kraus" not in obj or obj["kraus"] is None
-    back = channel_from_json(obj)
-    assert np.max(np.abs(back.super - s)) < 1e-15
 
 
 def test_choi_from_super_block_structure():

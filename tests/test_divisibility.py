@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divscan.channels
 from divscan._errors import (
     DimensionMismatch,
     DomainExceeded,
@@ -13,7 +14,15 @@ from divscan._errors import (
     NonHermitianInput,
     SingularChannel,
 )
-from divscan.channels import choi, compose, extend_channel, inverse, kraus_channel, super_channel
+from divscan.channels import (
+    choi,
+    compose,
+    extend_channel,
+    inverse,
+    kraus_channel,
+    super_channel,
+    transpose_channel,
+)
 from divscan.divisibility import (
     DynamicalFamily,
     central_difference,
@@ -209,14 +218,29 @@ def test_intermediate_map_rejects_reversed_pair_and_singular_start():
 
 
 def test_make_dynamical_family_validates_grid():
-    bad = np.eye(4, dtype=complex)
-    bad[0, 0] = 2.0  # not TP
+    """A member that is not TP, and a TP member given only as a
+    superoperator that is not CP (the transpose map), each fail validation
+    with the check they fail."""
+    not_tp = np.eye(4, dtype=complex)
+    not_tp[0, 0] = 2.0
+    for member, reason in ((super_channel(not_tp, 2), "not TP"), (transpose_channel(2), "not CP")):
+        with pytest.raises(InvalidFamily, match=reason):
+            make_dynamical_family(d=2, t_domain=(0.0, 1.0), channel_at=lambda t, m=member: m, name="bad")
 
-    def gen(t):
-        return super_channel(bad, 2)
 
-    with pytest.raises(InvalidFamily):
-        make_dynamical_family(d=2, t_domain=(0.0, 1.0), channel_at=gen, name="bad")
+def test_kraus_members_are_certified_cp_without_a_choi_eigensolve(monkeypatch):
+    """Kraus operators are the CP certificate: a Kraus-built family
+    validates with channels.choi unavailable, while a channel given only as
+    a superoperator still needs it."""
+
+    def no_choi(ch):
+        raise AssertionError("Choi matrix built for a certified member")
+
+    monkeypatch.setattr(divscan.channels, "choi", no_choi)
+    fam = make_schur_family(4)
+    assert fam.channel(0.3).kraus is not None
+    with pytest.raises(AssertionError):
+        super_channel(fam.channel(0.3).super, 4).is_cp()
 
 
 def test_reports_serialize_to_json_and_csv():

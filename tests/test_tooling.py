@@ -105,3 +105,17 @@ def test_every_raise_names_a_package_error():
             if not (isinstance(exc, ast.Name) and exc.id in typed):
                 untyped.append(f"{path.name}:{node.lineno}")
     assert not untyped, untyped
+
+
+def test_only_channels_reads_kraus():
+    """A channel is its superoperator: outside channels.py no module in
+    src/ reads a channel's `.kraus`, so which form a computation runs on is
+    decided in one module."""
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if path.name != "channels.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "kraus"
+    ]
+    assert not readers, readers
