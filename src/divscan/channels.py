@@ -172,24 +172,41 @@ def extend_channel(ch: Channel) -> Channel:
 
 
 def stacked_apply(s: np.ndarray, d: int, ys: np.ndarray, extended: bool = False) -> np.ndarray:
-    """Apply the superoperator s of a channel on C^d to a stack of operands
-    in one matmul.
+    """Apply the superoperator s of a channel on C^d to a stack of operands.
 
     ys has shape (N, d, d), or with extended=True shape (N, d*d, d*d): each
     operand then lives on C^d (x) C^d and s acts on every d x d block, which
-    is (I (x) Lambda)(Y) without building I (x) Lambda. The result has the
-    dtype of ys @ s.T, so a real s on a real stack is one dgemm. Raises
+    is (I (x) Lambda)(Y) without building I (x) Lambda. Raises
     DimensionMismatch for any other shape.
+
+    The route is read from s. A diagonal s (every off-diagonal entry exactly
+    zero) is the Schur multiplier X -> A o X with A = unvec(diag(s)), applied
+    as an entrywise product on every block: each entry y_ij S_jj is the one
+    nonzero term of the matmul's sum, so the result equals the matmul's.
+    Any other s takes one matmul over the stack, except that the complex rows
+    of a real s take two real matmuls on their real and imaginary parts. The
+    result has the dtype of ys @ s.T, so a real s on a real stack stays real.
     """
     m = d if extended else 1
     ys = _inexact(ys)
     if ys.ndim != 3 or ys.shape[1:] != (m * d, m * d):
         raise DimensionMismatch(f"operand stack shape {ys.shape}, expected (N, {m * d}, {m * d})")
+    diag = np.diagonal(s)
+    if np.count_nonzero(s) == np.count_nonzero(diag):
+        out = ys * np.tile(unvec(diag, d), (m, m))
+        out += 0.0  # y * 0 is -0 for y < 0; a real matmul's sum gives +0
+        return out
     n = ys.shape[0]
     # Y[a*d + i, b*d + j] -> row (a, b), column i + d*j: the column-stacked
     # vec of block (a, b), so s acts on every block of every operand at once
     v = ys.reshape(n, m, d, m, d).transpose(0, 1, 3, 4, 2).reshape(n * m * m, d * d)
-    out = (v @ s.T).reshape(n, m, m, d, d)
+    if np.iscomplexobj(v) and not np.iscomplexobj(s):
+        w = np.empty(v.shape, dtype=np.result_type(v, s))
+        w.real = v.real @ s.T
+        w.imag = v.imag @ s.T
+    else:
+        w = v @ s.T
+    out = w.reshape(n, m, m, d, d)
     return out.transpose(0, 1, 4, 2, 3).reshape(n, m * d, m * d)
 
 

@@ -21,9 +21,13 @@ with library size x D^2 (D the witness dimension), not with grid length.
 
 Real maps and real witnesses run in float64 throughout. The stack is split
 by value into its real rows and its complex rows, once per stack; each part
-takes one matmul and one stacked eigensolve (dgemm and dsyevd for a real
-map on the real part), and the norms are written back in the original row
-order, so rows, verdicts and the argmax do not depend on the split.
+takes one apply and one stacked eigensolve (dsyevd for a real map on the
+real part), and the norms are written back in the original row order, so
+rows, verdicts and the argmax do not depend on the split. stacked_apply
+reads its route from S_tau: a diagonal S_tau (a Schur multiplier such as
+A_t o X) is applied entrywise, with no matmul and the matmul's values; the
+complex rows of a real S_tau take two real matmuls (dgemm) on their real
+and imaginary parts; any other S_tau takes one matmul.
 """
 
 from __future__ import annotations

@@ -7,6 +7,12 @@ when A_t is PSD, i.e. for t in [0, 1/2] (the truncated mask's eigenvalues are
 matrix itself: Lambda_t maps it to t times itself, so its trace norm grows
 linearly with the constant slope 2 sum_k |cos(k pi/(n+1))| and the family is
 not even P-divisible despite being CPTP at every t.
+
+The superoperator of Lambda_t is diag(vec(A_t)). It is formed from the
+diagonal Kraus operators that certify CP, so its off-diagonal zeros are
+exact (its diagonal is A_t up to rounding), and the scan engine, finding it
+diagonal, applies it to witness stacks as the entrywise product with that
+diagonal rather than as a d^2 x d^2 matmul.
 """
 
 from __future__ import annotations

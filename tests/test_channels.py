@@ -20,6 +20,7 @@ from divscan.channels import (
     transpose_channel,
 )
 from divscan.operators import random_hermitian, trace_norm, unvec, vec
+from divscan.schur import schur_channel
 
 
 def random_cptp(d, n_kraus, rng):
@@ -252,6 +253,104 @@ def test_extension_of_a_super_only_channel_agrees_blockwise():
     ext = extend_channel(ch)
     for y, e in zip(ys, stacked_apply(ch.super, 3, ys, extended=True)):
         assert np.max(np.abs(e - ext.apply(y))) < 1e-12
+
+
+class _MatmulLog(np.ndarray):
+    """A superoperator that records the dtype of every stack multiplied
+    into it as a matrix (v @ s.T), then multiplies as a plain ndarray."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __rmatmul__(self, other):
+        self.log.append(np.asarray(other).dtype)
+        return np.asarray(other) @ self.view(np.ndarray)
+
+
+def _logged(s):
+    out = np.asarray(s).view(_MatmulLog)
+    out.log = []
+    return out
+
+
+def _dense_apply(s, d, ys, extended):
+    """The dense reference: one v @ s.T over the column-stacked vec of every
+    d x d block of every operand."""
+    m = d if extended else 1
+    n = len(ys)
+    v = ys.reshape(n, m, d, m, d).transpose(0, 1, 3, 4, 2).reshape(n * m * m, d * d)
+    out = (v @ s.T).reshape(n, m, m, d, d)
+    return out.transpose(0, 1, 4, 2, 3).reshape(n, m * d, m * d)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("extended", [False, True], ids=["P", "CP"])
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_schur_multiplier_is_applied_entrywise_with_the_matmul_bits(n, extended, kind):
+    """schur_channel's superoperator is diagonal, so stacked_apply never
+    multiplies it as a matrix, and the entrywise product equals the dense
+    v @ s.T exactly."""
+    rng = np.random.default_rng(40 + n)
+    s = schur_channel(n, 0.3).super
+    dim = n * n if extended else n
+    ys = np.stack([random_hermitian(dim, rng) for _ in range(3)])
+    if kind == "real":
+        ys = ys.real.copy()
+    logged = _logged(s)
+    out = stacked_apply(logged, n, ys, extended=extended)
+    assert logged.log == []
+    assert out.dtype == ys.dtype
+    assert np.array_equal(out, _dense_apply(s, n, ys, extended))
+
+
+def test_one_off_diagonal_entry_takes_the_dense_route():
+    """A diagonal superoperator plus one nonzero off-diagonal entry, and the
+    transpose map, are multiplied as matrices and agree with Channel.apply
+    and with the built extension."""
+    rng = np.random.default_rng(43)
+    s = schur_channel(3, 0.3).super.copy()
+    s[0, 4] = 0.25
+    xs = np.stack([random_hermitian(3, rng) for _ in range(4)])
+    ys = np.stack([random_hermitian(9, rng) for _ in range(4)])
+    for ch in (super_channel(s, 3), transpose_channel(3)):
+        logged = _logged(ch.super)
+        out = stacked_apply(logged, 3, xs)
+        ext = stacked_apply(logged, 3, ys, extended=True)
+        assert logged.log
+        for x, o in zip(xs, out):
+            assert np.max(np.abs(o - ch.apply(x))) < 1e-12
+        for y, e in zip(ys, ext):
+            assert np.max(np.abs(e - extend_channel(ch).apply(y))) < 1e-12
+
+
+def test_zero_superoperator_returns_zeros():
+    """The zero map is diagonal; its image of any stack is +0 everywhere,
+    also where an operand entry is negative and its product with 0 is -0."""
+    rng = np.random.default_rng(44)
+    for extended, dim in ((False, 3), (True, 9)):
+        real = rng.normal(size=(2, dim, dim))
+        for ys in (real, real + 1j * rng.normal(size=(2, dim, dim))):
+            out = stacked_apply(np.zeros((9, 9)), 3, ys, extended=extended)
+            assert out.shape == ys.shape and out.dtype == ys.dtype
+            assert not np.any(out)
+            assert not np.any(np.signbit(out.real)) and not np.any(np.signbit(out.imag))
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["P", "CP"])
+def test_complex_rows_of_a_real_map_take_two_real_matmuls(extended):
+    """A real, non-diagonal superoperator on a complex stack multiplies only
+    real matrices (the real and the imaginary parts), returns complex, and
+    equals the complex-cast matmul within 1e-12."""
+    rng = np.random.default_rng(45)
+    s = kraus_to_super([rng.normal(size=(3, 3)) for _ in range(2)])
+    assert s.dtype == np.float64
+    dim = 9 if extended else 3
+    ys = np.stack([random_hermitian(dim, rng) for _ in range(4)])
+    logged = _logged(s)
+    out = stacked_apply(logged, 3, ys, extended=extended)
+    assert out.dtype == complex
+    assert logged.log == [np.float64, np.float64]
+    assert np.max(np.abs(out - _dense_apply(s.astype(complex), 3, ys, extended))) <= 1e-12
 
 
 def test_tp_deviation_reads_the_trace_defect_in_both_forms():
