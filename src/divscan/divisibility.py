@@ -15,13 +15,16 @@ P and CP scans run one engine. At each stencil time tau (t and t +/- h, plus
 t +/- h/10 for a re-check) it builds the d^2 x d^2 superoperator S_tau once
 and applies it to the whole witness stack: to each witness in P mode, and to
 every d x d block of each doubled-space witness in CP mode, so
-I (x) Lambda_t is never built. Stacked eigensolves then give every trace
-norm. Nothing is kept past the stencil time that built it, so memory grows
-with library size x D^2 (D the witness dimension), not with grid length.
+I (x) Lambda_t is never built. operators.trace_norms then gives every trace
+norm: a diagonal image is summed with no eigensolve, and the other images
+take one stacked eigensolve on the rows and columns where they are nonzero
+(n x n, not n^2 x n^2, for the Schur CP witness kron(E00, H)). Nothing is
+kept past the stencil time that built it, so memory grows with library
+size x D^2 (D the witness dimension), not with grid length.
 
 Real maps and real witnesses run in float64 throughout. The stack is split
 by value into its real rows and its complex rows, once per stack; each part
-takes one apply and one stacked eigensolve (dsyevd for a real map on the
+takes one apply and one trace_norms call (dsyevd for a real map on the
 real part), and the norms are written back in the original row order, so
 rows, verdicts and the argmax do not depend on the split. stacked_apply
 reads its route from S_tau: a diagonal S_tau (a Schur multiplier such as

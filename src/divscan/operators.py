@@ -3,7 +3,10 @@ witnesses.
 
 Everything downstream (channels, divisibility scans, witness searches) sits
 on these few primitives. Hermiticity is checked against ``TAU_HERM``
-(max-entry deviation) before any eigensolve.
+(max-entry deviation) before any eigensolve. Every trace norm comes from
+``trace_norms``, which reads its route from the exact zeros of each matrix:
+a diagonal one is summed without an eigensolve, and the others are
+eigensolved only on the rows and columns where the stack is nonzero.
 
 Vectorization is column-stacking throughout: ``vec(A X B) = kron(B.T, A) vec(X)``.
 """
@@ -27,18 +30,22 @@ def _inexact(x) -> np.ndarray:
 
 
 def require_hermitian(x: np.ndarray, atol: float = TAU_HERM) -> np.ndarray:
-    """Validate Hermiticity and return the exactly-Hermitian part (X + X*)/2.
+    """Validate Hermiticity and return the exactly-Hermitian part (X + X*)/2
+    of a matrix, or of every matrix in a stack of shape (..., D, D).
 
-    Raises NonHermitianInput when max|X - X*| exceeds atol, and
-    DimensionMismatch for non-square input. Real input stays real.
+    Raises NonHermitianInput when max|X - X*| over all entries exceeds atol,
+    and DimensionMismatch for non-square input. Real input stays real.
     """
     x = _inexact(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {x.shape}")
-    dev = float(np.max(np.abs(x - x.conj().T))) if x.size else 0.0
+    xh = x.conj().swapaxes(-1, -2)  # a view of x itself when x is real
+    dev = float(np.max(np.abs(x - xh))) if x.size else 0.0
     if dev > atol:
         raise NonHermitianInput(f"matrix deviates from Hermitian by {dev:.3e} (atol={atol:.1e})")
-    return (x + x.conj().T) / 2
+    sym = x + xh
+    sym *= 0.5
+    return sym
 
 
 def trace_norm(x: np.ndarray, atol: float = TAU_HERM) -> float:
@@ -46,30 +53,45 @@ def trace_norm(x: np.ndarray, atol: float = TAU_HERM) -> float:
 
     Hermitian-only on purpose: every witness this package evaluates is
     Hermitian, and eigvalsh is cheaper than a singular-value decomposition.
+    It is trace_norms on a stack of one, so it takes the same routes and
+    raises the same DimensionMismatch and NonHermitianInput.
     """
-    xh = require_hermitian(x, atol=atol)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(xh))))
+    return float(trace_norms(np.asarray(x)[None], atol)[0])
 
 
 def trace_norms(xs: np.ndarray, atol: float = TAU_HERM) -> np.ndarray:
-    """Trace norms of a stack of Hermitian matrices, shape (N, D, D), from
-    one stacked eigensolve.
+    """Trace norms of a stack of Hermitian matrices, shape (N, D, D), as
+    float64 in row order.
 
-    Applies require_hermitian's check to the whole stack: NonHermitianInput
-    when any max|X - X*| exceeds atol, DimensionMismatch for a stack that is
-    not of square matrices. A real stack is taken as it is, so its
-    eigensolve is the real symmetric one.
+    Applies require_hermitian to the whole stack: NonHermitianInput when
+    any max|X - X*| exceeds atol, DimensionMismatch for a stack that is not
+    of square matrices. The symmetrized stack then picks each row's route
+    from its exact zeros:
+    - a row whose off-diagonal entries are all zero (a zero matrix too) is
+      diagonal, and its norm is sum|diag|, with no eigensolve;
+    - the other rows take one stacked eigensolve, restricted to the union
+      of their nonzero columns. Each row is Hermitian, so that is also the
+      union of their nonzero rows, and the dropped rows and columns only
+      add zero eigenvalues. When nothing is dropped, no copy is taken.
+    A real stack is taken as it is, so its eigensolve is the real symmetric
+    one.
     """
-    xs = _inexact(xs)
-    if xs.ndim != 3 or xs.shape[1] != xs.shape[2]:
+    xs = np.asarray(xs)
+    if xs.ndim != 3:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {xs.shape}")
-    xh = xs.conj().swapaxes(1, 2)  # a view of xs itself when xs is real
-    dev = float(np.max(np.abs(xs - xh))) if xs.size else 0.0
-    if dev > atol:
-        raise NonHermitianInput(f"matrix deviates from Hermitian by {dev:.3e} (atol={atol:.1e})")
-    sym = xs + xh
-    sym *= 0.5
-    return np.sum(np.abs(np.linalg.eigvalsh(sym)), axis=-1)
+    sym = require_hermitian(xs, atol)
+    out, rows = np.empty(len(sym)), slice(None)
+    if np.count_nonzero(sym) < sym.size:  # with no zero entry, every row is eigensolved as it is
+        nonzero = sym != 0
+        rows = np.flatnonzero(nonzero.sum(axis=(1, 2)) > nonzero.trace(axis1=1, axis2=2))
+        out = np.abs(sym.diagonal(0, 1, 2)).sum(axis=-1)
+        if not rows.size:
+            return out
+        keep = nonzero.any(axis=1)[rows].any(axis=0)
+        if rows.size < len(sym) or not keep.all():
+            sym = sym[np.ix_(rows, keep, keep)]
+    out[rows] = np.sum(np.abs(np.linalg.eigvalsh(sym)), axis=-1)
+    return out
 
 
 def vec(x: np.ndarray) -> np.ndarray:

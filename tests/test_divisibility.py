@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divscan.channels
+import divscan.operators
 from divscan._errors import (
     DimensionMismatch,
     DomainExceeded,
@@ -24,6 +25,7 @@ from divscan.channels import (
     transpose_channel,
 )
 from divscan.divisibility import (
+    STENCIL_WIDTH,
     DynamicalFamily,
     central_difference,
     cp_divisibility_scan,
@@ -483,3 +485,47 @@ def test_preset_cp_witness_is_pulled_back_blockwise_in_small_memory():
     y = extend_channel(inverse(phi(IdempotentParams(n, k, *fns(s))))).apply(np.outer(v, v.conj()))
     (w,) = fam.cp_witnesses
     assert np.max(np.abs(w - (y + y.conj().T) / 2)) < 1e-12
+
+
+def test_cp_schur_scan_solves_only_the_witness_block(monkeypatch):
+    """The Schur CP witness kron(E00, H) maps to kron(E00, A_t o H), whose
+    only nonzero block is n x n: the early-stop scan of the default library
+    stops at that witness and solves nothing larger, and its rows, verdict
+    and witness_t are those of the built extension with a dense eigensolve
+    on the whole n^2 x n^2 image."""
+    n = 6
+    fam = make_schur_family(n)
+    lo, hi = fam.t_domain
+    h = STENCIL_WIDTH * (hi - lo)
+    w = cp_block_witness(n)
+
+    def dense_norm(tau):
+        y = extend_channel(fam.channel(tau)).apply(w)
+        return float(np.sum(np.abs(np.linalg.eigvalsh((y + y.conj().T) / 2))))
+
+    rows, best = [], None
+    for t in np.linspace(lo + h, hi - h, 51).tolist():
+        deriv = (dense_norm(t + h) - dense_norm(t - h)) / (2 * h)
+        rows.append((t, dense_norm(t), deriv))
+        if deriv > 1e-6 and (best is None or deriv > best[0]):
+            best = (deriv, t)
+
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def logged(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    library = _library(fam, "CP")  # the scan's default library, built before logging
+    monkeypatch.setattr(divscan.operators.np.linalg, "eigvalsh", logged)
+    report = cp_divisibility_scan(fam, witnesses=library)
+    monkeypatch.undo()
+
+    assert shapes and max(shape[-1] for shape in shapes) <= n
+    assert report.verdict == "NOT_CP_DIVISIBLE" and report.witness_id == "canonical-0"
+    assert report.witness_t == best[1]
+    assert [(t, wid) for t, wid, _, _ in report.rows] == [(t, "canonical-0") for t, _, _ in rows]
+    got = np.array([(v, d) for _, _, v, d in report.rows])
+    want = np.array([(v, d) for _, v, d in rows])
+    assert np.max(np.abs(got - want)) <= 1e-12

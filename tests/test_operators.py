@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import divscan.operators
 from divscan._errors import DimensionMismatch, NonHermitianInput
+from divscan.divisibility import default_witnesses
 from divscan.operators import (
     random_hermitian,
     random_projector_difference,
@@ -17,6 +21,8 @@ def test_require_hermitian_symmetrizes_within_tolerance():
     x = np.array([[1.0, 1e-12j], [-1e-12j, 2.0]])
     out = require_hermitian(x)
     assert np.max(np.abs(out - out.conj().T)) == 0.0
+    stacked = require_hermitian(np.stack([x, x.conj(), 2 * x]))
+    assert np.array_equal(stacked, [out, out.conj(), 2 * out])
 
 
 def test_require_hermitian_rejects_skew_part():
@@ -107,3 +113,145 @@ def test_random_hermitian_unit_trace_norm_and_seeded():
     assert abs(trace_norm(x) - 1.0) < 1e-12
     y = random_hermitian(4, np.random.default_rng(5))
     assert np.array_equal(x, y)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The shape of every eigvalsh call trace_norms makes, in call order."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def logged(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(divscan.operators.np.linalg, "eigvalsh", logged)
+    return shapes
+
+
+def _dense_norms(xs):
+    return np.sum(np.abs(np.linalg.eigvalsh(xs)), axis=-1)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_diagonal_stack_runs_no_eigensolve(eigensolves, dtype):
+    """A row whose off-diagonal entries are all zero, a zero matrix among
+    them, has norm sum|diag| with no eigensolve."""
+    rng = np.random.default_rng(6)
+    xs = np.stack([np.diag(rng.normal(size=7)) for _ in range(4)] + [np.zeros((7, 7))]).astype(dtype)
+    norms = trace_norms(xs)
+    assert eigensolves == []
+    assert norms.dtype == np.float64
+    assert np.array_equal(norms, np.sum(np.abs(np.diagonal(xs, 0, 1, 2)), axis=-1))
+    assert norms[-1] == 0.0
+    assert trace_norm(xs[0]) == norms[0]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_block_supported_image_is_solved_on_its_support(eigensolves, dtype):
+    """kron(E00, H), the shape of the Schur CP witness's image, is nonzero
+    on its first n x n block only, so it is solved at n x n; the dropped
+    zero rows and columns only add zero eigenvalues."""
+    n = 12
+    rng = np.random.default_rng(7)
+    h = random_hermitian(n, rng)
+    h = h.real if dtype is float else h
+    e00 = np.zeros((n, n))
+    e00[0, 0] = 1.0
+    x = np.kron(e00, h)
+    eigensolves.clear()  # random_hermitian's own normalization
+    norm = trace_norm(x)
+    assert eigensolves == [(1, n, n)]
+    dense = float(np.sum(np.abs(np.linalg.eigvalsh(x))))
+    assert abs(norm - dense) <= 1e-13 * dense
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_mixed_stack_keeps_row_order(eigensolves, dtype):
+    """Diagonal and zero rows skip the eigensolve, the block-supported and
+    dense rows share one; every norm goes back to its own row, in any
+    order of the rows."""
+    d = 6
+    rng = np.random.default_rng(8)
+    dense = random_hermitian(d, rng)
+    block = np.zeros((d, d), dtype=complex)
+    block[np.ix_([1, 3], [1, 3])] = random_hermitian(2, rng)
+    rows = [np.diag(rng.normal(size=d)), block, np.zeros((d, d)), dense, np.diag(np.arange(d) - 2.5)]
+    xs = np.stack([r.real if dtype is float else r for r in rows]).astype(dtype)
+    eigensolves.clear()  # random_hermitian's own normalization
+    norms = trace_norms(xs)
+    assert eigensolves == [(2, d, d)]
+    assert np.max(np.abs(norms - _dense_norms(xs))) <= 1e-12
+    assert norms[2] == 0.0
+    for order in ([4, 3, 2, 1, 0], [1, 0, 3, 4, 2]):
+        assert np.array_equal(trace_norms(xs[order]), norms[order])
+
+
+def test_asymmetric_entry_in_a_dropped_row_still_raises(eigensolves):
+    """Hermiticity is checked on the whole stack before any route or
+    restriction: a skew entry whose symmetrized row would be diagonal, and
+    an asymmetric entry outside the support of the rest, both raise."""
+    d = 5
+    skew = np.diag(np.arange(d, dtype=float))
+    skew[0, 1], skew[1, 0] = 1e-3, -1e-3  # (X + X*)/2 is exactly diagonal
+    with pytest.raises(NonHermitianInput):
+        trace_norms(np.stack([np.eye(d), skew]))
+    outside = np.zeros((d, d))
+    outside[:2, :2] = [[1.0, 2.0], [2.0, -1.0]]
+    outside[d - 1, 0] = 1e-3  # alone in row d-1, whose column is zero
+    with pytest.raises(NonHermitianInput):
+        trace_norms(np.stack([outside, np.eye(d)]))
+    with pytest.raises(NonHermitianInput):
+        trace_norm(outside)
+    with pytest.raises(DimensionMismatch):
+        trace_norm(np.ones((2, 3)))
+    assert eigensolves == []
+
+
+@st.composite
+def _sparse_hermitian_stacks(draw):
+    """Random Hermitian stacks, real or complex, whose rows are dense, zero
+    on a random index set (rows and columns), diagonal only, or zero."""
+    d = draw(st.integers(1, 7))
+    kinds = draw(st.lists(st.sampled_from(["dense", "zeroed", "diagonal", "zero"]), min_size=1, max_size=5))
+    complex_ = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        g = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if complex_ else 0.0)
+        x = g + g.conj().T
+        if kind == "zeroed":
+            drop = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+            x[drop, :] = 0.0
+            x[:, drop] = 0.0
+        elif kind == "diagonal":
+            x = np.diag(np.diag(x))
+        elif kind == "zero":
+            x = np.zeros_like(x)
+        rows.append(x)
+    return np.stack(rows)
+
+
+@settings(max_examples=80)
+@given(_sparse_hermitian_stacks())
+def test_trace_norms_match_the_dense_eigensolve(xs):
+    norms = trace_norms(xs)
+    for norm, x in zip(norms, xs):
+        assert abs(norm - np.sum(np.abs(np.linalg.eigvalsh(x)))) <= 1e-12 * max(1.0, norm)
+
+
+@pytest.mark.parametrize("d", [16, 36, 144])
+def test_default_witnesses_keep_their_bits(monkeypatch, d):
+    """random_hermitian normalizes by trace_norm, so every library rests
+    on it: a dense matrix takes the full eigensolve, and the library is
+    bit-for-bit the one a plain eigvalsh trace norm gives."""
+    libraries = [default_witnesses(d, np.random.default_rng(seed)) for seed in range(11, 16)]
+
+    def plain(x, atol=divscan.operators.TAU_HERM):
+        return float(np.sum(np.abs(np.linalg.eigvalsh((x + x.conj().T) / 2))))
+
+    monkeypatch.setattr(divscan.operators, "trace_norm", plain)
+    for seed, library in zip(range(11, 16), libraries):
+        reference = default_witnesses(d, np.random.default_rng(seed))
+        assert [wid for wid, _ in library] == [wid for wid, _ in reference]
+        assert all(np.array_equal(w, r) for (_, w), (_, r) in zip(library, reference))

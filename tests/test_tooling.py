@@ -119,3 +119,17 @@ def test_only_channels_reads_kraus():
         if isinstance(node, ast.Attribute) and node.attr == "kraus"
     ]
     assert not readers, readers
+
+
+def test_operators_has_one_eigensolve():
+    """Every trace norm goes through trace_norms and its routes: exactly one
+    eigvalsh call in operators.py, so a second trace-norm path cannot grow
+    back beside it."""
+    tree = ast.parse((ROOT / "src" / "divscan" / "operators.py").read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) == "eigvalsh" or getattr(node.func, "id", None) == "eigvalsh")
+    ]
+    assert len(calls) == 1, calls
