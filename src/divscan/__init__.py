@@ -96,7 +96,6 @@ from .gaussian import (
 )
 from .idempotent import (
     IdempotentParams,
-    build_basis,
     choi_spectrum_closed_form,
     cp_condition,
     divisor_coeffs,
@@ -141,7 +140,6 @@ __all__ = [
     "OutsideValidityWindow",
     "SingularChannel",
     "SingularX",
-    "build_basis",
     "choi",
     "choi_from_super",
     "choi_spectrum_closed_form",

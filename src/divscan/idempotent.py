@@ -8,15 +8,16 @@ channels form a decreasing idempotent family (p_i p_j = p_max(i,j)):
     B : X -> sum_i (tr(P_i X)/k) P_i    (dephase inside each block)
     D : X -> (tr X / nk) I              (dephase everything)
 
-Phi(a,b,c,d) = aI + bE + cB + dD. Closed-form Choi spectrum, CP and
-positivity conditions, and the left-divisor coefficients for families
-Lambda_t = Phi(a_t,b_t,c_t,d_t) all live here.
+Phi(a,b,c,d) = aI + bE + cB + dD. Its superoperator is written straight
+from the four coefficients (see phi); no basis matrices are formed or kept.
+Closed-form Choi spectrum, CP and positivity conditions, and the
+left-divisor coefficients for families Lambda_t = Phi(a_t,b_t,c_t,d_t) all
+live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,64 +42,27 @@ class IdempotentParams:
         return (self.a, self.b, self.c, self.d)
 
 
-def _block_projectors(n: int, k: int) -> list[np.ndarray]:
-    ps = []
-    for i in range(n):
-        p = np.zeros((n * k, n * k))
-        p[i * k : (i + 1) * k, i * k : (i + 1) * k] = np.eye(k)
-        ps.append(p)
-    return ps
-
-
-@lru_cache(maxsize=None)
-def _basis_supers(n: int, k: int):
-    d = n * k
-    projs = _block_projectors(n, k)
-    s_i = np.eye(d * d)
-    s_e = sum(np.kron(p, p) for p in projs)
-    s_b = sum(np.outer(vec(p), vec(p)) / k for p in projs)
-    vi = vec(np.eye(d))
-    s_d = np.outer(vi, vi) / d
-    return s_i, s_e, s_b, s_d
-
-
-def build_basis(n: int, k: int) -> dict[str, Channel]:
-    """The four basis channels as a dict {'I','E','B','D'}. Each carries
-    Kraus operators (so CP is structural) and the exact superoperator."""
-    if n < 1 or k < 1:
-        raise DimensionMismatch(f"need n, k >= 1, got n={n}, k={k}")
-    d = n * k
-    projs = _block_projectors(n, k)
-    s_i, s_e, s_b, s_d = _basis_supers(n, k)
-
-    kraus_b = []
-    for i in range(n):
-        for a in range(k):
-            for b in range(k):
-                m = np.zeros((d, d))
-                m[i * k + a, i * k + b] = 1.0 / np.sqrt(k)
-                kraus_b.append(m)
-    kraus_d = []
-    for a in range(d):
-        for b in range(d):
-            m = np.zeros((d, d))
-            m[a, b] = 1.0 / np.sqrt(d)
-            kraus_d.append(m)
-
-    return {
-        "I": Channel(d=d, kraus=[np.eye(d)], super_matrix=s_i),
-        "E": Channel(d=d, kraus=projs, super_matrix=s_e),
-        "B": Channel(d=d, kraus=kraus_b, super_matrix=s_b),
-        "D": Channel(d=d, kraus=kraus_d, super_matrix=s_d),
-    }
-
-
 def phi(params: IdempotentParams) -> Channel:
     """aI + bE + cB + dD as a superoperator-backed channel (coefficients may
-    be negative, so no Kraus form is attached)."""
-    s_i, s_e, s_b, s_d = _basis_supers(params.n, params.k)
-    s = params.a * s_i + params.b * s_e + params.c * s_b + params.d * s_d
-    return Channel(d=params.n * params.k, super_matrix=s)
+    be negative, so no Kraus form is attached). With M the 0/1 block mask,
+    E is the Schur multiplier by M, so aI + bE is the diagonal a + b vec(M);
+    B and D act only between the vec positions j(nk+1) of X's diagonal,
+    where they add c/k on M's support and d/(nk) everywhere. Raises
+    DimensionMismatch unless n, k >= 1.
+    """
+    n, k = params.n, params.k
+    if n < 1 or k < 1:
+        raise DimensionMismatch(f"need n, k >= 1, got n={n}, k={k}")
+    a, b, c, d = params.coeffs()
+    blocks = np.arange(n * k) // k
+    mask = (blocks[:, None] == blocks).astype(float)
+    s = np.diag(a + b * vec(mask))
+    sub = s[:: n * k + 1, :: n * k + 1]  # a view: rows and columns j(nk+1)
+    # terms added in the order a, b, c, d with 1/k and 1/(nk) rounded first:
+    # each entry is the float sum of a S_I + b S_E + c S_B + d S_D
+    sub += (c * (1.0 / k)) * mask
+    sub += d * (1.0 / (n * k))
+    return Channel(d=n * k, super_matrix=s)
 
 
 def choi_spectrum_closed_form(params: IdempotentParams):
@@ -186,15 +150,6 @@ def positivity_sufficient(n: int, k: int, alpha: float, beta: float, gamma: floa
     return bool(alpha >= -COEFF_ATOL and delta >= -COEFF_ATOL and beta <= COEFF_ATOL and w >= -COEFF_ATOL)
 
 
-def _partial_sums(coeffs) -> list[float]:
-    out = []
-    acc = 0.0
-    for c in coeffs:
-        acc += c
-        out.append(acc)
-    return out
-
-
 _SUM_NAMES = ("a_s", "a_s+b_s", "a_s+b_s+c_s", "a_s+b_s+c_s+d_s")
 
 
@@ -209,7 +164,7 @@ def divisor_coeffs(a_s, b_s, c_s, d_s, a_t, b_t, c_t, d_t):
 
     Raises DegenerateDenominator naming the vanished partial sum.
     """
-    sums = _partial_sums((a_s, b_s, c_s, d_s))
+    sums = np.cumsum((a_s, b_s, c_s, d_s), dtype=float).tolist()
     for name, val in zip(_SUM_NAMES, sums):
         if abs(val) <= COEFF_ATOL:
             raise DegenerateDenominator(f"partial sum {name} vanishes ({val:.3e})")

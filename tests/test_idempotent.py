@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divscan._errors import DegenerateDenominator, HypothesisViolated, InvalidFamily
+from divscan._errors import DegenerateDenominator, DimensionMismatch, HypothesisViolated, InvalidFamily
 from divscan.channels import choi, compose
 from divscan.idempotent import (
     COEFF_ATOL,
     IdempotentParams,
-    build_basis,
     choi_spectrum_closed_form,
     classify_regime,
     cp_condition,
@@ -33,35 +34,82 @@ def random_tp_tuple(rng):
     return a, b, c, 1.0 - a - b - c
 
 
+UNIT_TUPLES = {"I": (1, 0, 0, 0), "E": (0, 1, 0, 0), "B": (0, 0, 1, 0), "D": (0, 0, 0, 1)}
+
+
+def unit_channels(n, k):
+    """The four basis maps I, E, B, D as phi at the unit coefficient tuples."""
+    return {name: phi(IdempotentParams(n, k, *unit)) for name, unit in UNIT_TUPLES.items()}
+
+
+def block_projectors(n, k):
+    return [np.kron(np.diag(np.eye(n)[i]), np.eye(k)) for i in range(n)]
+
+
+def basis_sum_super(n, k, a, b, c, d):
+    """Reference S = a S_I + b S_E + c S_B + d S_D, each basis superoperator
+    summed over the block projectors P_i (kron(P_i, P_i) for E,
+    vec(P_i) vec(P_i)^T / k for B, vec(I) vec(I)^T / nk for D)."""
+    dim = n * k
+    projs = block_projectors(n, k)
+    s_i = np.eye(dim * dim)
+    s_e = sum(np.kron(p, p) for p in projs)
+    s_b = sum(np.outer(vec(p), vec(p)) / k for p in projs)
+    vi = vec(np.eye(dim))
+    s_d = np.outer(vi, vi) / dim
+    return a * s_i + b * s_e + c * s_b + d * s_d
+
+
 def test_basis_channels_are_tp_idempotents():
     for n, k in [(2, 2), (3, 2), (2, 3)]:
-        basis = build_basis(n, k)
-        for name, ch in basis.items():
+        for name, ch in unit_channels(n, k).items():
             assert ch.is_tp(), name
             assert np.max(np.abs(ch.super @ ch.super - ch.super)) < 1e-12, name
 
 
 def test_basis_products_collapse_to_the_coarser_projection():
     """Products follow p_i p_j = p_max(i,j) in the order (id, E, B, D)."""
-    basis = build_basis(2, 2)
-    order = ["I", "E", "B", "D"]
-    supers = [basis[name].super for name in order]
+    supers = [ch.super for ch in unit_channels(2, 2).values()]
     for i in range(4):
         for j in range(4):
             expect = supers[max(i, j)]
             assert np.max(np.abs(supers[i] @ supers[j] - expect)) < 1e-12
 
 
-def test_basis_kraus_and_super_agree():
-    rng = np.random.default_rng(30)
-    basis = build_basis(2, 2)
-    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    x = (x + x.conj().T) / 2
-    from divscan.channels import kraus_to_super
+@pytest.mark.parametrize("n, k", [(0, 2), (2, 0), (-1, 2)])
+def test_phi_rejects_empty_or_negative_block_counts(n, k):
+    with pytest.raises(DimensionMismatch):
+        phi(IdempotentParams(n, k, 0.25, 0.25, 0.25, 0.25))
 
-    for name, ch in basis.items():
-        if ch.kraus is not None:
-            assert np.max(np.abs(kraus_to_super(ch.kraus) - ch.super)) < 1e-12, name
+
+@st.composite
+def _phi_inputs(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n * k, n * k)) + 1j * rng.normal(size=(n * k, n * k))
+    return n, k, coeffs, x
+
+
+@settings(max_examples=60)
+@given(_phi_inputs())
+def test_phi_is_the_basis_sum_and_acts_by_the_definition(inputs):
+    """phi(p) applies aX + b sum P_i X P_i + c sum tr(P_i X)/k P_i
+    + d tr(X)/(nk) I, and its superoperator has the bits of the explicit
+    basis sum."""
+    n, k, (a, b, c, d), x = inputs
+    ch = phi(IdempotentParams(n, k, a, b, c, d))
+    assert np.array_equal(ch.super, basis_sum_super(n, k, a, b, c, d))
+    dim = n * k
+    projs = block_projectors(n, k)
+    want = (
+        a * x
+        + b * sum(p @ x @ p for p in projs)
+        + c * sum(np.trace(p @ x) / k * p for p in projs)
+        + d * np.trace(x) / dim * np.eye(dim)
+    )
+    assert np.max(np.abs(ch.apply(x) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_phi_superoperator_eigenvalues_are_partial_sums():
@@ -106,7 +154,7 @@ def test_basis_choi_spectra_closed_values():
     # identity: one eigenvalue nk; E: eigenvalue k with multiplicity n;
     # B: eigenvalue 1/k with multiplicity nk^2; D: flat spectrum 1/(nk)
     for n, k in [(2, 2), (3, 2)]:
-        basis = build_basis(n, k)
+        basis = unit_channels(n, k)
         d = n * k
         ev_i = np.linalg.eigvalsh(choi(basis["I"]).matrix)
         assert abs(ev_i[-1] - d) < 1e-12 and np.max(np.abs(ev_i[:-1])) < 1e-12

@@ -133,3 +133,20 @@ def test_operators_has_one_eigensolve():
         and (getattr(node.func, "attr", None) == "eigvalsh" or getattr(node.func, "id", None) == "eigvalsh")
     ]
     assert len(calls) == 1, calls
+
+
+def test_src_holds_no_cache():
+    """Nothing is kept from one stencil time to the next: no function or
+    property in src/ is decorated with lru_cache, cache or cached_property,
+    so memory follows the problem, not the process's history."""
+    cached = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = getattr(target, "attr", None) or getattr(target, "id", None)
+                if name in {"lru_cache", "cache", "cached_property"}:
+                    cached.append(f"{path.name}:{node.lineno}")
+    assert not cached, cached
