@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _thread_count
 from ._errors import ConfigError, DivscanError
 from .divisibility import (
     DOMAIN_ATOL,
@@ -378,7 +377,6 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
 
 def run(cfg: argparse.Namespace) -> int:
     """Run one command, then write its JSON and CSV and print its summary."""
-    _thread_count()  # raises ConfigError for a bad DIVSCAN_THREADS
     obj, rows, summary, code = _COMMANDS[cfg.command][0](cfg)
     stem = f"divscan_{cfg.command}_{cfg.preset or 'run'}"
     json_path = cfg.out_json or f"{stem}.json"

@@ -13,14 +13,18 @@ stencil artifacts near kinks.
 
 P and CP scans run one engine. At each stencil time tau (t and t +/- h, plus
 t +/- h/10 for a re-check) it builds the d^2 x d^2 superoperator S_tau once
-and applies it to the whole witness stack: to each witness in P mode, and to
-every d x d block of each doubled-space witness in CP mode, so
-I (x) Lambda_t is never built. operators.trace_norms then gives every trace
-norm: a diagonal image is summed with no eigensolve, and the other images
-take one stacked eigensolve on the rows and columns where they are nonzero
-(n x n, not n^2 x n^2, for the Schur CP witness kron(E00, H)). Nothing is
-kept past the stencil time that built it, so memory grows with library
-size x D^2 (D the witness dimension), not with grid length.
+per witness stack and applies it to the whole stack: to each witness in P
+mode, and to every d x d block of each doubled-space witness in CP mode, so
+I (x) Lambda_t is never built. With early_stop=True the library goes
+through as stacks of 1, 2, 4, ... witnesses, each with its own pass over
+the stencil times, so S_tau is built once per stencil time in every chunk:
+scan-p --preset unitary builds 342 channels for 57 stencil times in 6
+chunks. operators.trace_norms then gives every trace norm: a diagonal
+image is summed with no eigensolve, and the other images take one stacked
+eigensolve on the rows and columns where they are nonzero (n x n, not
+n^2 x n^2, for the Schur CP witness kron(E00, H)). Nothing is kept past
+the stencil time that built it, so memory grows with library size x D^2
+(D the witness dimension), not with grid length.
 
 Real maps and real witnesses run in float64 throughout. The stack is split
 by value into its real rows and its complex rows, once per stack; each part
@@ -202,10 +206,11 @@ def _curves(fam, grid, h, ws, tau_slope, extended):
     """Norms, central-difference slopes and h/10 re-check slopes, each of
     shape (len(grid), N), for one stack of N witnesses.
 
-    S_tau is built once per stencil time and applied to the real and the
-    complex rows of the stack, and the norms go back in row order; nothing
-    outlives the stencil time that built it. Re-check slopes are NaN where
-    the slope did not exceed tau_slope.
+    S_tau is built once per stencil time of this stack (so once per chunk
+    of the library) and applied to its real and its complex rows, and the
+    norms go back in row order; nothing outlives the stencil time that
+    built it. Re-check slopes are NaN where the slope did not exceed
+    tau_slope.
     """
 
     def norms(ys: np.ndarray):  # tau -> trace norms of Lambda_tau on the stack ys

@@ -35,6 +35,17 @@ VALID_ATOL = 1e-9
 DET_FLOOR = 1e-12  # |det X_t| at or below this: X_t counts as singular
 
 
+def _mode_count(names: str, *arrays) -> int:
+    """m >= 1 for arrays that share one 2m x 2m shape; DimensionMismatch
+    otherwise."""
+    shapes = [np.shape(a) for a in arrays]
+    m = shapes[0][0] // 2 if len(shapes[0]) == 2 else 0
+    if m < 1 or any(shape != (2 * m, 2 * m) for shape in shapes):
+        got = ", ".join(map(str, shapes))
+        raise DimensionMismatch(f"{names}: expected one 2m x 2m shape with m >= 1, got {got}")
+    return m
+
+
 def jmat(m: int) -> np.ndarray:
     j = np.zeros((2 * m, 2 * m))
     j[:m, m:] = np.eye(m)
@@ -44,9 +55,7 @@ def jmat(m: int) -> np.ndarray:
 
 def symplectic_deviation(r: np.ndarray) -> float:
     r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] % 2:
-        raise DimensionMismatch(f"expected a square even-dimensional matrix, got {r.shape}")
-    j = jmat(r.shape[0] // 2)
+    j = jmat(_mode_count("R", r))
     return float(np.max(np.abs(r @ j @ r.T - j)))
 
 
@@ -114,11 +123,10 @@ def make_pair(x: np.ndarray, y: np.ndarray) -> GaussianPair:
     """GaussianPair(...) checked: InvalidChannel unless Y is symmetric and valid."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % 2:
-        raise DimensionMismatch(f"X, Y must share a square even shape; got {x.shape}, {y.shape}")
+    m = _mode_count("X, Y", x, y)
     if np.max(np.abs(y - y.T)) > VALID_ATOL:
         raise InvalidChannel("Y must be symmetric")
-    pair = GaussianPair(m=x.shape[0] // 2, x=x, y=(y + y.T) / 2)
+    pair = GaussianPair(m=m, x=x, y=(y + y.T) / 2)
     if not pair.is_valid():
         raise InvalidChannel(
             f"validity matrix has min eigenvalue {pair.min_validity_eig():.3e}"
@@ -128,8 +136,7 @@ def make_pair(x: np.ndarray, y: np.ndarray) -> GaussianPair:
 
 def is_valid_state(s_cov: np.ndarray) -> bool:
     s_cov = np.asarray(s_cov, dtype=float)
-    m = s_cov.shape[0] // 2
-    h = 2 * s_cov.astype(complex) + 1j * jmat(m)
+    h = 2 * s_cov.astype(complex) + 1j * jmat(_mode_count("S", s_cov))
     return float(np.linalg.eigvalsh((h + h.conj().T) / 2).min()) >= -VALID_ATOL
 
 
@@ -164,8 +171,10 @@ def dilate(r1, t, r2, m_keep: int) -> tuple[np.ndarray, GaussianPair]:
 def dilation_report(r1, t, r2, m_keep: int) -> dict:
     """Run the dilation pipeline without raising: dilate, then check each
     factor and the extracted pair. Returns the pair plus every validation
-    flag so defective inputs are reported rather than fatal."""
-    m_total = np.shape(r1)[0] // 2
+    flag so defective inputs are reported rather than fatal. Only shapes
+    raise: DimensionMismatch unless R1, T and R2 share one 2m x 2m shape
+    and 1 <= m_keep <= m."""
+    m_total = _mode_count("R1, T, R2", r1, t, r2)
     if not 1 <= m_keep <= m_total:
         raise DimensionMismatch(f"need 1 <= m_keep <= {m_total}, got {m_keep}")
     devs = {
@@ -242,24 +251,27 @@ def det_criterion_scan(fam: GaussianFamily, grid, h: float | None = None,
 
     violation=True where it exceeds tau_slope (not a proof; see above), and
     valid=True where the pair at t is valid. Raises SingularX when |det|
-    falls to DET_FLOOR anywhere on the stencil.
+    falls to DET_FLOOR anywhere on the stencil, checked at t + h, t - h,
+    then t. Each stencil time extracts one pair: det and valid at t share
+    theirs.
     """
     grid = np.asarray(grid, dtype=float)
     if h is None and len(grid):
         h = STENCIL_WIDTH * float(grid[-1] - grid[0])
     _check_stencil(grid, h, fam.t_domain)
 
-    def det(tau: float) -> float:
-        dv = det_x(fam, tau)
+    def det(pair: GaussianPair, tau: float) -> float:
+        dv = float(np.linalg.det(pair.x))
         if abs(dv) <= DET_FLOOR:
             raise SingularX(f"det X_t = {dv:.3e} at t={tau}; criterion needs invertible X_t")
         return dv
 
     rows = []
     for t in grid.tolist():
-        ddet = central_difference(det, t, h)
+        ddet = central_difference(lambda tau: det(fam.pair(tau), tau), t, h)
         violation = bool(ddet > tau_slope)
-        rows.append({"t": t, "det": det(t), "ddet": ddet, "violation": violation, "valid": fam.pair(t).is_valid()})
+        pair = fam.pair(t)
+        rows.append({"t": t, "det": det(pair, t), "ddet": ddet, "violation": violation, "valid": pair.is_valid()})
     return rows
 
 

@@ -1,13 +1,8 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import divscan
 import divscan.cli as cli_module
 
 from divscan.cli import main
@@ -276,31 +271,6 @@ def test_config_file_syntax_error_reports_line(tmp_path, capsys):
     code, _, _ = run_cli(["scan-p", "--config", str(cfg)], tmp_path)
     assert code == 1
     assert "line 3" in json.loads(capsys.readouterr().err)["message"]
-
-
-def test_threads_env_var_validated(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DIVSCAN_THREADS", "zero")
-    code, _, _ = run_cli(["scan-p", "--preset", "schur"], tmp_path)
-    assert code == 1
-    assert "DIVSCAN_THREADS" in json.loads(capsys.readouterr().err)["message"]
-    monkeypatch.setenv("DIVSCAN_THREADS", "2")
-    code, _, _ = run_cli(["scan-p", "--preset", "schur"], tmp_path, name="ok")
-    assert code == 2
-
-
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
-def test_threads_env_var_sets_blas_threads_before_numpy_loads():
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["DIVSCAN_THREADS"] = "1"
-    env["PYTHONPATH"] = str(Path(divscan.__file__).resolve().parent.parent)
-    code = (
-        "import divscan, numpy as np\n"
-        "a = np.ones((300, 300)); a @ a\n"
-        "print([l.split()[1] for l in open('/proc/self/status') if l.startswith('Threads:')][0])"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "1"
 
 
 # ------------------------------------------------------------ command table

@@ -306,6 +306,46 @@ def test_det_scan_raises_on_singular_x():
             det_criterion_scan(singular_at(times), [1.0], h=0.5)
 
 
+def test_det_scan_extracts_one_pair_per_stencil_time():
+    """Three generator calls per grid time, at t + h, t - h and t: det and
+    valid at t read one pair. The rows equal det_x's central difference and
+    the validity of the pair at t."""
+    calls = []
+
+    def gen(t):
+        calls.append(t)
+        return dilation_2x1(t)["pair"]
+
+    grid = np.linspace(*GAUSSIAN_PRESETS["dilation-2x1"]["default_grid"])
+    h = 1e-4 * (grid[-1] - grid[0])
+    rows = det_criterion_scan(GaussianFamily(m=1, generator=gen, t_domain=(0.05, 5.0)), grid, h)
+    assert calls == [tau for t in grid.tolist() for tau in (t + h, t - h, t)]
+    ref = dilation_2x1_family()
+    ddets = [(det_x(ref, t + h) - det_x(ref, t - h)) / (2 * h) for t in grid.tolist()]
+    assert rows == [
+        {"t": t, "det": det_x(ref, t), "ddet": dd, "violation": dd > 1e-6, "valid": ref.pair(t).is_valid()}
+        for t, dd in zip(grid.tolist(), ddets)
+    ]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_valid_state(np.eye(3)),
+        lambda: is_valid_state(np.ones(4)),
+        lambda: is_valid_state(np.ones((2, 4))),
+        lambda: dilation_report(np.eye(4), np.eye(2), np.eye(4), 1),
+    ],
+    ids=["odd-state", "flat-state", "rect-state", "mixed-dilation"],
+)
+def test_shapes_that_are_not_one_square_even_shape_raise_dimension_mismatch(call):
+    """A covariance, a pair or a dilation whose matrices are not square,
+    even-sided and of one shape is a typed error, not a numpy ValueError or
+    a False."""
+    with pytest.raises(DimensionMismatch, match="2m x 2m"):
+        call()
+
+
 @pytest.mark.parametrize("t", [0.0, 0.05 - 1e-9, 5.0 + 1e-9, 6.0, np.nan])
 def test_gaussian_family_pair_checks_the_domain(t):
     fam = dilation_2x1_family()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,65 @@ def test_require_hermitian_rejects_skew_part():
 def test_require_hermitian_rejects_rectangles():
     with pytest.raises(DimensionMismatch):
         require_hermitian(np.ones((2, 3)))
+
+
+def _symmetrized_by_conjugate_copy(x, atol):
+    """The formula require_hermitian replaced: a conjugate copy, its
+    difference and the difference's modulus, then (X + X*) * 0.5."""
+    xh = x.conj().swapaxes(-1, -2)
+    dev = float(np.max(np.abs(x - xh))) if x.size else 0.0
+    if dev > atol:
+        return None
+    sym = x + xh
+    sym *= 0.5
+    return sym
+
+
+def test_require_hermitian_keeps_the_bits_of_the_conjugate_copy_formula():
+    """Real and complex stacks, near-Hermitian or not, with signed zeros:
+    require_hermitian raises where the old formula's deviation exceeds
+    atol, and otherwise returns its array bit for bit, sign bits
+    included. (hypot and numpy's complex modulus may differ in the last
+    bit, so only a deviation within an ulp of atol could split them.)"""
+    rng = np.random.default_rng(5)
+    for case in range(400):
+        d, n = int(rng.integers(1, 7)), int(rng.integers(0, 4))
+        x = rng.standard_normal((n, d, d)) * 10.0 ** int(rng.integers(-3, 4))
+        if case % 2:
+            x = x + 1j * rng.standard_normal((n, d, d))
+        x[rng.random(x.shape) < 0.2] = -0.0 if case % 3 else 0.0
+        if case % 4 < 2:
+            x = x + x.conj().swapaxes(-1, -2) * (1 + 1e-13 * rng.random())
+        for atol in (1e-10, 1e-3):
+            expect = _symmetrized_by_conjugate_copy(x, atol)
+            if expect is None:
+                with pytest.raises(NonHermitianInput):
+                    require_hermitian(x, atol)
+                continue
+            out = require_hermitian(x, atol)
+            assert out.dtype == expect.dtype and out.shape == expect.shape
+            assert np.array_equal(np.ascontiguousarray(out).view(np.uint8), np.ascontiguousarray(expect).view(np.uint8))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermiticity_check_peaks_at_its_output(dtype):
+    """No conjugate or difference is kept beside the output: the tracemalloc
+    peak of require_hermitian, and of trace_norms on a stack with no zero
+    entry, is at most 1.25x the stack (the conjugate-copy formula took
+    2.5x complex and 2.0x real)."""
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal((20, 64, 64)) + (1j * rng.standard_normal((20, 64, 64)) if dtype is complex else 0)
+    xs = g + g.conj().swapaxes(-1, -2)
+    assert xs.dtype == dtype
+    trace_norms(xs)  # first-call allocations stay out of the measurement
+    for f in (require_hermitian, trace_norms):
+        tracemalloc.start()
+        try:
+            f(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * xs.nbytes, (f.__name__, peak / xs.nbytes)
 
 
 def test_trace_norm_matches_singular_values():

@@ -150,3 +150,18 @@ def test_src_holds_no_cache():
                 if name in {"lru_cache", "cache", "cached_property"}:
                     cached.append(f"{path.name}:{node.lineno}")
     assert not cached, cached
+
+
+def test_src_reads_no_environment():
+    """The library has no environment setting: no module in src/ touches
+    os.environ, os.getenv or os.putenv, so importing divscan changes
+    nothing in the process and thread counts come from the BLAS's own
+    variables."""
+    touched = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in {"environ", "getenv", "putenv"})
+        or (isinstance(node, ast.ImportFrom) and node.module == "os")
+    ]
+    assert not touched, touched
