@@ -1,6 +1,7 @@
 """Finite-dimensional channels: each held as its superoperator (Kraus
 operators kept only as the CP certificate), Choi matrices, composition,
-inversion, and the contractivity-based positivity probe.
+inversion, and the contractivity-based positivity probe. Every application
+of a superoperator, blockwise I (x) Lambda included, goes through stacked_apply.
 
 Conventions (column-stacking, fixed package-wide):
 
@@ -71,10 +72,7 @@ class Channel:
             raise DimensionMismatch(f"superoperator shape {self.super.shape} does not match d={d}")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = _inexact(x)
-        if x.shape != (self.d, self.d):
-            raise DimensionMismatch(f"operand shape {x.shape}, channel dimension {self.d}")
-        return unvec(self.super @ vec(x), self.d)
+        return stacked_apply(self.super, self.d, np.asarray(x)[None])[0]
 
     def tp_deviation(self) -> float:
         """max |Lambda^*(I) - I|, entrywise; zero exactly when the map is TP."""
@@ -140,35 +138,15 @@ def inverse(ch: Channel) -> Channel:
     return Channel(d=ch.d, super_matrix=np.linalg.solve(s, np.eye(s.shape[0])))
 
 
-def _interleave_perm(d: int) -> np.ndarray:
-    """Index map w(v) sending the composite vec index of C^d (x) C^d to the
-    (ancilla-pair, local-pair) grouping used by extend_super."""
-    dd = d * d
-    perm = np.empty(dd * dd, dtype=int)
-    for v in range(dd * dd):
-        r, c = v % dd, v // dd
-        a, i = divmod(r, d)
-        b, j = divmod(c, d)
-        perm[v] = (a + d * b) * dd + (i + d * j)
-    return perm
-
-
-def extend_super(s: np.ndarray, d: int) -> np.ndarray:
-    """Superoperator of I (x) Lambda on (C^d (x) C^d), built from kron of
-    superoperators plus the index-interleaving permutation."""
-    big = np.kron(np.eye(d * d), s)
-    perm = _interleave_perm(d)
-    return big[perm][:, perm]
-
-
 def extend_channel(ch: Channel) -> Channel:
-    """I (x) Lambda on the doubled space, as its d^4 x d^4 superoperator.
-
-    This materializes the extension, so it is a reference route for tests
-    and small checks; the scans apply I (x) Lambda blockwise through
-    stacked_apply(..., extended=True) without building it.
+    """I (x) Lambda on the doubled space, as its d^4 x d^4 superoperator:
+    column v is the stacked_apply(..., extended=True) image of the matrix
+    unit unvec(e_v), vectorized. A reference route for tests and small checks.
     """
-    return Channel(d=ch.d * ch.d, super_matrix=extend_super(ch.super, ch.d))
+    dd = ch.d * ch.d
+    units = np.eye(dd * dd).reshape(dd * dd, dd, dd).transpose(0, 2, 1)
+    images = stacked_apply(ch.super, ch.d, units, extended=True)
+    return Channel(d=dd, super_matrix=images.transpose(0, 2, 1).reshape(dd * dd, dd * dd).T)
 
 
 def stacked_apply(s: np.ndarray, d: int, ys: np.ndarray, extended: bool = False) -> np.ndarray:
@@ -177,7 +155,8 @@ def stacked_apply(s: np.ndarray, d: int, ys: np.ndarray, extended: bool = False)
     ys has shape (N, d, d), or with extended=True shape (N, d*d, d*d): each
     operand then lives on C^d (x) C^d and s acts on every d x d block, which
     is (I (x) Lambda)(Y) without building I (x) Lambda. Raises
-    DimensionMismatch for any other shape.
+    DimensionMismatch for any other shape, and for an s that is not
+    d^2 x d^2.
 
     The route is read from s. A diagonal s (every off-diagonal entry exactly
     zero) is the Schur multiplier X -> A o X with A = unvec(diag(s)), applied
@@ -188,6 +167,8 @@ def stacked_apply(s: np.ndarray, d: int, ys: np.ndarray, extended: bool = False)
     result has the dtype of ys @ s.T, so a real s on a real stack stays real.
     """
     m = d if extended else 1
+    if np.shape(s) != (d * d, d * d):
+        raise DimensionMismatch(f"superoperator shape {np.shape(s)}, expected ({d * d}, {d * d})")
     ys = _inexact(ys)
     if ys.ndim != 3 or ys.shape[1:] != (m * d, m * d):
         raise DimensionMismatch(f"operand stack shape {ys.shape}, expected (N, {m * d}, {m * d})")
@@ -233,8 +214,11 @@ def positivity_by_contractivity(ch: Channel, n_samples: int = 400, seed: int = 7
 
     Returns a dict with keys `positive_evidence`, `witness`, `input_norm`,
     `output_norm`, `n_checked`. No witness means evidence of positivity, not
-    proof. Raises HypothesisViolated for non-TP input.
+    proof. Raises HypothesisViolated for non-TP input, and for n_samples < 1,
+    since an empty probe is no evidence.
     """
+    if n_samples < 1:
+        raise HypothesisViolated(f"contractivity probe needs at least one sample, got n_samples={n_samples}")
     if not ch.is_tp(atol=TP_HYPOTHESIS_ATOL):
         raise HypothesisViolated("contractivity probe requires a trace-preserving map")
     rng = np.random.default_rng(seed)

@@ -96,8 +96,13 @@ class DynamicalFamily:
     cp_witnesses: tuple = ()
 
     def channel(self, t: float) -> Channel:
+        """channel_at(t); raises DimensionMismatch when that member acts on
+        another dimension than the family's d."""
         _check_time(t, self.t_domain)
-        return self.channel_at(t)
+        ch = self.channel_at(t)
+        if ch.d != self.d:
+            raise DimensionMismatch(f"channel at t={t} has dimension {ch.d}, family dimension {self.d}")
+        return ch
 
 
 def make_dynamical_family(

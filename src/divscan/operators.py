@@ -36,20 +36,23 @@ def require_hermitian(x: np.ndarray, atol: float = TAU_HERM) -> np.ndarray:
     Raises NonHermitianInput when max|X - X*| over all entries exceeds atol,
     and DimensionMismatch for non-square input. Real input stays real.
     No conjugate is copied, so the peak is one array the size of X: the
-    deviation is read from the real and imaginary views, as
-    hypot(Re X - Re X^T, Im X + Im X^T), and X* is written straight into
-    the output, which then takes X and the factor 1/2 in place.
+    squared deviation (Re X - Re X^T)^2 + (Im X + Im X^T)^2 is summed in
+    place from the real and imaginary views, freed before the output is
+    allocated, and its largest entry takes one square root. X* is written
+    straight into the output, which then takes X and the factor 1/2 in place.
     """
     x = _inexact(x)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {x.shape}")
     xt = x.swapaxes(-1, -2)
     dev = x.real - xt.real
+    dev *= dev
     if np.iscomplexobj(x):
-        np.hypot(dev, x.imag + xt.imag, out=dev)
-    else:
-        np.abs(dev, out=dev)
-    dev = float(dev.max()) if x.size else 0.0
+        im = x.imag + xt.imag
+        im *= im
+        dev += im
+        del im
+    dev = float(np.sqrt(dev.max())) if x.size else 0.0
     if dev > atol:
         raise NonHermitianInput(f"matrix deviates from Hermitian by {dev:.3e} (atol={atol:.1e})")
     if np.iscomplexobj(x):

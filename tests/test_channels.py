@@ -10,7 +10,6 @@ from divscan.channels import (
     choi_from_super,
     compose,
     extend_channel,
-    extend_super,
     inverse,
     kraus_channel,
     kraus_to_super,
@@ -37,6 +36,18 @@ def test_kraus_super_apply_agree():
     via_super = unvec(ch.super @ vec(x), 3)
     assert np.max(np.abs(direct - via_super)) < 1e-12
     assert np.max(np.abs(ch.apply(x) - direct)) < 1e-12
+
+
+def _blockwise(s, d, y):
+    """unvec(S @ vec(B)) on every d x d block B of y: the image of y under
+    Lambda (one block) or I (x) Lambda, computed without stacked_apply."""
+    m = y.shape[0] // d
+    out = np.empty(y.shape, dtype=np.result_type(s, y))
+    for a in range(m):
+        for b in range(m):
+            block = (slice(a * d, (a + 1) * d), slice(b * d, (b + 1) * d))
+            out[block] = unvec(s @ vec(y[block]), d)
+    return out
 
 
 def _random_kraus(rng, r, d_out, d_in):
@@ -214,7 +225,7 @@ def test_inverse_roundtrip_and_singular_report():
     assert err.value.singular_values is not None
 
 
-def test_extend_super_matches_kron_kraus_route():
+def test_extension_super_matches_kron_kraus_route():
     """extend_channel(ch) applies sum_j (I (x) K_j) Y (I (x) K_j)*."""
     rng = np.random.default_rng(15)
     ch = random_cptp(3, 2, rng)
@@ -223,19 +234,26 @@ def test_extend_super_matches_kron_kraus_route():
     direct = sum(e @ y @ e.conj().T for e in ext)
     assert extend_channel(ch).kraus is None
     assert np.max(np.abs(extend_channel(ch).apply(y) - direct)) < 1e-12
-    assert np.max(np.abs(extend_super(ch.super, 3) - kraus_to_super(ext))) < 1e-12
+    assert np.max(np.abs(extend_channel(ch).super - kraus_to_super(ext))) < 1e-12
 
 
 def test_stacked_apply_agrees_with_apply_and_extended_channel():
+    """stacked_apply, Channel.apply and the built extension all give the
+    Kraus sums sum_j K_j X K_j* and sum_j (I (x) K_j) Y (I (x) K_j)*."""
     rng = np.random.default_rng(17)
     ch = random_cptp(3, 2, rng)
     xs = np.stack([random_hermitian(3, rng) for _ in range(4)])
     ys = np.stack([random_hermitian(9, rng) for _ in range(4)])
     out = stacked_apply(ch.super, 3, xs)
     ext = stacked_apply(ch.super, 3, ys, extended=True)
+    lifted = [np.kron(np.eye(3), k) for k in ch.kraus]
     for x, y, o, e in zip(xs, ys, out, ext):
-        assert np.max(np.abs(o - ch.apply(x))) < 1e-12
-        assert np.max(np.abs(e - extend_channel(ch).apply(y))) < 1e-12
+        want_x = sum(k @ x @ k.conj().T for k in ch.kraus)
+        want_y = sum(k @ y @ k.conj().T for k in lifted)
+        assert np.max(np.abs(o - want_x)) < 1e-12
+        assert np.max(np.abs(ch.apply(x) - want_x)) < 1e-12
+        assert np.max(np.abs(e - want_y)) < 1e-12
+        assert np.max(np.abs(extend_channel(ch).apply(y) - want_y)) < 1e-12
     with pytest.raises(DimensionMismatch):
         stacked_apply(ch.super, 3, ys)
     with pytest.raises(DimensionMismatch):
@@ -245,14 +263,17 @@ def test_stacked_apply_agrees_with_apply_and_extended_channel():
 def test_extension_of_a_super_only_channel_agrees_blockwise():
     """extend_channel has one route for every channel form: for a channel
     given only by its superoperator, the built extension and the blockwise
-    stacked_apply agree on a stack of doubled-space inputs."""
+    stacked_apply agree with unvec(S @ vec(B)) on every block B of a stack
+    of doubled-space inputs."""
     rng = np.random.default_rng(16)
     ch = super_channel(random_cptp(3, 3, rng).super, 3)
     assert ch.kraus is None
     ys = np.stack([random_hermitian(9, rng) for _ in range(3)])
     ext = extend_channel(ch)
     for y, e in zip(ys, stacked_apply(ch.super, 3, ys, extended=True)):
-        assert np.max(np.abs(e - ext.apply(y))) < 1e-12
+        want = _blockwise(ch.super, 3, y)
+        assert np.max(np.abs(e - want)) < 1e-12
+        assert np.max(np.abs(ext.apply(y) - want)) < 1e-12
 
 
 class _MatmulLog(np.ndarray):
@@ -305,8 +326,8 @@ def test_schur_multiplier_is_applied_entrywise_with_the_matmul_bits(n, extended,
 
 def test_one_off_diagonal_entry_takes_the_dense_route():
     """A diagonal superoperator plus one nonzero off-diagonal entry, and the
-    transpose map, are multiplied as matrices and agree with Channel.apply
-    and with the built extension."""
+    transpose map, are multiplied as matrices and agree with unvec(S @ vec(.))
+    on every operand and on every block of every doubled-space operand."""
     rng = np.random.default_rng(43)
     s = schur_channel(3, 0.3).super.copy()
     s[0, 4] = 0.25
@@ -318,9 +339,28 @@ def test_one_off_diagonal_entry_takes_the_dense_route():
         ext = stacked_apply(logged, 3, ys, extended=True)
         assert logged.log
         for x, o in zip(xs, out):
-            assert np.max(np.abs(o - ch.apply(x))) < 1e-12
+            assert np.max(np.abs(o - _blockwise(ch.super, 3, x))) < 1e-12
         for y, e in zip(ys, ext):
-            assert np.max(np.abs(e - extend_channel(ch).apply(y))) < 1e-12
+            assert np.max(np.abs(e - _blockwise(ch.super, 3, y))) < 1e-12
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["P", "CP"])
+@pytest.mark.parametrize("shape", [(4, 4), (16, 16), (9, 4), (81,)], ids=["d2", "d4", "rect", "vector"])
+def test_superoperator_of_another_dimension_raises_a_typed_error(shape, extended):
+    """An s that is not d^2 x d^2 is rejected before any operand is read,
+    with DimensionMismatch rather than numpy's reshape ValueError."""
+    dim = 9 if extended else 3
+    with pytest.raises(DimensionMismatch, match="superoperator shape"):
+        stacked_apply(np.ones(shape), 3, np.zeros((1, dim, dim)), extended)
+
+
+def test_apply_rejects_an_operand_of_another_dimension():
+    """Channel.apply is a stack of one on stacked_apply's route, so an
+    operand of the wrong shape raises its DimensionMismatch."""
+    ch = transpose_channel(3)
+    for x in (np.eye(2), np.eye(9), np.ones(3), np.ones((2, 3, 3))):
+        with pytest.raises(DimensionMismatch):
+            ch.apply(x)
 
 
 def test_zero_superoperator_returns_zeros():
@@ -373,14 +413,18 @@ def test_transpose_map_is_tp_not_cp():
 
 
 def test_transpose_extension_detects_negativity_on_entangled_input():
-    """I (x) T applied to the maximally entangled projector goes negative."""
+    """I (x) T applied to the maximally entangled projector goes negative:
+    the built extension and the blockwise stacked_apply both give its
+    partial transpose, each d x d block transposed."""
     d = 3
     tc = transpose_channel(d)
     omega = np.outer(vec(np.eye(d)), vec(np.eye(d)).conj()) / d
+    partial_transpose = omega.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+    assert np.min(np.linalg.eigvalsh(partial_transpose)) < -1e-3
     out = extend_channel(tc).apply(omega)
-    assert np.min(np.linalg.eigvalsh(out)) < -1e-3
+    assert np.max(np.abs(out - partial_transpose)) < 1e-12
     stacked = stacked_apply(tc.super, d, omega[None], extended=True)[0]
-    assert np.max(np.abs(stacked - out)) < 1e-12
+    assert np.max(np.abs(stacked - partial_transpose)) < 1e-12
 
 
 def test_contractivity_probe_passes_cptp_channels():
@@ -390,6 +434,15 @@ def test_contractivity_probe_passes_cptp_channels():
     assert out["positive_evidence"]
     assert out["witness"] is None
     assert out["n_checked"] == 100
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_contractivity_probe_without_samples_is_no_evidence(n_samples):
+    """A probe that checks no operand has found nothing: it raises instead
+    of reporting positive evidence with n_checked 0."""
+    ch = random_cptp(3, 2, np.random.default_rng(18))
+    with pytest.raises(HypothesisViolated, match="at least one sample"):
+        positivity_by_contractivity(ch, n_samples=n_samples)
 
 
 def test_contractivity_probe_witnesses_nonpositive_tp_map():

@@ -230,6 +230,21 @@ def test_make_dynamical_family_validates_grid():
             make_dynamical_family(d=2, t_domain=(0.0, 1.0), channel_at=lambda t, m=member: m, name="bad")
 
 
+@pytest.mark.parametrize("member_d", [2, 3])
+def test_member_of_another_dimension_fails_at_construction(member_d):
+    """A channel_at that returns a channel on another dimension than the
+    family's d is caught by validation, and by every later fam.channel, with
+    a DimensionMismatch naming t and both dimensions, not by numpy's
+    reshape error inside a scan."""
+    member = kraus_channel([np.eye(member_d)])
+    with pytest.raises(DimensionMismatch, match=f"t=0.0 has dimension {member_d}, family dimension 4"):
+        make_dynamical_family(d=4, t_domain=(0.0, 1.0), channel_at=lambda t: member, name="mixed")
+    fam = make_dynamical_family(d=4, t_domain=(0.0, 1.0), channel_at=lambda t: member, validate=False)
+    for scan in (p_divisibility_scan, cp_divisibility_scan):
+        with pytest.raises(DimensionMismatch, match=f"dimension {member_d}, family dimension 4"):
+            scan(fam, grid=np.linspace(0.2, 0.8, 3), h=1e-4)
+
+
 def test_kraus_members_are_certified_cp_without_a_choi_eigensolve(monkeypatch):
     """Kraus operators are the CP certificate: a Kraus-built family
     validates with channels.choi unavailable, while a channel given only as

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,19 @@ def test_require_hermitian_rejects_rectangles():
         require_hermitian(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_require_hermitian_reads_the_modulus_of_the_deviation(dtype):
+    """The deviation is the modulus of X - X*: an entry pair off by 3 in its
+    real part and by 4i in its imaginary part deviates by exactly 5, and a
+    real pair off by 3 by exactly 3, so atol splits at that value."""
+    x = np.zeros((2, 3, 3), dtype=dtype)
+    x[1, 0, 2] = 3.0 + (4j if dtype is complex else 0)
+    dev = 5.0 if dtype is complex else 3.0
+    assert require_hermitian(x, atol=dev).dtype == dtype
+    with pytest.raises(NonHermitianInput, match=re.escape(f"{dev:.3e}")):
+        require_hermitian(x, atol=np.nextafter(dev, 0.0))
+
+
 def _symmetrized_by_conjugate_copy(x, atol):
     """The formula require_hermitian replaced: a conjugate copy, its
     difference and the difference's modulus, then (X + X*) * 0.5."""
@@ -53,8 +67,9 @@ def test_require_hermitian_keeps_the_bits_of_the_conjugate_copy_formula():
     """Real and complex stacks, near-Hermitian or not, with signed zeros:
     require_hermitian raises where the old formula's deviation exceeds
     atol, and otherwise returns its array bit for bit, sign bits
-    included. (hypot and numpy's complex modulus may differ in the last
-    bit, so only a deviation within an ulp of atol could split them.)"""
+    included. (The square root of the summed squares and numpy's complex
+    modulus may differ in the last bit, so only a deviation within an ulp
+    of atol could split them.)"""
     rng = np.random.default_rng(5)
     for case in range(400):
         d, n = int(rng.integers(1, 7)), int(rng.integers(0, 4))

@@ -165,3 +165,25 @@ def test_src_reads_no_environment():
         or (isinstance(node, ast.ImportFrom) and node.module == "os")
     ]
     assert not touched, touched
+
+
+def test_channels_apply_through_stacked_apply():
+    """stacked_apply is the one route that applies a superoperator:
+    Channel.apply and extend_channel each call it, and channels.py builds no
+    kron product, so a second route to Lambda or I (x) Lambda cannot grow
+    back beside it."""
+    tree = ast.parse((ROOT / "src" / "divscan" / "channels.py").read_text())
+    funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    channel = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Channel")
+    apply = next(node for node in channel.body if isinstance(node, ast.FunctionDef) and node.name == "apply")
+
+    def called(node):
+        return {
+            getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+        }
+
+    assert "stacked_apply" in called(apply)
+    assert "stacked_apply" in called(funcs["extend_channel"])
+    assert "kron" not in called(tree)
