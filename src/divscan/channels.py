@@ -1,7 +1,8 @@
 """Finite-dimensional channels: each held as its superoperator (Kraus
 operators kept only as the CP certificate), Choi matrices, composition,
 inversion, and the contractivity-based positivity probe. Every application
-of a superoperator, blockwise I (x) Lambda included, goes through stacked_apply.
+of a superoperator, blockwise I (x) Lambda included, goes through
+stacked_apply's routes (_apply, which the divisibility scan calls directly).
 
 Conventions (column-stacking, fixed package-wide):
 
@@ -78,6 +79,15 @@ class Channel:
         """max |Lambda^*(I) - I|, entrywise; zero exactly when the map is TP."""
         vi = vec(np.eye(self.d))
         return float(np.max(np.abs(self.super.conj().T @ vi - vi)))
+
+    def hp_deviation(self) -> float:
+        """max |S[(i,j),(k,l)] - conj(S[(j,i),(l,k)])|, entrywise; zero exactly
+        when the map is Hermiticity preserving (its Choi matrix is Hermitian),
+        NaN for a non-finite S. Kraus operators certify CP, hence HP: 0.0."""
+        if self.kraus is not None:
+            return 0.0
+        s = self.super.reshape((self.d,) * 4)  # s[j, i, l, k] = S[(i,j),(k,l)]
+        return float(np.max(np.abs(s - s.transpose(1, 0, 3, 2).conj())))
 
     def is_tp(self, atol: float = TP_ATOL) -> bool:
         return self.tp_deviation() <= atol
@@ -158,13 +168,24 @@ def stacked_apply(s: np.ndarray, d: int, ys: np.ndarray, extended: bool = False)
     DimensionMismatch for any other shape, and for an s that is not
     d^2 x d^2.
 
-    The route is read from s. A diagonal s (every off-diagonal entry exactly
-    zero) is the Schur multiplier X -> A o X with A = unvec(diag(s)), applied
-    as an entrywise product on every block: each entry y_ij S_jj is the one
-    nonzero term of the matmul's sum, so the result equals the matmul's.
-    Any other s takes one matmul over the stack, except that the complex rows
-    of a real s take two real matmuls on their real and imaginary parts. The
-    result has the dtype of ys @ s.T, so a real s on a real stack stays real.
+    The route is read from J = _support(s), the vec positions whose row or
+    column of s holds a nonzero off-diagonal entry (exact zeros only):
+    - J covers all d^2 positions: one matmul over the column-stacked vec of
+      every block.
+    - J is empty: s is the Schur multiplier X -> A o X, A = unvec(diag(s)),
+      applied as an entrywise product on every block. Each entry y_ij S_rr
+      (r = i + d*j) is the one nonzero term of the matmul's sum, so the
+      result equals the matmul's.
+    - otherwise: the same entrywise product, after which S[J, J] is applied
+      to the J entries of every block, so only a |J| x |J| matrix is
+      multiplied.
+    In either matmul the complex rows of a real s take two real matmuls on
+    their real and imaginary parts. The result has the dtype of ys @ s.T,
+    so a real s on a real stack stays real. Nothing here checks that s
+    preserves Hermiticity; the divisibility scan checks each S_tau once
+    (Channel.hp_deviation), reads J once per stencil time, calls _apply on
+    its witness stacks, and in CP mode first cuts each stack to its nonzero
+    blocks, so that I_|R| (x) Lambda acts on the R x R blocks alone.
     """
     m = d if extended else 1
     if np.shape(s) != (d * d, d * d):
@@ -172,23 +193,46 @@ def stacked_apply(s: np.ndarray, d: int, ys: np.ndarray, extended: bool = False)
     ys = _inexact(ys)
     if ys.ndim != 3 or ys.shape[1:] != (m * d, m * d):
         raise DimensionMismatch(f"operand stack shape {ys.shape}, expected (N, {m * d}, {m * d})")
-    diag = np.diagonal(s)
-    if np.count_nonzero(s) == np.count_nonzero(diag):
-        out = ys * np.tile(unvec(diag, d), (m, m))
-        out += 0.0  # y * 0 is -0 for y < 0; a real matmul's sum gives +0
-        return out
-    n = ys.shape[0]
-    # Y[a*d + i, b*d + j] -> row (a, b), column i + d*j: the column-stacked
-    # vec of block (a, b), so s acts on every block of every operand at once
-    v = ys.reshape(n, m, d, m, d).transpose(0, 1, 3, 4, 2).reshape(n * m * m, d * d)
+    return _apply(s, d, ys, _support(s))
+
+
+def _support(s: np.ndarray) -> np.ndarray:
+    """J, the vec positions whose row or column of s holds a nonzero
+    off-diagonal entry; only exact zeros count. Off J, s is diagonal."""
+    nonzero = s != 0
+    np.fill_diagonal(nonzero, False)
+    return np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+
+
+def _apply(s: np.ndarray, d: int, ys: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """stacked_apply's routes without its checks: s acts on every d x d
+    block of each (m d) x (m d) operand of ys, any m, with
+    support = _support(s)."""
+    n, m = len(ys), ys.shape[-1] // d
+    if support.size == d * d:
+        # Y[a*d + i, b*d + j] -> row (a, b), column i + d*j: the column-stacked
+        # vec of block (a, b), so s acts on every block of every operand at once
+        v = ys.reshape(n, m, d, m, d).transpose(0, 1, 3, 4, 2).reshape(n * m * m, d * d)
+        out = _times(v, s).reshape(n, m, m, d, d)
+        return out.transpose(0, 1, 4, 2, 3).reshape(n, m * d, m * d)
+    out = ys * np.tile(unvec(np.diagonal(s), d), (m, m))
+    out += 0.0  # y * 0 is -0 for y < 0; a real matmul's sum gives +0
+    if support.size:
+        i, j = support % d, support // d  # vec position r = i + d*j
+        v = ys.reshape(n, m, d, m, d).transpose(0, 1, 3, 2, 4)[..., i, j].reshape(-1, support.size)
+        blocks = out.reshape(n, m, d, m, d).transpose(0, 1, 3, 2, 4)  # a view of out
+        blocks[..., i, j] = _times(v, s[np.ix_(support, support)]).reshape(n, m, m, support.size)
+    return out
+
+
+def _times(v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """v @ s.T; complex rows v and a real s take two real matmuls."""
     if np.iscomplexobj(v) and not np.iscomplexobj(s):
-        w = np.empty(v.shape, dtype=np.result_type(v, s))
+        w = np.empty((len(v), len(s)), dtype=np.result_type(v, s))
         w.real = v.real @ s.T
         w.imag = v.imag @ s.T
-    else:
-        w = v @ s.T
-    out = w.reshape(n, m, m, d, d)
-    return out.transpose(0, 1, 4, 2, 3).reshape(n, m * d, m * d)
+        return w
+    return v @ s.T
 
 
 def transpose_channel(d: int) -> Channel:

@@ -19,22 +19,33 @@ I (x) Lambda_t is never built. With early_stop=True the library goes
 through as stacks of 1, 2, 4, ... witnesses, each with its own pass over
 the stencil times, so S_tau is built once per stencil time in every chunk:
 scan-p --preset unitary builds 342 channels for 57 stencil times in 6
-chunks. operators.trace_norms then gives every trace norm: a diagonal
-image is summed with no eigensolve, and the other images take one stacked
-eigensolve on the rows and columns where they are nonzero (n x n, not
-n^2 x n^2, for the Schur CP witness kron(E00, H)). Nothing is kept past
-the stencil time that built it, so memory grows with library size x D^2
-(D the witness dimension), not with grid length.
+chunks. Nothing is kept past the stencil time that built it, so memory
+grows with library size x D^2 (D the witness dimension), not with grid
+length.
+
+Hermiticity is checked once per input, never per image: each chunk's
+stack passes require_hermitian once (a non-finite witness fails it), and
+each S_tau once per stencil time (_member): a non-finite S_tau raises
+InvalidFamily, and one that is not Hermiticity preserving (HP) raises
+NonHermitianInput; Kraus operators certify CP, hence HP. An HP map sends
+the symmetrized witnesses to Hermitian images, so the images go straight
+to operators._trace_norms, whose eigensolve reads one triangle: a diagonal
+image is summed with no eigensolve, and the others take one stacked
+eigensolve on the rows and columns where they are nonzero.
 
 Real maps and real witnesses run in float64 throughout. The stack is split
 by value into its real rows and its complex rows, once per stack; each part
-takes one apply and one trace_norms call (dsyevd for a real map on the
-real part), and the norms are written back in the original row order, so
-rows, verdicts and the argmax do not depend on the split. stacked_apply
-reads its route from S_tau: a diagonal S_tau (a Schur multiplier such as
-A_t o X) is applied entrywise, with no matmul and the matmul's values; the
-complex rows of a real S_tau take two real matmuls (dgemm) on their real
-and imaginary parts; any other S_tau takes one matmul.
+takes one apply and one trace-norm call (dsyevd for a real map on the real
+part), and the norms go back in the original row order, so rows, verdicts
+and the argmax do not depend on the split. In CP mode each stack is first
+cut to the block rows and columns R where some witness has a nonzero d x d
+block (_nonzero_blocks), so I_|R| (x) Lambda_t acts on the R x R blocks
+alone: the Schur CP witness kron(E00, H) is applied and solved at n x n.
+The apply route (stacked_apply's) is read from the off-diagonal support J
+of S_tau, once per stencil time: J empty (a Schur multiplier such as
+A_t o X) is an entrywise product, J short of all d^2 positions (an
+idempotent map) multiplies only S_tau[J, J], and a full J takes one matmul;
+the complex rows of a real S_tau take two real matmuls (dgemm).
 """
 
 from __future__ import annotations
@@ -43,9 +54,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._errors import DimensionMismatch, DomainExceeded, HypothesisViolated, InvalidFamily
-from .channels import RCOND, TP_HYPOTHESIS_ATOL, Channel, _matrix_to_json, stacked_apply
-from .operators import TAU_SLOPE, random_hermitian, random_projector_difference, trace_norms
+from ._errors import DimensionMismatch, DomainExceeded, HypothesisViolated, InvalidFamily, NonHermitianInput
+from .channels import RCOND, TP_HYPOTHESIS_ATOL, Channel, _apply, _matrix_to_json, _support
+from .operators import TAU_SLOPE, _trace_norms, random_hermitian, random_projector_difference, require_hermitian
 
 # Neither is called here; perfbench/tracing.py wraps each under this name.
 from .channels import extend_channel  # noqa: F401
@@ -60,7 +71,7 @@ NOT_DIVISIBLE = "NOT_DIVISIBLE"
 
 STENCIL_WIDTH = 1e-4  # default h, relative to the span of the domain or grid
 DOMAIN_ATOL = 1e-12  # slack of every time-in-domain check
-SCAN_HERM_ATOL = 1e-7  # Hermiticity slack of scanned witness images
+SCAN_HERM_ATOL = 1e-7  # Hermiticity slack of scanned witnesses and channels
 KERNEL_ATOL = 1e-8  # kernel-inclusion residual, relative to ||Lambda_t||_2
 
 
@@ -207,25 +218,59 @@ def _by_dtype(ws: np.ndarray):
     return [(rows, ys) for rows, ys in parts if rows.size]
 
 
+def _member(fam, tau):
+    """S_tau and its off-diagonal support, read once per stencil time.
+
+    Raises InvalidFamily for a non-finite S_tau, and NonHermitianInput for
+    an S_tau that is not Hermiticity preserving (hp_deviation above
+    SCAN_HERM_ATOL): the images are taken as Hermitian without a check, and
+    such a map could send a Hermitian witness to a non-Hermitian image.
+    """
+    ch = fam.channel(tau)
+    if not np.isfinite(ch.super).all():
+        raise InvalidFamily(f"{fam.name or 'family'} has a non-finite superoperator at t={tau}", t=tau)
+    dev = ch.hp_deviation()
+    if dev > SCAN_HERM_ATOL:
+        raise NonHermitianInput(
+            f"channel at t={tau} is not Hermiticity preserving: deviation {dev:.3e} (atol={SCAN_HERM_ATOL:.1e})"
+        )
+    return ch.super, _support(ch.super)
+
+
+def _nonzero_blocks(ys: np.ndarray, d: int) -> np.ndarray:
+    """The doubled-space stack ys restricted to R x R blocks, R the block
+    rows and columns where some operand has a nonzero d x d block; ys
+    itself when R is all of 0..d-1. I (x) Lambda maps a zero block to a
+    zero block, so the dropped rows and columns of every image are zero and
+    add only zero eigenvalues."""
+    n = len(ys)
+    nonzero = (ys != 0).reshape(n, d, d, d, d).any(axis=(0, 2, 4))
+    keep = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    if keep.size == d:
+        return ys
+    return ys.reshape(n, d, d, d, d)[:, keep][:, :, :, keep].reshape(n, keep.size * d, keep.size * d)
+
+
 def _curves(fam, grid, h, ws, tau_slope, extended):
     """Norms, central-difference slopes and h/10 re-check slopes, each of
-    shape (len(grid), N), for one stack of N witnesses.
+    shape (len(grid), N), for one checked stack of N witnesses.
 
-    S_tau is built once per stencil time of this stack (so once per chunk
-    of the library) and applied to its real and its complex rows, and the
-    norms go back in row order; nothing outlives the stencil time that
-    built it. Re-check slopes are NaN where the slope did not exceed
+    S_tau is built and checked once per stencil time of this stack (so once
+    per chunk of the library) and applied to its real and its complex rows,
+    and the norms go back in row order; nothing outlives the stencil time
+    that built it. In CP mode each stack is first cut to its nonzero
+    blocks. Re-check slopes are NaN where the slope did not exceed
     tau_slope.
     """
 
     def norms(ys: np.ndarray):  # tau -> trace norms of Lambda_tau on the stack ys
-        parts = _by_dtype(ys)
+        parts = _by_dtype(_nonzero_blocks(ys, fam.d) if extended else ys)
 
         def at(tau):
-            s = fam.channel(tau).super
+            s, support = _member(fam, tau)
             out = np.empty(len(ys))
             for rows, part in parts:
-                out[rows] = trace_norms(stacked_apply(s, fam.d, part, extended), SCAN_HERM_ATOL)
+                out[rows] = _trace_norms(_apply(s, fam.d, part, support))
             return out
 
         return at
@@ -272,7 +317,7 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     best = None  # (derivative, t, id, matrix)
     for start, stop in _chunks(len(witnesses), early_stop):
         chunk = witnesses[start:stop]
-        ws = np.stack([np.asarray(w) for _, w in chunk])
+        ws = require_hermitian(np.stack([np.asarray(w) for _, w in chunk]), SCAN_HERM_ATOL)
         values, derivs, fine = _curves(fam, grid, h, ws, tau_slope, extended)
         for n, (wid, w) in enumerate(chunk):
             for k, t in enumerate(grid):

@@ -2,11 +2,15 @@
 witnesses.
 
 Everything downstream (channels, divisibility scans, witness searches) sits
-on these few primitives. Hermiticity is checked against ``TAU_HERM``
-(max-entry deviation) before any eigensolve. Every trace norm comes from
-``trace_norms``, which reads its route from the exact zeros of each matrix:
-a diagonal one is summed without an eigensolve, and the others are
-eigensolved only on the rows and columns where the stack is nonzero.
+on these few primitives. ``trace_norm`` and ``trace_norms`` check
+Hermiticity against ``TAU_HERM`` (max-entry deviation; a non-finite entry
+fails it) before any eigensolve. Every trace norm then comes from one route,
+which reads the exact zeros of each matrix: a diagonal one is summed without
+an eigensolve, and the others are eigensolved only on the rows and columns
+where the stack is nonzero. The divisibility scan calls that route directly
+on its images: it checks its witnesses and each channel once instead, and
+the eigensolve reads one triangle of each image, so no image is checked or
+copied.
 
 Vectorization is column-stacking throughout: ``vec(A X B) = kron(B.T, A) vec(X)``.
 """
@@ -33,8 +37,9 @@ def require_hermitian(x: np.ndarray, atol: float = TAU_HERM) -> np.ndarray:
     """Validate Hermiticity and return the exactly-Hermitian part (X + X*)/2
     of a matrix, or of every matrix in a stack of shape (..., D, D).
 
-    Raises NonHermitianInput when max|X - X*| over all entries exceeds atol,
-    and DimensionMismatch for non-square input. Real input stays real.
+    Raises NonHermitianInput when max|X - X*| over all entries exceeds atol
+    or is NaN, as it is for any non-finite entry, and DimensionMismatch for
+    non-square input. Real input stays real.
     No conjugate is copied, so the peak is one array the size of X: the
     squared deviation (Re X - Re X^T)^2 + (Im X + Im X^T)^2 is summed in
     place from the real and imaginary views, freed before the output is
@@ -45,7 +50,8 @@ def require_hermitian(x: np.ndarray, atol: float = TAU_HERM) -> np.ndarray:
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {x.shape}")
     xt = x.swapaxes(-1, -2)
-    dev = x.real - xt.real
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, which fails the test below
+        dev = x.real - xt.real
     dev *= dev
     if np.iscomplexobj(x):
         im = x.imag + xt.imag
@@ -53,8 +59,10 @@ def require_hermitian(x: np.ndarray, atol: float = TAU_HERM) -> np.ndarray:
         dev += im
         del im
     dev = float(np.sqrt(dev.max())) if x.size else 0.0
-    if dev > atol:
-        raise NonHermitianInput(f"matrix deviates from Hermitian by {dev:.3e} (atol={atol:.1e})")
+    if not dev <= atol:  # a non-finite entry makes dev NaN
+        raise NonHermitianInput(
+            f"matrix deviates from Hermitian by {dev:.3e} (atol={atol:.1e}); nan means a non-finite entry"
+        )
     if np.iscomplexobj(x):
         sym = np.conjugate(xt, out=np.empty_like(x))
         sym += x
@@ -81,32 +89,37 @@ def trace_norms(xs: np.ndarray, atol: float = TAU_HERM) -> np.ndarray:
 
     Applies require_hermitian to the whole stack: NonHermitianInput when
     any max|X - X*| exceeds atol, DimensionMismatch for a stack that is not
-    of square matrices. The symmetrized stack then picks each row's route
-    from its exact zeros:
-    - a row whose off-diagonal entries are all zero (a zero matrix too) is
-      diagonal, and its norm is sum|diag|, with no eigensolve;
-    - the other rows take one stacked eigensolve, restricted to the union
-      of their nonzero columns. Each row is Hermitian, so that is also the
-      union of their nonzero rows, and the dropped rows and columns only
-      add zero eigenvalues. When nothing is dropped, no copy is taken.
-    A real stack is taken as it is, so its eigensolve is the real symmetric
-    one.
+    of square matrices. The symmetrized stack then takes _trace_norms.
     """
     xs = np.asarray(xs)
     if xs.ndim != 3:
         raise DimensionMismatch(f"expected a stack of square matrices, got shape {xs.shape}")
-    sym = require_hermitian(xs, atol)
-    out, rows = np.empty(len(sym)), slice(None)
-    if np.count_nonzero(sym) < sym.size:  # with no zero entry, every row is eigensolved as it is
-        nonzero = sym != 0
+    return _trace_norms(require_hermitian(xs, atol))
+
+
+def _trace_norms(xs: np.ndarray) -> np.ndarray:
+    """The trace-norm route, unchecked: each matrix of the (N, D, D) stack
+    is taken as Hermitian, and only its diagonal and lower triangle are
+    read. Each row's route comes from its exact zeros:
+    - a row whose off-diagonal entries are all zero (a zero matrix too) is
+      diagonal, and its norm is sum|Re diag|, with no eigensolve;
+    - the other rows take one stacked eigensolve, restricted to the union
+      of their nonzero rows and columns. The dropped rows and columns only
+      add zero eigenvalues. When nothing is dropped, no copy is taken.
+    A real stack is taken as it is, so its eigensolve is the real symmetric
+    one.
+    """
+    out, rows = np.empty(len(xs)), slice(None)
+    if np.count_nonzero(xs) < xs.size:  # with no zero entry, every row is eigensolved as it is
+        nonzero = xs != 0
         rows = np.flatnonzero(nonzero.sum(axis=(1, 2)) > nonzero.trace(axis1=1, axis2=2))
-        out = np.abs(sym.diagonal(0, 1, 2)).sum(axis=-1)
+        out = np.abs(xs.diagonal(0, 1, 2).real).sum(axis=-1)
         if not rows.size:
             return out
-        keep = nonzero.any(axis=1)[rows].any(axis=0)
-        if rows.size < len(sym) or not keep.all():
-            sym = sym[np.ix_(rows, keep, keep)]
-    out[rows] = np.sum(np.abs(np.linalg.eigvalsh(sym)), axis=-1)
+        keep = (nonzero.any(axis=1) | nonzero.any(axis=2))[rows].any(axis=0)
+        if rows.size < len(xs) or not keep.all():
+            xs = xs[np.ix_(rows, keep, keep)]
+    out[rows] = np.sum(np.abs(np.linalg.eigvalsh(xs)), axis=-1)
     return out
 
 

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divscan._errors import DimensionMismatch, HypothesisViolated, SingularChannel
 from divscan.channels import (
@@ -278,19 +280,23 @@ def test_extension_of_a_super_only_channel_agrees_blockwise():
 
 class _MatmulLog(np.ndarray):
     """A superoperator that records the dtype of every stack multiplied
-    into it as a matrix (v @ s.T), then multiplies as a plain ndarray."""
+    into it as a matrix (v @ s.T) in `log`, and the shape of the matrix it
+    multiplies by in `shapes`, then multiplies as a plain ndarray. Slices
+    and transposes of it record into the same lists."""
 
     def __array_finalize__(self, obj):
         self.log = getattr(obj, "log", None)
+        self.shapes = getattr(obj, "shapes", None)
 
     def __rmatmul__(self, other):
         self.log.append(np.asarray(other).dtype)
+        self.shapes.append(self.shape)
         return np.asarray(other) @ self.view(np.ndarray)
 
 
 def _logged(s):
     out = np.asarray(s).view(_MatmulLog)
-    out.log = []
+    out.log, out.shapes = [], []
     return out
 
 
@@ -324,24 +330,66 @@ def test_schur_multiplier_is_applied_entrywise_with_the_matmul_bits(n, extended,
     assert np.array_equal(out, _dense_apply(s, n, ys, extended))
 
 
-def test_one_off_diagonal_entry_takes_the_dense_route():
+def test_sparse_support_is_multiplied_on_its_rows_and_columns():
     """A diagonal superoperator plus one nonzero off-diagonal entry, and the
-    transpose map, are multiplied as matrices and agree with unvec(S @ vec(.))
-    on every operand and on every block of every doubled-space operand."""
+    transpose map, have off-diagonal support J of 2 and of 6 of the 9 vec
+    positions: only S[J, J] is multiplied as a matrix (two real matmuls per
+    complex stack), and the result agrees with unvec(S @ vec(.)) on every
+    operand and on every block of every doubled-space operand."""
     rng = np.random.default_rng(43)
     s = schur_channel(3, 0.3).super.copy()
     s[0, 4] = 0.25
     xs = np.stack([random_hermitian(3, rng) for _ in range(4)])
     ys = np.stack([random_hermitian(9, rng) for _ in range(4)])
-    for ch in (super_channel(s, 3), transpose_channel(3)):
+    for ch, size in ((super_channel(s, 3), 2), (transpose_channel(3), 6)):
         logged = _logged(ch.super)
         out = stacked_apply(logged, 3, xs)
         ext = stacked_apply(logged, 3, ys, extended=True)
-        assert logged.log
+        assert logged.shapes == [(size, size)] * 4
         for x, o in zip(xs, out):
             assert np.max(np.abs(o - _blockwise(ch.super, 3, x))) < 1e-12
         for y, e in zip(ys, ext):
             assert np.max(np.abs(e - _blockwise(ch.super, 3, y))) < 1e-12
+
+
+@st.composite
+def _sparse_superoperators(draw):
+    """A random d^2 x d^2 superoperator, real or complex, whose off-diagonal
+    entries are nonzero at a random density (none, a few, half or all) and
+    whose diagonal holds some exact zeros, with a random stack of operands,
+    real or complex, for P or CP mode."""
+    d = draw(st.integers(1, 4))
+    extended = draw(st.booleans())
+    complex_s, complex_ys = draw(st.booleans()), draw(st.booleans())
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sample(shape, complex_):
+        return rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_ else 0.0)
+
+    s = sample((d * d, d * d), complex_s) * (rng.random((d * d, d * d)) < density)
+    np.fill_diagonal(s, sample(d * d, complex_s) * (rng.random(d * d) < 0.8))
+    dim = d * d if extended else d
+    return s, d, sample((draw(st.integers(1, 4)), dim, dim), complex_ys), extended
+
+
+@settings(max_examples=120)
+@given(_sparse_superoperators())
+def test_sparse_support_route_matches_the_dense_matmul(case):
+    """Whatever its off-diagonal support J, stacked_apply agrees with the
+    dense v @ s.T within 1e-12 of the image's scale, keeps its dtype, and
+    multiplies no matrix larger than S[J, J]: J empty takes no matmul, J
+    short of all d^2 positions only |J| x |J| ones."""
+    s, d, ys, extended = case
+    offdiagonal = (s != 0) & ~np.eye(d * d, dtype=bool)
+    support = np.flatnonzero(offdiagonal.any(axis=0) | offdiagonal.any(axis=1))
+    logged = _logged(s)
+    out = stacked_apply(logged, d, ys, extended=extended)
+    want = _dense_apply(s, d, ys, extended)
+    assert out.dtype == want.dtype
+    assert np.max(np.abs(out - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    assert all(shape == (support.size, support.size) for shape in logged.shapes)
+    assert bool(logged.shapes) == bool(support.size)
 
 
 @pytest.mark.parametrize("extended", [False, True], ids=["P", "CP"])

@@ -333,6 +333,24 @@ def _late_violator_witnesses(n, mode):
     return flat + [("grows", growing), ("grows-twice", 2.0 * growing), ("diag-tail", flat[0][1])]
 
 
+def _block_sparse_witnesses(d, mode):
+    """CP witnesses kron((E_ab + E_ba)/2, H), kron(E_aa, H) for a = b, whose
+    nonzero d x d blocks lie in block rows and columns {1, 2} only, so the
+    CP scan applies I_2 (x) Lambda to a cut stack. H is in turn the hopping
+    matrix (which grows under the Schur family), a complex and a real
+    random Hermitian matrix. P mode takes the H alone."""
+    rng = np.random.default_rng(12)
+    hs = [("hop", hopping_witness(d)), ("herm", random_hermitian(d, rng)), ("real", random_hermitian(d, rng).real)]
+    if mode == "P":
+        return hs
+    out = []
+    for (a, b), (name, h) in zip([(2, 2), (1, 2), (1, 1)], hs):
+        e = np.zeros((d, d))
+        e[a, b] = e[b, a] = 1.0 if a == b else 0.5
+        out.append((f"kron(E{a}{b},{name})", np.kron(e, h)))
+    return out
+
+
 EQUIVALENCE_CASES = {
     "generic-noncp": (generic_noncp_family, np.linspace(0.1, 0.9, 5), None),
     "idempotent-p-not-cp": (
@@ -342,6 +360,12 @@ EQUIVALENCE_CASES = {
     ),
     "schur-4": (lambda: make_schur_family(4), np.linspace(0.05, 0.45, 5), None),
     "schur-4-late-violator": (lambda: make_schur_family(4), np.linspace(0.05, 0.45, 5), _late_violator_witnesses),
+    "schur-4-block-sparse": (lambda: make_schur_family(4), np.linspace(0.05, 0.45, 5), _block_sparse_witnesses),
+    "idempotent-p-not-cp-block-sparse": (
+        lambda: idempotent_family_preset("idempotent-p-not-cp", n=2, k=2),
+        np.linspace(0.05, 0.95, 5),
+        _block_sparse_witnesses,
+    ),
 }
 
 
@@ -373,7 +397,7 @@ def test_batched_engine_matches_witness_by_witness_reference(case, mode, early_s
     # within 1e-9 differ by rounding alone, so any of them may win
     ties = [(wid, t) for d, t, wid in confirmed if d >= top - 1e-9]
     assert (report.witness_id, report.witness_t) in ties
-    if witness_fn is not None:
+    if witness_fn is _late_violator_witnesses:
         assert report.witness_id == ("grows" if early_stop else "grows-twice")
 
 
@@ -446,6 +470,94 @@ def _skewing_family():
 def test_non_hermiticity_preserving_channel_raises_typed_error(scan):
     with pytest.raises(NonHermitianInput):
         scan(_skewing_family(), grid=np.linspace(0.2, 0.8, 3), h=1e-4)
+
+
+@pytest.mark.parametrize("scan", [p_divisibility_scan, cp_divisibility_scan])
+def test_non_hp_map_raises_even_where_the_images_are_hermitian(scan):
+    """X -> X + i(X - X^T) is TP but not Hermiticity preserving, yet it maps
+    every real diagonal witness (and, blockwise, every real diagonal
+    doubled-space witness) to itself. The scan reads the map, not its
+    images, so it raises NonHermitianInput naming t."""
+    d = 3
+    s = np.eye(d * d) + 1j * (np.eye(d * d) - transpose_channel(d).super)
+    ch = super_channel(s, d)
+    fam = DynamicalFamily(d=d, t_domain=(0.0, 1.0), channel_at=lambda t: ch, name="i-skew")
+    dim = d if scan is p_divisibility_scan else d * d
+    witnesses = [("diag", np.diag(np.linspace(-1.0, 1.0, dim))), ("e0", np.diag(np.eye(dim)[0]))]
+    assert np.array_equal(ch.apply(np.diag([1.0, 2.0, -3.0])), np.diag([1.0, 2.0, -3.0]))
+    with pytest.raises(NonHermitianInput, match="t=0.2"):
+        scan(fam, grid=np.linspace(0.2, 0.8, 3), h=1e-4, witnesses=witnesses)
+
+
+@pytest.mark.parametrize("scan", [p_divisibility_scan, cp_divisibility_scan])
+def test_member_that_is_nan_at_one_stencil_point_raises_invalid_family(scan):
+    """A superoperator-only family that is NaN near t = 0.33 passes the
+    21-point validation grid, which misses that point, but the scan reaches
+    it as the stencil point 0.3 + h and raises InvalidFamily naming it,
+    rather than giving evidence from NaN slopes."""
+    d = 2
+    mix = np.outer(vec(np.eye(d)), vec(np.eye(d))) / d
+
+    def member(t):
+        s = (1 - t) * np.eye(d * d) + t * mix
+        return super_channel(np.full_like(s, np.nan) if abs(t - 0.33) < 1e-9 else s, d)
+
+    fam = make_dynamical_family(member, d=d, t_domain=(0.0, 1.0), name="nan-at-0.33")
+    with pytest.raises(InvalidFamily, match="t=0.33") as err:
+        scan(fam, grid=np.linspace(0.1, 0.9, 9), h=0.03)
+    assert abs(err.value.t - 0.33) < 1e-9
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+@pytest.mark.parametrize("scan, dim", [(p_divisibility_scan, 4), (cp_divisibility_scan, 16)])
+def test_non_finite_witness_raises_non_hermitian_input(scan, dim, early_stop):
+    """A witness with a NaN off-diagonal entry, or an infinite one, fails
+    the witness check as its chunk is stacked, with NonHermitianInput
+    rather than numpy's LinAlgError."""
+    fam = unitary_family()
+    good = np.diag([1.0] + [0.0] * (dim - 2) + [-1.0])
+    for value in (np.nan, np.inf):
+        bad = good.copy()
+        bad[0, 1] = bad[1, 0] = value
+        with pytest.raises(NonHermitianInput):
+            scan(fam, grid=np.linspace(0.2, 1.8, 3), h=1e-4, witnesses=[("bad", bad), ("good", good)],
+                 early_stop=early_stop)
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+@pytest.mark.parametrize("mode", ["P", "CP"])
+def test_scan_checks_each_input_once(monkeypatch, mode, early_stop):
+    """Hermiticity is checked once per input: require_hermitian runs once
+    per chunk of witnesses and never on an image, and each channel built
+    (one per stencil time of a chunk) takes one hp_deviation test."""
+    fam = idempotent_family_preset("idempotent-p-not-cp", n=2, k=2)
+    witnesses = _library(fam, mode)
+    calls = dict.fromkeys(["require_hermitian", "hp_deviation", "channel", "_apply"], 0)
+
+    def counted(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner in (divscan.operators, divscan.divisibility):
+        counted(owner, "require_hermitian")
+    counted(divscan.channels.Channel, "hp_deviation")
+    counted(DynamicalFamily, "channel")
+    counted(divscan.divisibility, "_apply")
+    scan = p_divisibility_scan if mode == "P" else cp_divisibility_scan
+    grid = np.linspace(0.05, 0.95, 5)
+    report = scan(fam, grid=grid, h=1e-4, witnesses=witnesses, early_stop=early_stop)
+    monkeypatch.undo()
+
+    scanned = len(report.rows) // len(grid)
+    chunks = sum(start < scanned for start, _ in divscan.divisibility._chunks(len(witnesses), early_stop))
+    assert calls["require_hermitian"] == chunks
+    assert calls["hp_deviation"] == calls["channel"] >= 3 * len(grid) * chunks
+    assert calls["_apply"] >= calls["channel"]
 
 
 @pytest.mark.parametrize("early_stop", [True, False])

@@ -38,6 +38,22 @@ def test_require_hermitian_rejects_rectangles():
         require_hermitian(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "-inf", "nan-j"])
+@pytest.mark.parametrize("where", [(1, 1), (0, 2)], ids=["diagonal", "off-diagonal"])
+def test_non_finite_entry_fails_the_hermiticity_check(value, where):
+    """A NaN or infinite entry, on the diagonal or mirrored off it, makes
+    the deviation NaN, which fails the check at any atol, so trace_norm
+    raises NonHermitianInput rather than numpy's LinAlgError or a NaN norm."""
+    x = np.eye(3, dtype=type(value) if isinstance(value, complex) else float)
+    i, j = where
+    x[i, j] = value
+    x[j, i] = np.conj(value)
+    with pytest.raises(NonHermitianInput, match="nan"):
+        require_hermitian(x, atol=np.inf)
+    with pytest.raises(NonHermitianInput):
+        trace_norm(x)
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_require_hermitian_reads_the_modulus_of_the_deviation(dtype):
     """The deviation is the modulus of X - X*: an entry pair off by 3 in its
