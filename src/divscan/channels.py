@@ -1,8 +1,9 @@
 """Finite-dimensional channels: each held as its superoperator (Kraus
 operators kept only as the CP certificate), Choi matrices, composition,
 inversion, and the contractivity-based positivity probe. Every application
-of a superoperator, blockwise I (x) Lambda included, goes through
-stacked_apply's routes (_apply, which the divisibility scan calls directly).
+of a superoperator goes through stacked_apply's routes (_apply, which the
+divisibility scan calls directly): I_m (x) Lambda on a stack of (m d) x (m d)
+operands, m read from their shape, so Lambda and I (x) Lambda share a route.
 
 Conventions (column-stacking, fixed package-wide):
 
@@ -16,6 +17,7 @@ Conventions (column-stacking, fixed package-wide):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -24,7 +26,10 @@ from ._errors import (
     HypothesisViolated,
     SingularChannel,
 )
-from .operators import _inexact, random_projector_difference, trace_norm, unvec, vec
+from .operators import _inexact, random_projector_difference, trace_norms, unvec, vec
+
+# Not called here; perfbench/tracing.py wraps it under this name.
+from .operators import trace_norm  # noqa: F401
 
 CP_ATOL = 1e-9
 TP_ATOL = 1e-9
@@ -150,23 +155,22 @@ def inverse(ch: Channel) -> Channel:
 
 def extend_channel(ch: Channel) -> Channel:
     """I (x) Lambda on the doubled space, as its d^4 x d^4 superoperator:
-    column v is the stacked_apply(..., extended=True) image of the matrix
-    unit unvec(e_v), vectorized. A reference route for tests and small checks.
+    column v is the stacked_apply image of the d^2 x d^2 matrix unit
+    unvec(e_v), vectorized. A reference route for tests and small checks.
     """
     dd = ch.d * ch.d
     units = np.eye(dd * dd).reshape(dd * dd, dd, dd).transpose(0, 2, 1)
-    images = stacked_apply(ch.super, ch.d, units, extended=True)
+    images = stacked_apply(ch.super, ch.d, units)
     return Channel(d=dd, super_matrix=images.transpose(0, 2, 1).reshape(dd * dd, dd * dd).T)
 
 
-def stacked_apply(s: np.ndarray, d: int, ys: np.ndarray, extended: bool = False) -> np.ndarray:
-    """Apply the superoperator s of a channel on C^d to a stack of operands.
-
-    ys has shape (N, d, d), or with extended=True shape (N, d*d, d*d): each
-    operand then lives on C^d (x) C^d and s acts on every d x d block, which
-    is (I (x) Lambda)(Y) without building I (x) Lambda. Raises
-    DimensionMismatch for any other shape, and for an s that is not
-    d^2 x d^2.
+def stacked_apply(s: np.ndarray, d: int, ys: np.ndarray) -> np.ndarray:
+    """Apply I_m (x) Lambda, Lambda the channel on C^d with superoperator s,
+    to a stack ys of shape (N, m*d, m*d), any m >= 1: s acts on every d x d
+    block of each operand, so m = 1 is Lambda itself and m = d is the
+    extension to C^d (x) C^d, which is never built. Raises DimensionMismatch
+    for an s that is not d^2 x d^2, and for a stack that is not 3-D, not
+    square, or whose side is not a positive multiple of d.
 
     The route is read from J = _support(s), the vec positions whose row or
     column of s holds a nonzero off-diagonal entry (exact zeros only):
@@ -183,16 +187,14 @@ def stacked_apply(s: np.ndarray, d: int, ys: np.ndarray, extended: bool = False)
     their real and imaginary parts. The result has the dtype of ys @ s.T,
     so a real s on a real stack stays real. Nothing here checks that s
     preserves Hermiticity; the divisibility scan checks each S_tau once
-    (Channel.hp_deviation), reads J once per stencil time, calls _apply on
-    its witness stacks, and in CP mode first cuts each stack to its nonzero
-    blocks, so that I_|R| (x) Lambda acts on the R x R blocks alone.
+    (Channel.hp_deviation), reads J once per stencil time, and calls _apply
+    on its witness stacks cut to their nonzero blocks.
     """
-    m = d if extended else 1
-    if np.shape(s) != (d * d, d * d):
-        raise DimensionMismatch(f"superoperator shape {np.shape(s)}, expected ({d * d}, {d * d})")
+    if d < 1 or np.shape(s) != (d * d, d * d):
+        raise DimensionMismatch(f"superoperator shape {np.shape(s)}, expected ({d * d}, {d * d}) with d >= 1")
     ys = _inexact(ys)
-    if ys.ndim != 3 or ys.shape[1:] != (m * d, m * d):
-        raise DimensionMismatch(f"operand stack shape {ys.shape}, expected (N, {m * d}, {m * d})")
+    if ys.ndim != 3 or ys.shape[1] != ys.shape[2] or ys.shape[2] % d or not ys.shape[2]:
+        raise DimensionMismatch(f"operand stack shape {ys.shape}, expected (N, m*{d}, m*{d}) with m >= 1")
     return _apply(s, d, ys, _support(s))
 
 
@@ -206,8 +208,8 @@ def _support(s: np.ndarray) -> np.ndarray:
 
 def _apply(s: np.ndarray, d: int, ys: np.ndarray, support: np.ndarray) -> np.ndarray:
     """stacked_apply's routes without its checks: s acts on every d x d
-    block of each (m d) x (m d) operand of ys, any m, with
-    support = _support(s)."""
+    block of each (m d) x (m d) operand of ys, any m >= 0 (the scan's cut
+    of an all-zero stack has m = 0), with support = _support(s)."""
     n, m = len(ys), ys.shape[-1] // d
     if support.size == d * d:
         # Y[a*d + i, b*d + j] -> row (a, b), column i + d*j: the column-stacked
@@ -249,12 +251,18 @@ def positivity_by_contractivity(ch: Channel, n_samples: int = 400, seed: int = 7
 
     A positive TP map cannot increase any Hermitian trace norm, so a single
     operand X with ||Lambda(X)||_1 > ||X||_1 + GROWTH_ATOL certifies
-    non-positivity.
-    The search runs a deterministic sweep first (rank-1 basis projectors,
-    rank-1 and rank-2 projector differences), then random rank-1 differences
-    and random Hermitian samples until n_samples operands have been checked.
-    Projectors are sound probes here: for a TP map, a PSD input whose image
-    is not PSD already has ||Lambda(X)||_1 > tr X = ||X||_1.
+    non-positivity. Projectors are sound probes here: for a TP map, a PSD
+    input whose image is not PSD already has ||Lambda(X)||_1 > tr X = ||X||_1.
+
+    The operands go through as at most two stacks, each taking one
+    stacked_apply and one trace_norms call on its inputs and one on its
+    images: the deterministic sweep (rank-1 basis projectors, rank-1 and
+    rank-2 projector differences) capped at n_samples, then, only if it
+    shows no growth, random operands up to n_samples (a rank-1 projector
+    difference at an even index of the whole sequence, a Hermitian sample
+    at an odd one). The witness is the first growing operand. Every image
+    of a stack must be Hermitian within PROBE_HERM_ATOL, those after the
+    witness too, else NonHermitianInput.
 
     Returns a dict with keys `positive_evidence`, `witness`, `input_norm`,
     `output_norm`, `n_checked`. No witness means evidence of positivity, not
@@ -270,47 +278,37 @@ def positivity_by_contractivity(ch: Channel, n_samples: int = 400, seed: int = 7
 
     def sweep():
         eye = np.eye(d)
-        for i in range(d):
-            yield np.outer(eye[i], eye[i])
-        for i in range(d):
-            for j in range(i + 1, d):
-                yield np.diag(eye[i] - eye[j])
+        yield from (np.outer(e, e) for e in eye)
+        yield from (np.diag(eye[i] - eye[j]) for i in range(d) for j in range(i + 1, d))
         # rank-2 projector differences over disjoint index pairs
-        for i in range(0, d - 1, 2):
-            for j in range(i + 2, d - 1, 2):
-                e = np.zeros(d)
-                e[[i, i + 1]] = 1.0
-                f = np.zeros(d)
-                f[[j, j + 1]] = 1.0
-                yield np.diag(e - f)
+        pairs = range(0, d - 1, 2)
+        yield from (np.diag(eye[i] + eye[i + 1] - eye[j] - eye[j + 1]) for i in pairs for j in pairs if j > i)
 
-    checked = 0
-    candidates = sweep()
-    while checked < n_samples:
-        x = next(candidates, None)
-        if x is None:
-            if checked % 2 == 0:
-                x = random_projector_difference(d, rng)
-            else:
-                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                x = (g + g.conj().T) / 2
-        checked += 1
-        nin = trace_norm(x)
-        nout = trace_norm(ch.apply(x), atol=PROBE_HERM_ATOL)
-        if nout > nin + GROWTH_ATOL:
-            return {
-                "positive_evidence": False,
-                "witness": x,
-                "input_norm": nin,
-                "output_norm": nout,
-                "n_checked": checked,
-            }
-    return {
-        "positive_evidence": True,
-        "witness": None,
-        "input_norm": None,
-        "output_norm": None,
-        "n_checked": checked,
+    def random_operand(index):
+        if index % 2 == 0:
+            return random_projector_difference(d, rng)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return (g + g.conj().T) / 2
+
+    def first_growth(start, operands):
+        if not operands:
+            return None
+        xs = np.stack(operands)
+        nin = trace_norms(xs)
+        nout = trace_norms(stacked_apply(ch.super, d, xs), PROBE_HERM_ATOL)
+        grows = np.flatnonzero(nout > nin + GROWTH_ATOL)
+        if grows.size:
+            i = int(grows[0])
+            return {"positive_evidence": False, "witness": xs[i], "input_norm": float(nin[i]),
+                    "output_norm": float(nout[i]), "n_checked": start + i + 1}
+        return None
+
+    swept = list(islice(sweep(), n_samples))
+    found = first_growth(0, swept)
+    if found is None:  # the random operands are drawn only when the sweep shows no growth
+        found = first_growth(len(swept), [random_operand(i) for i in range(len(swept), n_samples)])
+    return found or {
+        "positive_evidence": True, "witness": None, "input_norm": None, "output_norm": None, "n_checked": n_samples
     }
 
 

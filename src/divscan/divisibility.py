@@ -11,23 +11,24 @@ Derivatives are central differences with stencil width h; any flagged slope
 is re-checked at h/10 and must stay above tau_slope/2 to count, which filters
 stencil artifacts near kinks.
 
-P and CP scans run one engine. At each stencil time tau (t and t +/- h, plus
-t +/- h/10 for a re-check) it builds the d^2 x d^2 superoperator S_tau once
-per witness stack and applies it to the whole stack: to each witness in P
-mode, and to every d x d block of each doubled-space witness in CP mode, so
-I (x) Lambda_t is never built. With early_stop=True the library goes
-through as stacks of 1, 2, 4, ... witnesses, each with its own pass over
-the stencil times, so S_tau is built once per stencil time in every chunk:
-scan-p --preset unitary builds 342 channels for 57 stencil times in 6
-chunks. Nothing is kept past the stencil time that built it, so memory
-grows with library size x D^2 (D the witness dimension), not with grid
-length.
+P and CP scans run one engine on one path. At each stencil time tau (t and
+t +/- h, plus t +/- h/10 for a re-check) it builds the d^2 x d^2
+superoperator S_tau once per witness stack and applies I_m (x) Lambda_tau
+to the whole stack, m read from the witnesses' shape: m = 1 in P mode, and
+m = d in CP mode, so I (x) Lambda_t is never built. With early_stop=True
+the library goes through as stacks of 1, 2, 4, ... witnesses, each with
+its own pass over the stencil times, so S_tau is built once per stencil
+time in every chunk: scan-p --preset unitary builds 342 channels for 57
+stencil times in 6 chunks. Nothing is kept past the stencil time that
+built it, so memory grows with library size x D^2 (D the witness
+dimension), not with grid length.
 
 Hermiticity is checked once per input, never per image: each chunk's
 stack passes require_hermitian once (a non-finite witness fails it), and
-each S_tau once per stencil time (_member): a non-finite S_tau raises
-InvalidFamily, and one that is not Hermiticity preserving (HP) raises
-NonHermitianInput; Kraus operators certify CP, hence HP. An HP map sends
+each S_tau once per stencil time: DynamicalFamily.channel raises
+InvalidFamily for a non-finite S_tau, as it does for every consumer, and
+_member raises NonHermitianInput for one that is not Hermiticity preserving
+(HP); Kraus operators certify CP, hence HP. An HP map sends
 the symmetrized witnesses to Hermitian images, so the images go straight
 to operators._trace_norms, whose eigensolve reads one triangle: a diagonal
 image is summed with no eigensolve, and the others take one stacked
@@ -37,10 +38,11 @@ Real maps and real witnesses run in float64 throughout. The stack is split
 by value into its real rows and its complex rows, once per stack; each part
 takes one apply and one trace-norm call (dsyevd for a real map on the real
 part), and the norms go back in the original row order, so rows, verdicts
-and the argmax do not depend on the split. In CP mode each stack is first
-cut to the block rows and columns R where some witness has a nonzero d x d
-block (_nonzero_blocks), so I_|R| (x) Lambda_t acts on the R x R blocks
-alone: the Schur CP witness kron(E00, H) is applied and solved at n x n.
+and the argmax do not depend on the split. Each stack is first cut to the
+block rows and columns R where some witness has a nonzero d x d block
+(_nonzero_blocks), so I_|R| (x) Lambda_t acts on the R x R blocks alone:
+the Schur CP witness kron(E00, H) is applied and solved at n x n. A P
+stack is cut only when all its witnesses are zero.
 The apply route (stacked_apply's) is read from the off-diagonal support J
 of S_tau, once per stencil time: J empty (a Schur multiplier such as
 A_t o X) is an entrywise product, J short of all d^2 positions (an
@@ -108,11 +110,15 @@ class DynamicalFamily:
 
     def channel(self, t: float) -> Channel:
         """channel_at(t); raises DimensionMismatch when that member acts on
-        another dimension than the family's d."""
+        another dimension than the family's d, and InvalidFamily naming t
+        when its superoperator holds a NaN or infinite entry, so no consumer
+        computes on one."""
         _check_time(t, self.t_domain)
         ch = self.channel_at(t)
         if ch.d != self.d:
             raise DimensionMismatch(f"channel at t={t} has dimension {ch.d}, family dimension {self.d}")
+        if not np.isfinite(ch.super).all():
+            raise InvalidFamily(f"{self.name or 'family'} has a non-finite superoperator at t={t}", t=t)
         return ch
 
 
@@ -221,14 +227,12 @@ def _by_dtype(ws: np.ndarray):
 def _member(fam, tau):
     """S_tau and its off-diagonal support, read once per stencil time.
 
-    Raises InvalidFamily for a non-finite S_tau, and NonHermitianInput for
-    an S_tau that is not Hermiticity preserving (hp_deviation above
-    SCAN_HERM_ATOL): the images are taken as Hermitian without a check, and
-    such a map could send a Hermitian witness to a non-Hermitian image.
+    Raises NonHermitianInput for an S_tau that is not Hermiticity preserving
+    (hp_deviation above SCAN_HERM_ATOL): the images are taken as Hermitian
+    without a check, and such a map could send a Hermitian witness to a
+    non-Hermitian image.
     """
     ch = fam.channel(tau)
-    if not np.isfinite(ch.super).all():
-        raise InvalidFamily(f"{fam.name or 'family'} has a non-finite superoperator at t={tau}", t=tau)
     dev = ch.hp_deviation()
     if dev > SCAN_HERM_ATOL:
         raise NonHermitianInput(
@@ -238,33 +242,33 @@ def _member(fam, tau):
 
 
 def _nonzero_blocks(ys: np.ndarray, d: int) -> np.ndarray:
-    """The doubled-space stack ys restricted to R x R blocks, R the block
-    rows and columns where some operand has a nonzero d x d block; ys
-    itself when R is all of 0..d-1. I (x) Lambda maps a zero block to a
-    zero block, so the dropped rows and columns of every image are zero and
-    add only zero eigenvalues."""
-    n = len(ys)
-    nonzero = (ys != 0).reshape(n, d, d, d, d).any(axis=(0, 2, 4))
+    """The stack ys of (m d) x (m d) operands, m read from its shape, cut to
+    R x R blocks, R the block rows and columns where some operand has a
+    nonzero d x d block; ys itself when R is all of 0..m-1. I_m (x) Lambda
+    maps a zero block to a zero block, so the dropped rows and columns of
+    every image only add zero eigenvalues; an all-zero stack is cut to
+    (N, 0, 0), with norms 0."""
+    n, m = len(ys), ys.shape[-1] // d
+    nonzero = (ys != 0).reshape(n, m, d, m, d).any(axis=(0, 2, 4))
     keep = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    if keep.size == d:
+    if keep.size == m:
         return ys
-    return ys.reshape(n, d, d, d, d)[:, keep][:, :, :, keep].reshape(n, keep.size * d, keep.size * d)
+    return ys.reshape(n, m, d, m, d)[:, keep][:, :, :, keep].reshape(n, keep.size * d, keep.size * d)
 
 
-def _curves(fam, grid, h, ws, tau_slope, extended):
+def _curves(fam, grid, h, ws, tau_slope):
     """Norms, central-difference slopes and h/10 re-check slopes, each of
-    shape (len(grid), N), for one checked stack of N witnesses.
+    shape (len(grid), N), for one checked stack of N witnesses, P or CP.
 
-    S_tau is built and checked once per stencil time of this stack (so once
-    per chunk of the library) and applied to its real and its complex rows,
-    and the norms go back in row order; nothing outlives the stencil time
-    that built it. In CP mode each stack is first cut to its nonzero
-    blocks. Re-check slopes are NaN where the slope did not exceed
-    tau_slope.
+    Each stack is first cut to its nonzero blocks. S_tau is built and
+    checked once per stencil time of this stack (so once per chunk of the
+    library) and applied to its real and its complex rows, and the norms go
+    back in row order; nothing outlives the stencil time that built it.
+    Re-check slopes are NaN where the slope did not exceed tau_slope.
     """
 
-    def norms(ys: np.ndarray):  # tau -> trace norms of Lambda_tau on the stack ys
-        parts = _by_dtype(_nonzero_blocks(ys, fam.d) if extended else ys)
+    def norms(ys: np.ndarray):  # tau -> trace norms of I_m (x) Lambda_tau on the stack ys
+        parts = _by_dtype(_nonzero_blocks(ys, fam.d))
 
         def at(tau):
             s, support = _member(fam, tau)
@@ -288,20 +292,21 @@ def _curves(fam, grid, h, ws, tau_slope, extended):
 
 
 def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> DivisibilityReport:
-    """The one scan engine. P mode applies Lambda_t to witnesses on C^d; CP
-    mode applies I (x) Lambda_t blockwise to witnesses on C^d (x) C^d."""
-    extended = mode == "CP"
+    """The one scan engine, one path for both modes: Lambda_t on witnesses
+    on C^d (P), I (x) Lambda_t on witnesses on C^d (x) C^d (CP); the mode
+    sets only the witness dimension, the default library and the verdicts."""
+    cp = mode == "CP"
     lo, hi = fam.t_domain
     if h is None:
         h = STENCIL_WIDTH * (hi - lo)
     grid = np.linspace(lo + h, hi - h, 51) if grid is None else np.asarray(grid, dtype=float)
     _check_stencil(grid, h, fam.t_domain)
-    dim = fam.d * fam.d if extended else fam.d
+    dim = fam.d * fam.d if cp else fam.d
     if witnesses is None:
         rng = np.random.default_rng(seed)
-        canonical = fam.cp_witnesses if extended else fam.witnesses
+        canonical = fam.cp_witnesses if cp else fam.witnesses
         witnesses = [(f"canonical-{i}", w) for i, w in enumerate(canonical)]
-        if extended:
+        if cp:
             witnesses += default_witnesses(dim, rng, n_proj=10, n_herm=10, pair_cap=60)
         else:
             witnesses += default_witnesses(dim, rng)
@@ -318,7 +323,7 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     for start, stop in _chunks(len(witnesses), early_stop):
         chunk = witnesses[start:stop]
         ws = require_hermitian(np.stack([np.asarray(w) for _, w in chunk]), SCAN_HERM_ATOL)
-        values, derivs, fine = _curves(fam, grid, h, ws, tau_slope, extended)
+        values, derivs, fine = _curves(fam, grid, h, ws, tau_slope)
         for n, (wid, w) in enumerate(chunk):
             for k, t in enumerate(grid):
                 t, deriv = float(t), float(derivs[k, n])
@@ -341,7 +346,7 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
 
     if best is not None:
         deriv, t, wid, w = best
-        verdict = NOT_CP_DIVISIBLE if extended else NOT_P_DIVISIBLE
+        verdict = NOT_CP_DIVISIBLE if cp else NOT_P_DIVISIBLE
         return DivisibilityReport(
             verdict=verdict,
             mode=mode,
@@ -352,7 +357,7 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
             rows=rows,
             notes=notes,
         )
-    verdict = CP_EVIDENCE if extended else P_EVIDENCE
+    verdict = CP_EVIDENCE if cp else P_EVIDENCE
     notes.append("no witness growth found; evidence of divisibility, not proof")
     return DivisibilityReport(verdict=verdict, mode=mode, rows=rows, notes=notes)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DegenerateDenominator, DimensionMismatch, HypothesisViolated, InvalidFamily
-from .channels import TP_ATOL, Channel
+from .channels import TP_ATOL, Channel, stacked_apply
 from .divisibility import DynamicalFamily, make_dynamical_family
 from .operators import vec
 
@@ -101,20 +101,16 @@ def two_positive_necessary(params: IdempotentParams, atol: float = COEFF_ATOL) -
 
 def two_positive_probe_choi(params: IdempotentParams) -> np.ndarray:
     """Dense route for the 2-positivity conditions: the Choi matrix of
-    I_2 (x) Phi compressed to the span of two basis vectors inside one block.
+    I_2 (x) Phi compressed to the span of two basis vectors inside one block,
+    (I_2 (x) Phi)(Y) for the 2d x 2d operand Y whose block (i, j) is E_ij.
     Its spectrum is {2a+2b+c/k+d/nk (x1), c/k+d/nk (x 2k-1), d/nk (x 2k(n-1))}.
     """
     if params.k < 2:
         raise HypothesisViolated("probe needs two basis vectors in one block (k >= 2)")
     d = params.n * params.k
-    ch = phi(params)
-    e = np.eye(d)
-    c2 = np.zeros((2 * d, 2 * d), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            blk = ch.apply(np.outer(e[i], e[j]))
-            c2[i * d : (i + 1) * d, j * d : (j + 1) * d] = blk
-    return c2
+    omega = np.zeros(2 * d)
+    omega[[0, d + 1]] = 1.0  # e_0 (x) e_0 + e_1 (x) e_1
+    return stacked_apply(phi(params).super, d, np.outer(omega, omega)[None])[0]
 
 
 def l_positive_condition(params: IdempotentParams, l: int) -> bool:

@@ -161,7 +161,7 @@ def _choi_negative_witness(n: int, k: int, s_coeffs, t_coeffs) -> np.ndarray:
     v = vecs[:, 0]  # most negative direction
     vv = np.outer(v, v.conj())
     lam_s_inv = inverse(phi(IdempotentParams(n, k, *s_coeffs)))
-    y = stacked_apply(lam_s_inv.super, n * k, vv[None], extended=True)[0]
+    y = stacked_apply(lam_s_inv.super, n * k, vv[None])[0]
     return (y + y.conj().T) / 2
 
 

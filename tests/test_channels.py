@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import divscan.channels
 from divscan._errors import DimensionMismatch, HypothesisViolated, SingularChannel
 from divscan.channels import (
     Channel,
@@ -20,7 +21,7 @@ from divscan.channels import (
     super_channel,
     transpose_channel,
 )
-from divscan.operators import random_hermitian, trace_norm, unvec, vec
+from divscan.operators import random_hermitian, random_projector_difference, trace_norm, unvec, vec
 from divscan.schur import schur_channel
 
 
@@ -85,8 +86,9 @@ def test_kraus_to_super_rejects_mixed_shapes_with_a_typed_error(shapes):
 def test_real_input_stays_float64_and_matches_the_complex_route():
     """Real Kraus operators give a float64 superoperator from kraus_to_super
     and Channel.super, a real superoperator stays float64 in a Channel, and
-    stacked_apply of a real map on a real stack is float64 in P and in
-    extended mode; each agrees with the same computation on complex casts."""
+    stacked_apply of a real map on a real stack is float64 on d x d and on
+    doubled-space operands; each agrees with the same computation on
+    complex casts."""
     rng = np.random.default_rng(31)
     ks = [rng.normal(size=(3, 3)) for _ in range(3)]
     s = kraus_to_super(ks)
@@ -96,10 +98,10 @@ def test_real_input_stays_float64_and_matches_the_complex_route():
     assert Channel(3, kraus=ks).super.dtype == np.float64
     assert Channel(3, super_matrix=s).super.dtype == np.float64
     assert np.max(np.abs(Channel(3, kraus=ks).super - s_complex)) <= 1e-12
-    for stack, extended in ((rng.normal(size=(4, 3, 3)), False), (rng.normal(size=(4, 9, 9)), True)):
-        out = stacked_apply(s, 3, stack, extended=extended)
+    for stack in (rng.normal(size=(4, 3, 3)), rng.normal(size=(4, 9, 9))):
+        out = stacked_apply(s, 3, stack)
         assert out.dtype == np.float64
-        want = stacked_apply(s_complex, 3, stack.astype(complex), extended=extended)
+        want = stacked_apply(s_complex, 3, stack.astype(complex))
         assert np.max(np.abs(out - want)) <= 1e-12
 
 
@@ -128,11 +130,11 @@ def test_complex_or_mixed_input_stays_complex():
     assert Channel(3, kraus=[real, cplx]).super.dtype == complex
     assert Channel(3, super_matrix=kraus_to_super([cplx])).super.dtype == complex
     s_real, s_complex = kraus_to_super([real]), kraus_to_super([cplx])
-    for extended, dim in ((False, 3), (True, 9)):
+    for dim in (3, 9):
         xs_real = rng.normal(size=(2, dim, dim))
         xs_complex = xs_real + 1j * rng.normal(size=(2, dim, dim))
-        assert stacked_apply(s_real, 3, xs_complex, extended=extended).dtype == complex
-        assert stacked_apply(s_complex, 3, xs_real, extended=extended).dtype == complex
+        assert stacked_apply(s_real, 3, xs_complex).dtype == complex
+        assert stacked_apply(s_complex, 3, xs_real).dtype == complex
 
 
 def test_empty_kraus_set_is_rejected_at_construction():
@@ -240,26 +242,33 @@ def test_extension_super_matches_kron_kraus_route():
 
 
 def test_stacked_apply_agrees_with_apply_and_extended_channel():
-    """stacked_apply, Channel.apply and the built extension all give the
-    Kraus sums sum_j K_j X K_j* and sum_j (I (x) K_j) Y (I (x) K_j)*."""
+    """stacked_apply reads the block count m from its operands: on 3 x 3,
+    6 x 6 and 9 x 9 stacks it gives the Kraus sums of K_j, I_2 (x) K_j and
+    I_3 (x) K_j, and Channel.apply and the built extension agree with it."""
     rng = np.random.default_rng(17)
     ch = random_cptp(3, 2, rng)
-    xs = np.stack([random_hermitian(3, rng) for _ in range(4)])
-    ys = np.stack([random_hermitian(9, rng) for _ in range(4)])
-    out = stacked_apply(ch.super, 3, xs)
-    ext = stacked_apply(ch.super, 3, ys, extended=True)
-    lifted = [np.kron(np.eye(3), k) for k in ch.kraus]
-    for x, y, o, e in zip(xs, ys, out, ext):
-        want_x = sum(k @ x @ k.conj().T for k in ch.kraus)
-        want_y = sum(k @ y @ k.conj().T for k in lifted)
-        assert np.max(np.abs(o - want_x)) < 1e-12
-        assert np.max(np.abs(ch.apply(x) - want_x)) < 1e-12
-        assert np.max(np.abs(e - want_y)) < 1e-12
-        assert np.max(np.abs(extend_channel(ch).apply(y) - want_y)) < 1e-12
-    with pytest.raises(DimensionMismatch):
-        stacked_apply(ch.super, 3, ys)
-    with pytest.raises(DimensionMismatch):
-        stacked_apply(ch.super, 3, xs[0], extended=True)
+    for m in (1, 2, 3):
+        ys = np.stack([random_hermitian(3 * m, rng) for _ in range(4)])
+        lifted = [np.kron(np.eye(m), k) for k in ch.kraus]
+        for y, e in zip(ys, stacked_apply(ch.super, 3, ys)):
+            want = sum(k @ y @ k.conj().T for k in lifted)
+            assert np.max(np.abs(e - want)) < 1e-12
+            assert np.max(np.abs(ch.apply(y) - want)) < 1e-12
+            if m == 3:
+                assert np.max(np.abs(extend_channel(ch).apply(y) - want)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(9, 9), (2, 4, 4), (2, 8, 8), (2, 3, 6), (2, 6, 3), (2, 0, 0), (1, 2, 3, 3), ()],
+    ids=["2d", "side-4", "side-8", "wide", "tall", "side-0", "4d", "scalar"],
+)
+def test_operand_stack_of_another_shape_raises_a_typed_error(shape):
+    """At d = 3 an operand stack must be (N, 3m, 3m) with m >= 1: a 2-D or
+    4-D array, a non-square stack, or a side that is not a positive
+    multiple of 3 raises DimensionMismatch, not numpy's reshape error."""
+    with pytest.raises(DimensionMismatch, match="operand stack shape"):
+        stacked_apply(transpose_channel(3).super, 3, np.zeros(shape))
 
 
 def test_extension_of_a_super_only_channel_agrees_blockwise():
@@ -272,7 +281,7 @@ def test_extension_of_a_super_only_channel_agrees_blockwise():
     assert ch.kraus is None
     ys = np.stack([random_hermitian(9, rng) for _ in range(3)])
     ext = extend_channel(ch)
-    for y, e in zip(ys, stacked_apply(ch.super, 3, ys, extended=True)):
+    for y, e in zip(ys, stacked_apply(ch.super, 3, ys)):
         want = _blockwise(ch.super, 3, y)
         assert np.max(np.abs(e - want)) < 1e-12
         assert np.max(np.abs(ext.apply(y) - want)) < 1e-12
@@ -300,34 +309,33 @@ def _logged(s):
     return out
 
 
-def _dense_apply(s, d, ys, extended):
+def _dense_apply(s, d, ys):
     """The dense reference: one v @ s.T over the column-stacked vec of every
-    d x d block of every operand."""
-    m = d if extended else 1
-    n = len(ys)
+    d x d block of every (m d) x (m d) operand, m read from the shape."""
+    n, m = len(ys), ys.shape[-1] // d
     v = ys.reshape(n, m, d, m, d).transpose(0, 1, 3, 4, 2).reshape(n * m * m, d * d)
     out = (v @ s.T).reshape(n, m, m, d, d)
     return out.transpose(0, 1, 4, 2, 3).reshape(n, m * d, m * d)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("extended", [False, True], ids=["P", "CP"])
+@pytest.mark.parametrize("cp", [False, True], ids=["P", "CP"])
 @pytest.mark.parametrize("n", [3, 8, 16])
-def test_schur_multiplier_is_applied_entrywise_with_the_matmul_bits(n, extended, kind):
+def test_schur_multiplier_is_applied_entrywise_with_the_matmul_bits(n, cp, kind):
     """schur_channel's superoperator is diagonal, so stacked_apply never
     multiplies it as a matrix, and the entrywise product equals the dense
     v @ s.T exactly."""
     rng = np.random.default_rng(40 + n)
     s = schur_channel(n, 0.3).super
-    dim = n * n if extended else n
+    dim = n * n if cp else n
     ys = np.stack([random_hermitian(dim, rng) for _ in range(3)])
     if kind == "real":
         ys = ys.real.copy()
     logged = _logged(s)
-    out = stacked_apply(logged, n, ys, extended=extended)
+    out = stacked_apply(logged, n, ys)
     assert logged.log == []
     assert out.dtype == ys.dtype
-    assert np.array_equal(out, _dense_apply(s, n, ys, extended))
+    assert np.array_equal(out, _dense_apply(s, n, ys))
 
 
 def test_sparse_support_is_multiplied_on_its_rows_and_columns():
@@ -344,7 +352,7 @@ def test_sparse_support_is_multiplied_on_its_rows_and_columns():
     for ch, size in ((super_channel(s, 3), 2), (transpose_channel(3), 6)):
         logged = _logged(ch.super)
         out = stacked_apply(logged, 3, xs)
-        ext = stacked_apply(logged, 3, ys, extended=True)
+        ext = stacked_apply(logged, 3, ys)
         assert logged.shapes == [(size, size)] * 4
         for x, o in zip(xs, out):
             assert np.max(np.abs(o - _blockwise(ch.super, 3, x))) < 1e-12
@@ -356,10 +364,10 @@ def test_sparse_support_is_multiplied_on_its_rows_and_columns():
 def _sparse_superoperators(draw):
     """A random d^2 x d^2 superoperator, real or complex, whose off-diagonal
     entries are nonzero at a random density (none, a few, half or all) and
-    whose diagonal holds some exact zeros, with a random stack of operands,
-    real or complex, for P or CP mode."""
+    whose diagonal holds some exact zeros, with a random stack of
+    (m d) x (m d) operands, real or complex, m drawn from {1, 2, d}."""
     d = draw(st.integers(1, 4))
-    extended = draw(st.booleans())
+    m = draw(st.sampled_from([1, 2, d]))
     complex_s, complex_ys = draw(st.booleans()), draw(st.booleans())
     density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -369,8 +377,7 @@ def _sparse_superoperators(draw):
 
     s = sample((d * d, d * d), complex_s) * (rng.random((d * d, d * d)) < density)
     np.fill_diagonal(s, sample(d * d, complex_s) * (rng.random(d * d) < 0.8))
-    dim = d * d if extended else d
-    return s, d, sample((draw(st.integers(1, 4)), dim, dim), complex_ys), extended
+    return s, d, sample((draw(st.integers(1, 4)), m * d, m * d), complex_ys)
 
 
 @settings(max_examples=120)
@@ -380,65 +387,69 @@ def test_sparse_support_route_matches_the_dense_matmul(case):
     dense v @ s.T within 1e-12 of the image's scale, keeps its dtype, and
     multiplies no matrix larger than S[J, J]: J empty takes no matmul, J
     short of all d^2 positions only |J| x |J| ones."""
-    s, d, ys, extended = case
+    s, d, ys = case
     offdiagonal = (s != 0) & ~np.eye(d * d, dtype=bool)
     support = np.flatnonzero(offdiagonal.any(axis=0) | offdiagonal.any(axis=1))
     logged = _logged(s)
-    out = stacked_apply(logged, d, ys, extended=extended)
-    want = _dense_apply(s, d, ys, extended)
+    out = stacked_apply(logged, d, ys)
+    want = _dense_apply(s, d, ys)
     assert out.dtype == want.dtype
     assert np.max(np.abs(out - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     assert all(shape == (support.size, support.size) for shape in logged.shapes)
     assert bool(logged.shapes) == bool(support.size)
 
 
-@pytest.mark.parametrize("extended", [False, True], ids=["P", "CP"])
+@pytest.mark.parametrize("cp", [False, True], ids=["P", "CP"])
 @pytest.mark.parametrize("shape", [(4, 4), (16, 16), (9, 4), (81,)], ids=["d2", "d4", "rect", "vector"])
-def test_superoperator_of_another_dimension_raises_a_typed_error(shape, extended):
+def test_superoperator_of_another_dimension_raises_a_typed_error(shape, cp):
     """An s that is not d^2 x d^2 is rejected before any operand is read,
     with DimensionMismatch rather than numpy's reshape ValueError."""
-    dim = 9 if extended else 3
+    dim = 9 if cp else 3
     with pytest.raises(DimensionMismatch, match="superoperator shape"):
-        stacked_apply(np.ones(shape), 3, np.zeros((1, dim, dim)), extended)
+        stacked_apply(np.ones(shape), 3, np.zeros((1, dim, dim)))
 
 
 def test_apply_rejects_an_operand_of_another_dimension():
     """Channel.apply is a stack of one on stacked_apply's route, so an
-    operand of the wrong shape raises its DimensionMismatch."""
+    operand whose side is not a multiple of d, a non-square one, a vector
+    or a stack raises its DimensionMismatch; a 9 x 9 operand at d = 3 is
+    the doubled space, where it applies I (x) Lambda."""
     ch = transpose_channel(3)
-    for x in (np.eye(2), np.eye(9), np.ones(3), np.ones((2, 3, 3))):
+    for x in (np.eye(2), np.eye(8), np.ones((3, 6)), np.ones(3), np.ones((2, 3, 3))):
         with pytest.raises(DimensionMismatch):
             ch.apply(x)
+    y = random_hermitian(9, np.random.default_rng(46))
+    assert np.array_equal(ch.apply(y), _blockwise(ch.super, 3, y))
 
 
 def test_zero_superoperator_returns_zeros():
     """The zero map is diagonal; its image of any stack is +0 everywhere,
     also where an operand entry is negative and its product with 0 is -0."""
     rng = np.random.default_rng(44)
-    for extended, dim in ((False, 3), (True, 9)):
+    for dim in (3, 6, 9):
         real = rng.normal(size=(2, dim, dim))
         for ys in (real, real + 1j * rng.normal(size=(2, dim, dim))):
-            out = stacked_apply(np.zeros((9, 9)), 3, ys, extended=extended)
+            out = stacked_apply(np.zeros((9, 9)), 3, ys)
             assert out.shape == ys.shape and out.dtype == ys.dtype
             assert not np.any(out)
             assert not np.any(np.signbit(out.real)) and not np.any(np.signbit(out.imag))
 
 
-@pytest.mark.parametrize("extended", [False, True], ids=["P", "CP"])
-def test_complex_rows_of_a_real_map_take_two_real_matmuls(extended):
+@pytest.mark.parametrize("cp", [False, True], ids=["P", "CP"])
+def test_complex_rows_of_a_real_map_take_two_real_matmuls(cp):
     """A real, non-diagonal superoperator on a complex stack multiplies only
     real matrices (the real and the imaginary parts), returns complex, and
     equals the complex-cast matmul within 1e-12."""
     rng = np.random.default_rng(45)
     s = kraus_to_super([rng.normal(size=(3, 3)) for _ in range(2)])
     assert s.dtype == np.float64
-    dim = 9 if extended else 3
+    dim = 9 if cp else 3
     ys = np.stack([random_hermitian(dim, rng) for _ in range(4)])
     logged = _logged(s)
-    out = stacked_apply(logged, 3, ys, extended=extended)
+    out = stacked_apply(logged, 3, ys)
     assert out.dtype == complex
     assert logged.log == [np.float64, np.float64]
-    assert np.max(np.abs(out - _dense_apply(s.astype(complex), 3, ys, extended))) <= 1e-12
+    assert np.max(np.abs(out - _dense_apply(s.astype(complex), 3, ys))) <= 1e-12
 
 
 def test_tp_deviation_reads_the_trace_defect_in_both_forms():
@@ -471,7 +482,7 @@ def test_transpose_extension_detects_negativity_on_entangled_input():
     assert np.min(np.linalg.eigvalsh(partial_transpose)) < -1e-3
     out = extend_channel(tc).apply(omega)
     assert np.max(np.abs(out - partial_transpose)) < 1e-12
-    stacked = stacked_apply(tc.super, d, omega[None], extended=True)[0]
+    stacked = stacked_apply(tc.super, d, omega[None])[0]
     assert np.max(np.abs(stacked - partial_transpose)) < 1e-12
 
 
@@ -502,6 +513,87 @@ def test_contractivity_probe_witnesses_nonpositive_tp_map():
     out = positivity_by_contractivity(ch, n_samples=200, seed=5)
     assert not out["positive_evidence"]
     assert out["output_norm"] > out["input_norm"] + 1e-9
+
+
+def _reference_probe(ch, n_samples, seed):
+    """The probe one operand at a time: one Channel.apply and two trace_norm
+    calls per operand, in the probe's order (the deterministic sweep, then
+    random rank-1 projector differences at even and random Hermitian
+    samples at odd indices). Returns the probe's dict and the sweep's
+    length."""
+    rng = np.random.default_rng(seed)
+    d = ch.d
+    eye = np.eye(d)
+    swept = [np.outer(eye[i], eye[i]) for i in range(d)]
+    swept += [np.diag(eye[i] - eye[j]) for i in range(d) for j in range(i + 1, d)]
+    for i in range(0, d - 1, 2):
+        for j in range(i + 2, d - 1, 2):
+            e, f = np.zeros(d), np.zeros(d)
+            e[[i, i + 1]] = f[[j, j + 1]] = 1.0
+            swept.append(np.diag(e - f))
+    for checked in range(n_samples):
+        if checked < len(swept):
+            x = swept[checked]
+        elif checked % 2 == 0:
+            x = random_projector_difference(d, rng)
+        else:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            x = (g + g.conj().T) / 2
+        nin, nout = trace_norm(x), trace_norm(ch.apply(x), atol=1e-8)
+        if nout > nin + 1e-9:
+            found = {"positive_evidence": False, "witness": x, "input_norm": nin, "output_norm": nout}
+            return found | {"n_checked": checked + 1}, len(swept)
+    empty = dict.fromkeys(["witness", "input_norm", "output_norm"])
+    return empty | {"positive_evidence": True, "n_checked": n_samples}, len(swept)
+
+
+def _probe_maps(d, rng):
+    """Random CPTP maps (Kraus and superoperator form), transpose mixtures
+    w T + (1 - w) id (positive for w in [0, 1]; otherwise they grow only on
+    non-diagonal operands, so only random ones find it) and the TP map
+    X -> (2/d) tr(X) I - X (non-positive for d >= 3 on the sweep's
+    projectors)."""
+    eye = np.eye(d * d)
+    maps = {"kraus": random_cptp(d, 2, rng), "super": super_channel(random_cptp(d, 3, rng).super, d)}
+    for w in (0.5, 1.3, -0.2):
+        maps[f"transpose-{w}"] = super_channel(w * transpose_channel(d).super + (1 - w) * eye, d)
+    maps["reduction"] = super_channel((2.0 / d) * np.outer(vec(np.eye(d)), vec(np.eye(d))) - eye, d)
+    return maps
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_stacked_probe_matches_the_per_operand_loop(monkeypatch, d):
+    """The probe applies its operands as at most two stacks, the sweep and
+    then, only if the sweep shows no growth, the random operands: it
+    agrees with the per-operand loop in evidence, n_checked and the
+    witness's bits, and in the norms within 1e-12."""
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return stacked_apply(*args)
+
+    for name, ch in _probe_maps(d, np.random.default_rng(50 + d)).items():
+        for n_samples in (1, 5, 50, 400):
+            for seed in (7, 3):
+                calls.clear()
+                monkeypatch.setattr(divscan.channels, "stacked_apply", counted)
+                got = positivity_by_contractivity(ch, n_samples=n_samples, seed=seed)
+                monkeypatch.undo()
+                want, n_swept = _reference_probe(ch, n_samples, seed)
+                case = (name, n_samples, seed)
+                assert got["positive_evidence"] == want["positive_evidence"], case
+                assert got["n_checked"] == want["n_checked"], case
+                swept_growth = not want["positive_evidence"] and want["n_checked"] <= n_swept
+                assert len(calls) == (1 if swept_growth or n_samples <= n_swept else 2), case
+                assert sum(calls) <= n_samples
+                if want["witness"] is None:
+                    assert got["witness"] is None and got["input_norm"] is None and got["output_norm"] is None
+                    continue
+                assert got["witness"].dtype == want["witness"].dtype, case
+                assert np.array_equal(got["witness"], want["witness"]), case
+                for key in ("input_norm", "output_norm"):
+                    assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, want[key]), case
 
 
 def test_contractivity_probe_requires_tp():

@@ -508,6 +508,55 @@ def test_member_that_is_nan_at_one_stencil_point_raises_invalid_family(scan):
     assert abs(err.value.t - 0.33) < 1e-9
 
 
+def test_non_finite_member_raises_invalid_family_in_every_consumer():
+    """A superoperator-only family that is NaN for t > 0.5: the kernel
+    inclusion test and the intermediate map reach a NaN member through
+    DynamicalFamily.channel, which raises InvalidFamily naming t rather
+    than letting numpy's SVD raise LinAlgError; so does the validation of
+    make_dynamical_family, at its first grid point past 0.5."""
+    d = 2
+    mix = np.outer(vec(np.eye(d)), vec(np.eye(d))) / d
+
+    def member(t):
+        s = (1 - t) * np.eye(d * d) + t * mix
+        return super_channel(np.full_like(s, np.nan) if t > 0.5 else s, d)
+
+    fam = DynamicalFamily(d=d, t_domain=(0.0, 1.0), channel_at=member, name="nan-after-0.5")
+    for consumer, s, t in ((kernel_inclusion_divisible, 0.2, 0.7), (kernel_inclusion_report, 0.2, 0.7),
+                           (intermediate_map, 0.7, 0.8)):
+        with pytest.raises(InvalidFamily, match="t=0.7") as err:
+            consumer(fam, s, t)
+        assert err.value.t == 0.7
+    assert kernel_inclusion_divisible(fam, 0.2, 0.4)
+    with pytest.raises(InvalidFamily, match="non-finite superoperator at t=0.55"):
+        make_dynamical_family(member, d=d, t_domain=(0.0, 1.0), name="nan-after-0.5")
+
+
+@pytest.mark.parametrize("mode", ["P", "CP"])
+def test_zero_witness_alone_in_its_chunk_gives_rows_of_norm_zero(mode):
+    """With early stop the first witness is a chunk of its own; a zero
+    witness cuts that stack to no blocks at all (shape (1, 0, 0), in P mode
+    as in CP), and its rows read norm 0 and slope 0. The growing witness
+    after it still gives the reference's verdict, rows and notes."""
+    fam = make_schur_family(4)
+    dim = fam.d if mode == "P" else fam.d * fam.d
+    zero = np.zeros((dim, dim))
+    assert divscan.divisibility._nonzero_blocks(zero[None], fam.d).shape == (1, 0, 0)
+    grows = hopping_witness(4) if mode == "P" else cp_block_witness(4)
+    witnesses = [("zero", zero), ("grows", grows)]
+    grid = np.linspace(0.05, 0.45, 5)
+    scan = p_divisibility_scan if mode == "P" else cp_divisibility_scan
+    report = scan(fam, grid=grid, h=1e-4, witnesses=witnesses)
+    zero_rows = [row for row in report.rows if row[1] == "zero"]
+    assert len(zero_rows) == len(grid) and all(row[2:] == (0.0, 0.0) for row in zero_rows)
+    assert report.verdict == f"NOT_{mode}_DIVISIBLE" and report.witness_id == "grows"
+    _, rows, notes = reference_scan(fam, grid, 1e-4, witnesses, 1e-6, mode, True)
+    assert report.notes == notes
+    assert [row[:2] for row in report.rows] == [row[:2] for row in rows]
+    got = np.array([row[2:] for row in report.rows])
+    assert np.max(np.abs(got - np.array([row[2:] for row in rows]))) <= 1e-9
+
+
 @pytest.mark.parametrize("early_stop", [True, False])
 @pytest.mark.parametrize("scan, dim", [(p_divisibility_scan, 4), (cp_divisibility_scan, 16)])
 def test_non_finite_witness_raises_non_hermitian_input(scan, dim, early_stop):

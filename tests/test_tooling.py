@@ -187,3 +187,29 @@ def test_channels_apply_through_stacked_apply():
     assert "stacked_apply" in called(apply)
     assert "stacked_apply" in called(funcs["extend_channel"])
     assert "kron" not in called(tree)
+
+
+def test_src_applies_no_operand_at_a_time():
+    """Operands are applied as stacks: no function in src/ calls
+    stacked_apply or an .apply method in the body of a for or while loop or
+    in the element of a comprehension, so a per-operand apply loop cannot
+    grow back."""
+    looped = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+                bodies = node.body + node.orelse
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+                bodies = [node.elt]
+            elif isinstance(node, ast.DictComp):
+                bodies = [node.key, node.value]
+            else:
+                continue
+            looped += [
+                f"{path.name}:{call.lineno}"
+                for body in bodies
+                for call in ast.walk(body)
+                if isinstance(call, ast.Call)
+                and (getattr(call.func, "attr", None) or getattr(call.func, "id", None)) in {"stacked_apply", "apply"}
+            ]
+    assert not looped, looped
