@@ -57,15 +57,17 @@ def kraus_to_super(kraus) -> np.ndarray:
 class Channel:
     """A linear map on d x d matrices, held as its d^2 x d^2 superoperator
     `super`, formed once at construction; every computation runs on it.
-    Kraus operators, when given, are kept as `kraus` only to certify CP.
+    Exactly one form is given, and d >= 1, else DimensionMismatch: Kraus
+    operators build `super` and are kept as `kraus` only to certify CP, so
+    they certify no map but the one built from them.
     Real Kraus operators or a real superoperator stay float64, and so does
     apply() of a real operand.
     """
 
     def __init__(self, d: int, kraus=None, super_matrix=None):
-        if kraus is None and super_matrix is None:
-            raise DimensionMismatch("need Kraus operators or a superoperator")
         self.d = int(d)
+        if (kraus is None) == (super_matrix is None) or self.d < 1:
+            raise DimensionMismatch(f"need d >= 1 and exactly one of Kraus operators and a superoperator; d={d}")
         self.kraus = None if kraus is None else tuple(_inexact(k) for k in kraus)
         if self.kraus is not None:
             if not self.kraus:
@@ -88,7 +90,8 @@ class Channel:
     def hp_deviation(self) -> float:
         """max |S[(i,j),(k,l)] - conj(S[(j,i),(l,k)])|, entrywise; zero exactly
         when the map is Hermiticity preserving (its Choi matrix is Hermitian),
-        NaN for a non-finite S. Kraus operators certify CP, hence HP: 0.0."""
+        NaN for a non-finite S. Kraus operators built S and certify CP,
+        hence HP: 0.0."""
         if self.kraus is not None:
             return 0.0
         s = self.super.reshape((self.d,) * 4)  # s[j, i, l, k] = S[(i,j),(k,l)]
@@ -117,8 +120,10 @@ class ChoiMatrix:
     d: int
 
     def is_psd(self) -> bool:
-        vals = np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)
-        return bool(vals.min() >= -CP_ATOL)
+        """Hermitian within CP_ATOL (max entry of C - C*), no eigenvalue below -CP_ATOL."""
+        c = self.matrix
+        herm = np.max(np.abs(c - c.conj().T)) <= CP_ATOL
+        return bool(herm and np.linalg.eigvalsh((c + c.conj().T) / 2).min() >= -CP_ATOL)
 
 
 def choi_from_super(s: np.ndarray, d: int) -> np.ndarray:
@@ -186,9 +191,9 @@ def stacked_apply(s: np.ndarray, d: int, ys: np.ndarray) -> np.ndarray:
     In either matmul the complex rows of a real s take two real matmuls on
     their real and imaginary parts. The result has the dtype of ys @ s.T,
     so a real s on a real stack stays real. Nothing here checks that s
-    preserves Hermiticity; the divisibility scan checks each S_tau once
-    (Channel.hp_deviation), reads J once per stencil time, and calls _apply
-    on its witness stacks cut to their nonzero blocks.
+    preserves Hermiticity; DynamicalFamily.channel checks each family
+    member, and the divisibility scan reads J once per stencil time and
+    calls _apply on its witness stacks cut to their nonzero blocks.
     """
     if d < 1 or np.shape(s) != (d * d, d * d):
         raise DimensionMismatch(f"superoperator shape {np.shape(s)}, expected ({d * d}, {d * d}) with d >= 1")

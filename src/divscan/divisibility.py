@@ -25,14 +25,12 @@ dimension), not with grid length.
 
 Hermiticity is checked once per input, never per image: each chunk's
 stack passes require_hermitian once (a non-finite witness fails it), and
-each S_tau once per stencil time: DynamicalFamily.channel raises
-InvalidFamily for a non-finite S_tau, as it does for every consumer, and
-_member raises NonHermitianInput for one that is not Hermiticity preserving
-(HP); Kraus operators certify CP, hence HP. An HP map sends
-the symmetrized witnesses to Hermitian images, so the images go straight
-to operators._trace_norms, whose eigensolve reads one triangle: a diagonal
-image is summed with no eigensolve, and the others take one stacked
-eigensolve on the rows and columns where they are nonzero.
+each S_tau once per stencil time, in DynamicalFamily.channel, which checks
+every member for every consumer: a non-finite S_tau raises InvalidFamily,
+one that is not Hermiticity preserving (HP) NonHermitianInput; Kraus
+operators certify CP, hence HP. An HP map sends the symmetrized witnesses
+to Hermitian images, so the images go straight to operators._trace_norms,
+whose eigensolve reads one triangle.
 
 Real maps and real witnesses run in float64 throughout. The stack is split
 by value into its real rows and its complex rows, once per stack; each part
@@ -42,7 +40,8 @@ and the argmax do not depend on the split. Each stack is first cut to the
 block rows and columns R where some witness has a nonzero d x d block
 (_nonzero_blocks), so I_|R| (x) Lambda_t acts on the R x R blocks alone:
 the Schur CP witness kron(E00, H) is applied and solved at n x n. A P
-stack is cut only when all its witnesses are zero.
+stack is cut only when all its witnesses are zero. This is the scan's one
+support cut; _trace_norms cuts no rows or columns of its own.
 The apply route (stacked_apply's) is read from the off-diagonal support J
 of S_tau, once per stencil time: J empty (a Schur multiplier such as
 A_t o X) is an entrywise product, J short of all d^2 positions (an
@@ -73,7 +72,7 @@ NOT_DIVISIBLE = "NOT_DIVISIBLE"
 
 STENCIL_WIDTH = 1e-4  # default h, relative to the span of the domain or grid
 DOMAIN_ATOL = 1e-12  # slack of every time-in-domain check
-SCAN_HERM_ATOL = 1e-7  # Hermiticity slack of scanned witnesses and channels
+SCAN_HERM_ATOL = 1e-7  # Hermiticity slack of scanned witnesses and of every family member
 KERNEL_ATOL = 1e-8  # kernel-inclusion residual, relative to ||Lambda_t||_2
 
 
@@ -109,16 +108,23 @@ class DynamicalFamily:
     cp_witnesses: tuple = ()
 
     def channel(self, t: float) -> Channel:
-        """channel_at(t); raises DimensionMismatch when that member acts on
-        another dimension than the family's d, and InvalidFamily naming t
-        when its superoperator holds a NaN or infinite entry, so no consumer
-        computes on one."""
+        """channel_at(t), checked here for every consumer: DomainExceeded
+        outside t_domain, DimensionMismatch for a member on another
+        dimension than d, InvalidFamily naming t for a non-finite
+        superoperator, and NonHermitianInput naming t for one that is not
+        Hermiticity preserving (hp_deviation above SCAN_HERM_ATOL), for
+        which the trace-norm criterion says nothing."""
         _check_time(t, self.t_domain)
         ch = self.channel_at(t)
         if ch.d != self.d:
             raise DimensionMismatch(f"channel at t={t} has dimension {ch.d}, family dimension {self.d}")
         if not np.isfinite(ch.super).all():
             raise InvalidFamily(f"{self.name or 'family'} has a non-finite superoperator at t={t}", t=t)
+        dev = ch.hp_deviation()
+        if dev > SCAN_HERM_ATOL:
+            raise NonHermitianInput(
+                f"channel at t={t} is not Hermiticity preserving: deviation {dev:.3e} (atol={SCAN_HERM_ATOL:.1e})"
+            )
         return ch
 
 
@@ -133,9 +139,11 @@ def make_dynamical_family(
 ) -> DynamicalFamily:
     """Build a family and check CP + TP on a 21-point validation grid.
 
-    Every member is checked for TP (at TP_HYPOTHESIS_ATOL) and CP: Kraus
-    operators certify CP, a member given only as a superoperator needs a
-    Choi PSD test (at CP_ATOL). Raises InvalidFamily with the first offending t.
+    Each member comes through DynamicalFamily.channel, with its checks
+    (dimension, finite, HP: NonHermitianInput naming t), and is then checked
+    for TP (at TP_HYPOTHESIS_ATOL) and CP: Kraus operators certify CP, a
+    member given only as a superoperator needs a Choi PSD test (at CP_ATOL).
+    Raises InvalidFamily with the first offending t.
     """
     fam = DynamicalFamily(
         d=d,
@@ -224,23 +232,6 @@ def _by_dtype(ws: np.ndarray):
     return [(rows, ys) for rows, ys in parts if rows.size]
 
 
-def _member(fam, tau):
-    """S_tau and its off-diagonal support, read once per stencil time.
-
-    Raises NonHermitianInput for an S_tau that is not Hermiticity preserving
-    (hp_deviation above SCAN_HERM_ATOL): the images are taken as Hermitian
-    without a check, and such a map could send a Hermitian witness to a
-    non-Hermitian image.
-    """
-    ch = fam.channel(tau)
-    dev = ch.hp_deviation()
-    if dev > SCAN_HERM_ATOL:
-        raise NonHermitianInput(
-            f"channel at t={tau} is not Hermiticity preserving: deviation {dev:.3e} (atol={SCAN_HERM_ATOL:.1e})"
-        )
-    return ch.super, _support(ch.super)
-
-
 def _nonzero_blocks(ys: np.ndarray, d: int) -> np.ndarray:
     """The stack ys of (m d) x (m d) operands, m read from its shape, cut to
     R x R blocks, R the block rows and columns where some operand has a
@@ -271,8 +262,8 @@ def _curves(fam, grid, h, ws, tau_slope):
         parts = _by_dtype(_nonzero_blocks(ys, fam.d))
 
         def at(tau):
-            s, support = _member(fam, tau)
-            out = np.empty(len(ys))
+            s = fam.channel(tau).super
+            support, out = _support(s), np.empty(len(ys))
             for rows, part in parts:
                 out[rows] = _trace_norms(_apply(s, fam.d, part, support))
             return out
@@ -400,7 +391,7 @@ def central_difference(f, t: float, h: float):
 
 def _null_basis(s: np.ndarray) -> np.ndarray:
     _, sv, vh = np.linalg.svd(s)
-    if sv.size == 0 or sv[0] == 0.0:
+    if sv[0] == 0.0:
         return vh.conj().T  # zero map: everything is kernel
     rank = int(np.sum(sv > RCOND * sv[0]))
     return vh[rank:].conj().T

@@ -6,11 +6,11 @@ on these few primitives. ``trace_norm`` and ``trace_norms`` check
 Hermiticity against ``TAU_HERM`` (max-entry deviation; a non-finite entry
 fails it) before any eigensolve. Every trace norm then comes from one route,
 which reads the exact zeros of each matrix: a diagonal one is summed without
-an eigensolve, and the others are eigensolved only on the rows and columns
-where the stack is nonzero. The divisibility scan calls that route directly
-on its images: it checks its witnesses and each channel once instead, and
-the eigensolve reads one triangle of each image, so no image is checked or
-copied.
+an eigensolve, and the others take one stacked eigensolve at full size. The
+divisibility scan calls that route directly on its images, already cut to
+their nonzero blocks: it checks its witnesses and each channel once instead,
+and the eigensolve reads one triangle of each image, so no image is checked
+or copied.
 
 Vectorization is column-stacking throughout: ``vec(A X B) = kron(B.T, A) vec(X)``.
 """
@@ -103,11 +103,12 @@ def _trace_norms(xs: np.ndarray) -> np.ndarray:
     read. Each row's route comes from its exact zeros:
     - a row whose off-diagonal entries are all zero (a zero matrix too) is
       diagonal, and its norm is sum|Re diag|, with no eigensolve;
-    - the other rows take one stacked eigensolve, restricted to the union
-      of their nonzero rows and columns. The dropped rows and columns only
-      add zero eigenvalues. When nothing is dropped, no copy is taken.
+    - the other rows take one stacked eigensolve at full D, on a copy only
+      when some rows are diagonal. A stack with no zero entry skips the
+      mask and goes to the eigensolve as it is.
     A real stack is taken as it is, so its eigensolve is the real symmetric
-    one.
+    one. Cutting zero rows and columns is the caller's: the scan cuts its
+    stacks to their nonzero blocks before the apply.
     """
     out, rows = np.empty(len(xs)), slice(None)
     if np.count_nonzero(xs) < xs.size:  # with no zero entry, every row is eigensolved as it is
@@ -116,10 +117,9 @@ def _trace_norms(xs: np.ndarray) -> np.ndarray:
         out = np.abs(xs.diagonal(0, 1, 2).real).sum(axis=-1)
         if not rows.size:
             return out
-        keep = (nonzero.any(axis=1) | nonzero.any(axis=2))[rows].any(axis=0)
-        if rows.size < len(xs) or not keep.all():
-            xs = xs[np.ix_(rows, keep, keep)]
-    out[rows] = np.sum(np.abs(np.linalg.eigvalsh(xs)), axis=-1)
+        if rows.size == len(xs):  # a view, not a copy
+            rows = slice(None)
+    out[rows] = np.sum(np.abs(np.linalg.eigvalsh(xs[rows])), axis=-1)
     return out
 
 

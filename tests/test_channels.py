@@ -148,6 +148,33 @@ def test_empty_kraus_set_is_rejected_at_construction():
         Channel(2, kraus=(), super_matrix=np.eye(4))
 
 
+def test_channel_takes_exactly_one_form_on_a_positive_dimension():
+    """A Kraus set certifies only the superoperator built from it: given
+    both forms, the transpose map would pass as CP and HP under the
+    identity's Kraus operator, so Channel raises DimensionMismatch. So it
+    does for d = 0, where is_tp, hp_deviation, is_cp and inverse have no
+    map to read."""
+    with pytest.raises(DimensionMismatch, match="exactly one"):
+        Channel(2, kraus=[np.eye(2)], super_matrix=transpose_channel(2).super)
+    with pytest.raises(DimensionMismatch, match="d >= 1"):
+        Channel(0, super_matrix=np.zeros((0, 0)))
+    with pytest.raises(DimensionMismatch, match="d >= 1"):
+        Channel(0, kraus=[np.zeros((0, 0))])
+
+
+def test_non_hp_map_is_not_cp():
+    """The Choi matrix of X -> X + i(X - X^T) is not Hermitian, so it is not
+    PSD, though its Hermitian part is; a Choi matrix within CP_ATOL of
+    Hermitian is still tested by its spectrum."""
+    d = 3
+    skew = np.eye(d * d) - transpose_channel(d).super
+    ch = super_channel(np.eye(d * d) + 1j * skew, d)
+    c = choi(ch).matrix
+    assert np.linalg.eigvalsh((c + c.conj().T) / 2).min() >= -1e-12
+    assert not ch.is_cp() and not choi(ch).is_psd()
+    assert super_channel(np.eye(d * d) + 1e-12j * skew, d).is_cp()
+
+
 def test_kraus_to_super_peak_memory_stays_near_its_output():
     """16 Kraus operators of size 16 x 16 give a 256 x 256 complex output;
     the build may not hold a temporary of r * d^4 entries on the way."""

@@ -489,6 +489,24 @@ def test_non_hp_map_raises_even_where_the_images_are_hermitian(scan):
         scan(fam, grid=np.linspace(0.2, 0.8, 3), h=1e-4, witnesses=witnesses)
 
 
+def test_non_hp_member_raises_non_hermitian_input_in_every_consumer():
+    """X -> X + i(X - X^T) on C^3 is TP but not Hermiticity preserving (HP
+    deviation 2.0), so the trace-norm criterion says nothing about it.
+    DynamicalFamily.channel checks every member, so the validation of
+    make_dynamical_family, the kernel inclusion test and the intermediate
+    map each raise NonHermitianInput naming t, as the scans do, rather
+    than accept it as CP."""
+    d = 3
+    ch = super_channel(np.eye(d * d) + 1j * (np.eye(d * d) - transpose_channel(d).super), d)
+    assert ch.hp_deviation() == 2.0 and ch.is_tp()
+    with pytest.raises(NonHermitianInput, match="t=0.0 is not Hermiticity preserving"):
+        make_dynamical_family(lambda t: ch, d=d, t_domain=(0.0, 1.0), name="i-skew")
+    fam = DynamicalFamily(d=d, t_domain=(0.0, 1.0), channel_at=lambda t: ch, name="i-skew")
+    for consumer in (kernel_inclusion_divisible, kernel_inclusion_report, intermediate_map):
+        with pytest.raises(NonHermitianInput, match="t=0.2 is not Hermiticity preserving"):
+            consumer(fam, 0.2, 0.7)
+
+
 @pytest.mark.parametrize("scan", [p_divisibility_scan, cp_divisibility_scan])
 def test_member_that_is_nan_at_one_stencil_point_raises_invalid_family(scan):
     """A superoperator-only family that is NaN near t = 0.33 passes the
@@ -577,8 +595,9 @@ def test_non_finite_witness_raises_non_hermitian_input(scan, dim, early_stop):
 @pytest.mark.parametrize("mode", ["P", "CP"])
 def test_scan_checks_each_input_once(monkeypatch, mode, early_stop):
     """Hermiticity is checked once per input: require_hermitian runs once
-    per chunk of witnesses and never on an image, and each channel built
-    (one per stencil time of a chunk) takes one hp_deviation test."""
+    per chunk of witnesses and never on an image, and each member the scan
+    reads (one per stencil time of a chunk) takes the one hp_deviation test
+    of DynamicalFamily.channel."""
     fam = idempotent_family_preset("idempotent-p-not-cp", n=2, k=2)
     witnesses = _library(fam, mode)
     calls = dict.fromkeys(["require_hermitian", "hp_deviation", "channel", "_apply"], 0)

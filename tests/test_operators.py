@@ -240,25 +240,6 @@ def test_diagonal_stack_runs_no_eigensolve(eigensolves, dtype):
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_block_supported_image_is_solved_on_its_support(eigensolves, dtype):
-    """kron(E00, H), the shape of the Schur CP witness's image, is nonzero
-    on its first n x n block only, so it is solved at n x n; the dropped
-    zero rows and columns only add zero eigenvalues."""
-    n = 12
-    rng = np.random.default_rng(7)
-    h = random_hermitian(n, rng)
-    h = h.real if dtype is float else h
-    e00 = np.zeros((n, n))
-    e00[0, 0] = 1.0
-    x = np.kron(e00, h)
-    eigensolves.clear()  # random_hermitian's own normalization
-    norm = trace_norm(x)
-    assert eigensolves == [(1, n, n)]
-    dense = float(np.sum(np.abs(np.linalg.eigvalsh(x))))
-    assert abs(norm - dense) <= 1e-13 * dense
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
 def test_mixed_stack_keeps_row_order(eigensolves, dtype):
     """Diagonal and zero rows skip the eigensolve, the block-supported and
     dense rows share one; every norm goes back to its own row, in any
@@ -280,9 +261,9 @@ def test_mixed_stack_keeps_row_order(eigensolves, dtype):
 
 
 def test_asymmetric_entry_in_a_dropped_row_still_raises(eigensolves):
-    """Hermiticity is checked on the whole stack before any route or
-    restriction: a skew entry whose symmetrized row would be diagonal, and
-    an asymmetric entry outside the support of the rest, both raise."""
+    """Hermiticity is checked on the whole stack before any route is read:
+    a skew entry whose symmetrized row would be diagonal, and an asymmetric
+    entry outside the support of the rest, both raise."""
     d = 5
     skew = np.diag(np.arange(d, dtype=float))
     skew[0, 1], skew[1, 0] = 1e-3, -1e-3  # (X + X*)/2 is exactly diagonal

@@ -135,6 +135,29 @@ def test_operators_has_one_eigensolve():
     assert len(calls) == 1, calls
 
 
+def test_hp_deviation_is_read_only_by_the_member_check():
+    """Each family member is checked for Hermiticity preservation in one
+    place: in src/, hp_deviation is called only inside
+    DynamicalFamily.channel and the Channel class, so a second member check
+    cannot fork off beside it."""
+
+    def calls(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "hp_deviation":
+                yield inner, child.lineno
+            yield from calls(child, inner)
+
+    found = [
+        (path.name, scope, line)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for scope, line in calls(ast.parse(path.read_text()), "")
+    ]
+    assert ("divisibility.py", "DynamicalFamily.channel") in {f[:2] for f in found}, found
+    stray = [f for f in found if f[1] != "DynamicalFamily.channel" and f[1].split(".")[0] != "Channel"]
+    assert not stray, stray
+
+
 def test_src_holds_no_cache():
     """Nothing is kept from one stencil time to the next: no function or
     property in src/ is decorated with lru_cache, cache or cached_property,
