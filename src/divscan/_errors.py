@@ -8,7 +8,12 @@ class DivscanError(Exception):
 
 
 class NonHermitianInput(DivscanError):
-    """Input matrix fails the Hermiticity tolerance."""
+    """Input matrix fails the Hermiticity tolerance; a family member that is
+    not Hermiticity preserving carries its t."""
+
+    def __init__(self, message: str, t=None):
+        super().__init__(message)
+        self.t = t
 
 
 class DimensionMismatch(DivscanError):

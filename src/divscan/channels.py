@@ -66,15 +66,14 @@ class Channel:
 
     def __init__(self, d: int, kraus=None, super_matrix=None):
         self.d = int(d)
+        self.kraus = None if kraus is None else tuple(_inexact(k) for k in kraus)
+        if self.kraus is not None and not self.kraus:
+            raise DimensionMismatch("need at least one Kraus operator")
         if (kraus is None) == (super_matrix is None) or self.d < 1:
             raise DimensionMismatch(f"need d >= 1 and exactly one of Kraus operators and a superoperator; d={d}")
-        self.kraus = None if kraus is None else tuple(_inexact(k) for k in kraus)
-        if self.kraus is not None:
-            if not self.kraus:
-                raise DimensionMismatch("need at least one Kraus operator")
-            for k in self.kraus:
-                if k.shape != (d, d):
-                    raise DimensionMismatch(f"Kraus shape {k.shape} does not match d={d}")
+        for k in self.kraus or ():
+            if k.shape != (d, d):
+                raise DimensionMismatch(f"Kraus shape {k.shape} does not match d={d}")
         self.super = kraus_to_super(self.kraus) if super_matrix is None else _inexact(super_matrix)
         if self.super.shape != (d * d, d * d):
             raise DimensionMismatch(f"superoperator shape {self.super.shape} does not match d={d}")
@@ -265,9 +264,10 @@ def positivity_by_contractivity(ch: Channel, n_samples: int = 400, seed: int = 7
     rank-2 projector differences) capped at n_samples, then, only if it
     shows no growth, random operands up to n_samples (a rank-1 projector
     difference at an even index of the whole sequence, a Hermitian sample
-    at an odd one). The witness is the first growing operand. Every image
-    of a stack must be Hermitian within PROBE_HERM_ATOL, those after the
-    witness too, else NonHermitianInput.
+    at an odd one), from a generator seeded with seed that is made only
+    then. The witness is the first growing operand. Every image of a stack
+    must be Hermitian within PROBE_HERM_ATOL, those after the witness too,
+    else NonHermitianInput.
 
     Returns a dict with keys `positive_evidence`, `witness`, `input_norm`,
     `output_norm`, `n_checked`. No witness means evidence of positivity, not
@@ -278,7 +278,6 @@ def positivity_by_contractivity(ch: Channel, n_samples: int = 400, seed: int = 7
         raise HypothesisViolated(f"contractivity probe needs at least one sample, got n_samples={n_samples}")
     if not ch.is_tp(atol=TP_HYPOTHESIS_ATOL):
         raise HypothesisViolated("contractivity probe requires a trace-preserving map")
-    rng = np.random.default_rng(seed)
     d = ch.d
 
     def sweep():
@@ -289,15 +288,13 @@ def positivity_by_contractivity(ch: Channel, n_samples: int = 400, seed: int = 7
         pairs = range(0, d - 1, 2)
         yield from (np.diag(eye[i] + eye[i + 1] - eye[j] - eye[j + 1]) for i in pairs for j in pairs if j > i)
 
-    def random_operand(index):
+    def random_operand(index):  # rng is made when the random stage runs
         if index % 2 == 0:
             return random_projector_difference(d, rng)
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         return (g + g.conj().T) / 2
 
     def first_growth(start, operands):
-        if not operands:
-            return None
         xs = np.stack(operands)
         nin = trace_norms(xs)
         nout = trace_norms(stacked_apply(ch.super, d, xs), PROBE_HERM_ATOL)
@@ -310,7 +307,8 @@ def positivity_by_contractivity(ch: Channel, n_samples: int = 400, seed: int = 7
 
     swept = list(islice(sweep(), n_samples))
     found = first_growth(0, swept)
-    if found is None:  # the random operands are drawn only when the sweep shows no growth
+    if found is None and len(swept) < n_samples:  # the random stage runs only when the sweep shows no growth
+        rng = np.random.default_rng(seed)
         found = first_growth(len(swept), [random_operand(i) for i in range(len(swept), n_samples)])
     return found or {
         "positive_evidence": True, "witness": None, "input_norm": None, "output_norm": None, "n_checked": n_samples

@@ -20,8 +20,11 @@ the library goes through as stacks of 1, 2, 4, ... witnesses, each with
 its own pass over the stencil times, so S_tau is built once per stencil
 time in every chunk: scan-p --preset unitary builds 342 channels for 57
 stencil times in 6 chunks. Nothing is kept past the stencil time that
-built it, so memory grows with library size x D^2 (D the witness
-dimension), not with grid length.
+built it, and the default library is drawn chunk by chunk as the scan
+reads it, so memory grows with the largest chunk read x D^2 (D the
+witness dimension), not with grid length: early_stop=False reads the
+whole library as one stack, while scan-cp --preset schur stops at the
+first canonical witness and draws no random witness.
 
 Hermiticity is checked once per input, never per image: each chunk's
 stack passes require_hermitian once (a non-finite witness fails it), and
@@ -52,6 +55,7 @@ the complex rows of a real S_tau take two real matmuls (dgemm).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -123,7 +127,8 @@ class DynamicalFamily:
         dev = ch.hp_deviation()
         if dev > SCAN_HERM_ATOL:
             raise NonHermitianInput(
-                f"channel at t={t} is not Hermiticity preserving: deviation {dev:.3e} (atol={SCAN_HERM_ATOL:.1e})"
+                f"channel at t={t} is not Hermiticity preserving: deviation {dev:.3e} (atol={SCAN_HERM_ATOL:.1e})",
+                t=t,
             )
         return ch
 
@@ -166,21 +171,33 @@ def make_dynamical_family(
 def default_witnesses(d: int, rng: np.random.Generator, n_proj: int = 20, n_herm: int = 20, pair_cap: int = 300):
     """The generic witness library: all E_ii - E_jj diagonal differences
     (seeded subsample above pair_cap), random rank-1 projector differences,
-    and random Hermitian samples. Returns (id, matrix) pairs."""
-    out = []
+    and random Hermitian samples. Returns (id, matrix) pairs, the whole of
+    what _draws(d, rng, ...) yields; the scan reads _draws chunk by chunk."""
+    return list(_draws(d, rng, n_proj, n_herm, pair_cap))
+
+
+def _draws(d: int, seed, n_proj: int, n_herm: int, pair_cap: int):
+    """default_witnesses' (id, matrix) pairs, one at a time, in its order:
+    min(d(d-1)/2, pair_cap) diagonal differences, n_proj projector
+    differences, n_herm Hermitian samples. The generator
+    np.random.default_rng(seed) (seed itself if it is a Generator) is made
+    at the first random draw, the pair subsample or the first projector
+    difference, so a reader that stops before it makes none."""
+    rng = None
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     if len(pairs) > pair_cap:
+        rng = np.random.default_rng(seed)
         idx = rng.choice(len(pairs), size=pair_cap, replace=False)
         pairs = [pairs[i] for i in sorted(idx)]
     for i, j in pairs:
         e = np.zeros(d)
         e[i], e[j] = 1.0, -1.0
-        out.append((f"diag({i}-{j})", np.diag(e)))
+        yield f"diag({i}-{j})", np.diag(e)
+    rng = np.random.default_rng(seed) if rng is None else rng
     for r in range(n_proj):
-        out.append((f"projdiff-{r}", random_projector_difference(d, rng)))
+        yield f"projdiff-{r}", random_projector_difference(d, rng)
     for r in range(n_herm):
-        out.append((f"herm-{r}", random_hermitian(d, rng)))
-    return out
+        yield f"herm-{r}", random_hermitian(d, rng)
 
 
 @dataclass
@@ -285,7 +302,12 @@ def _curves(fam, grid, h, ws, tau_slope):
 def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> DivisibilityReport:
     """The one scan engine, one path for both modes: Lambda_t on witnesses
     on C^d (P), I (x) Lambda_t on witnesses on C^d (x) C^d (CP); the mode
-    sets only the witness dimension, the default library and the verdicts."""
+    sets only the witness dimension, the default library and the verdicts.
+
+    witnesses=None reads the canonical witnesses, then _draws(dim, seed,
+    ...), one chunk at a time: the library's size is known before any
+    draw. A given library is already in memory; it is listed and every
+    shape checked before the first row."""
     cp = mode == "CP"
     lo, hi = fam.t_domain
     if h is None:
@@ -293,26 +315,26 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     grid = np.linspace(lo + h, hi - h, 51) if grid is None else np.asarray(grid, dtype=float)
     _check_stencil(grid, h, fam.t_domain)
     dim = fam.d * fam.d if cp else fam.d
+    drawn, n_drawn = (), 0
     if witnesses is None:
-        rng = np.random.default_rng(seed)
         canonical = fam.cp_witnesses if cp else fam.witnesses
         witnesses = [(f"canonical-{i}", w) for i, w in enumerate(canonical)]
-        if cp:
-            witnesses += default_witnesses(dim, rng, n_proj=10, n_herm=10, pair_cap=60)
-        else:
-            witnesses += default_witnesses(dim, rng)
+        n_proj, n_herm, pair_cap = (10, 10, 60) if cp else (20, 20, 300)
+        drawn = _draws(dim, seed, n_proj, n_herm, pair_cap)
+        n_drawn = min(dim * (dim - 1) // 2, pair_cap) + n_proj + n_herm
     witnesses = list(witnesses)
-    if not witnesses:
+    if not witnesses and not n_drawn:
         raise HypothesisViolated("the witness library is empty; an empty scan is no evidence")
     for wid, w in witnesses:
         if np.shape(w) != (dim, dim):
             raise DimensionMismatch(f"witness {wid} has shape {np.shape(w)}, expected {(dim, dim)}")
 
+    source = chain(witnesses, drawn)
     rows = []
     notes = []
     best = None  # (derivative, t, id, matrix)
-    for start, stop in _chunks(len(witnesses), early_stop):
-        chunk = witnesses[start:stop]
+    for start, stop in _chunks(len(witnesses) + n_drawn, early_stop):
+        chunk = list(islice(source, stop - start))
         ws = require_hermitian(np.stack([np.asarray(w) for _, w in chunk]), SCAN_HERM_ATOL)
         values, derivs, fine = _curves(fam, grid, h, ws, tau_slope)
         for n, (wid, w) in enumerate(chunk):

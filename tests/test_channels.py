@@ -21,7 +21,9 @@ from divscan.channels import (
     super_channel,
     transpose_channel,
 )
+from divscan.divisibility import intermediate_map
 from divscan.operators import random_hermitian, random_projector_difference, trace_norm, unvec, vec
+from divscan.presets import DESIGNATED_PAIR, IDEMPOTENT_BLOCKS, idempotent_family_preset
 from divscan.schur import schur_channel
 
 
@@ -139,10 +141,11 @@ def test_complex_or_mixed_input_stays_complex():
 
 def test_empty_kraus_set_is_rejected_at_construction():
     """An empty Kraus set is no channel: both constructors raise
-    DimensionMismatch before any superoperator is built."""
-    with pytest.raises(DimensionMismatch):
+    DimensionMismatch before any superoperator is built, saying so before
+    kraus_channel's d = 0 is read as a bad dimension."""
+    with pytest.raises(DimensionMismatch, match="need at least one Kraus operator"):
         kraus_channel([])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="need at least one Kraus operator"):
         Channel(2, kraus=[])
     with pytest.raises(DimensionMismatch):
         Channel(2, kraus=(), super_matrix=np.eye(4))
@@ -540,6 +543,25 @@ def test_contractivity_probe_witnesses_nonpositive_tp_map():
     out = positivity_by_contractivity(ch, n_samples=200, seed=5)
     assert not out["positive_evidence"]
     assert out["output_norm"] > out["input_norm"] + 1e-9
+
+
+def test_contractivity_probe_settled_by_its_sweep_creates_no_generator(monkeypatch):
+    """The idempotent-not-p intermediate map at the default pair grows the
+    first basis projector (trace norm 1 -> 1.55), so the deterministic
+    sweep settles the probe: it creates no random generator and returns
+    the dict of an unpatched probe."""
+    fam = idempotent_family_preset("idempotent-not-p", *IDEMPOTENT_BLOCKS)
+    mid = intermediate_map(fam, *DESIGNATED_PAIR)["map"]
+    want = positivity_by_contractivity(mid)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("random generator created")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    got = positivity_by_contractivity(mid)
+    assert not got["positive_evidence"] and got["n_checked"] == 1
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[key], want[key]) for key in want)
 
 
 def _reference_probe(ch, n_samples, seed):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,7 @@ from divscan.idempotent import IdempotentParams, divisor_coeffs, phi
 from divscan.operators import random_hermitian, trace_norm, vec
 from divscan.presets import (
     DESIGNATED_PAIR,
+    FAMILY_PRESETS,
     generic_noncp_family,
     idempotent_coeff_fns,
     idempotent_family_preset,
@@ -503,8 +508,9 @@ def test_non_hp_member_raises_non_hermitian_input_in_every_consumer():
         make_dynamical_family(lambda t: ch, d=d, t_domain=(0.0, 1.0), name="i-skew")
     fam = DynamicalFamily(d=d, t_domain=(0.0, 1.0), channel_at=lambda t: ch, name="i-skew")
     for consumer in (kernel_inclusion_divisible, kernel_inclusion_report, intermediate_map):
-        with pytest.raises(NonHermitianInput, match="t=0.2 is not Hermiticity preserving"):
+        with pytest.raises(NonHermitianInput, match="t=0.2 is not Hermiticity preserving") as err:
             consumer(fam, 0.2, 0.7)
+        assert err.value.t == 0.2
 
 
 @pytest.mark.parametrize("scan", [p_divisibility_scan, cp_divisibility_scan])
@@ -712,9 +718,8 @@ def test_cp_schur_scan_solves_only_the_witness_block(monkeypatch):
         shapes.append(np.shape(a))
         return eigvalsh(a, *args, **kwargs)
 
-    library = _library(fam, "CP")  # the scan's default library, built before logging
     monkeypatch.setattr(divscan.operators.np.linalg, "eigvalsh", logged)
-    report = cp_divisibility_scan(fam, witnesses=library)
+    report = cp_divisibility_scan(fam)  # draws no random witness, whose normalization would log a solve
     monkeypatch.undo()
 
     assert shapes and max(shape[-1] for shape in shapes) <= n
@@ -724,3 +729,85 @@ def test_cp_schur_scan_solves_only_the_witness_block(monkeypatch):
     got = np.array([(v, d) for _, _, v, d in report.rows])
     want = np.array([(v, d) for _, v, d in rows])
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_early_stopped_cp_scan_holds_only_the_witnesses_it_reads():
+    """The default library is drawn chunk by chunk as the scan reads it: the
+    early-stopped CP scan of make_schur_family(16) stops at its canonical
+    witness and never draws the 80 default witnesses of 256 x 256, which
+    drawn whole before the first chunk peaked at 52.3 MiB."""
+    fam = make_schur_family(16)
+    tracemalloc.start()
+    try:
+        report = cp_divisibility_scan(fam, grid=np.linspace(0.05, 0.45, 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.witness_id == "canonical-0"
+    assert peak < 8 * 2**20, peak
+
+
+def test_default_library_is_drawn_only_as_the_scan_reads_it(monkeypatch):
+    """A CP scan of the Schur preset stops at its canonical witness and draws
+    no random witness; a P_EVIDENCE scan of idempotent-cp reads the whole
+    library and draws each of its 40 random witnesses once."""
+    fam = idempotent_family_preset("idempotent-cp", n=2, k=2)
+    library = _library(fam, "P")  # drawn here, before the count
+    draws = []
+
+    def counted(name):
+        orig = getattr(divscan.divisibility, name)
+
+        def wrapper(*args, **kwargs):
+            draws.append(name)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(divscan.divisibility, name, wrapper)
+
+    counted("random_hermitian")
+    counted("random_projector_difference")
+    report = cp_divisibility_scan(make_schur_family(8), grid=np.linspace(0.05, 0.45, 9))
+    assert report.witness_id == "canonical-0" and draws == []
+
+    grid = np.linspace(0.05, 0.95, 3)
+    report = p_divisibility_scan(fam, grid=grid)
+    assert report.verdict == "P_EVIDENCE"
+    assert [wid for _, wid, _, _ in report.rows[:: len(grid)]] == [wid for wid, _ in library]
+    assert sorted(draws) == ["random_hermitian"] * 20 + ["random_projector_difference"] * 20
+
+
+def test_cp_scan_stopping_at_a_canonical_witness_never_imports_numpy_random():
+    """The random generator is created at the first random draw, so a scan
+    that stops inside the canonical witnesses does not load numpy.random."""
+    code = (
+        "import sys, numpy as np\n"
+        "from divscan.divisibility import cp_divisibility_scan\n"
+        "from divscan.schur import make_schur_family\n"
+        "report = cp_divisibility_scan(make_schur_family(4), grid=np.linspace(0.05, 0.45, 3))\n"
+        "print(report.witness_id, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(divscan.divisibility.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["canonical-0", "False"]
+
+
+@pytest.mark.parametrize("preset", sorted(FAMILY_PRESETS))
+def test_default_library_scan_equals_the_explicit_library_scan(preset):
+    """witnesses=None draws the library lazily, chunk by chunk; its rows,
+    verdict, witness id and witness_t are those of a scan given the same
+    library built whole by default_witnesses, in both modes, with and
+    without early stop, for seeds 11-15."""
+    entry = FAMILY_PRESETS[preset]
+    fam = entry["build"]()
+    lo, hi, _ = entry["default_grid"]
+    grid = np.linspace(lo, hi, 2)
+    for mode, scan in (("P", p_divisibility_scan), ("CP", cp_divisibility_scan)):
+        for early_stop in (True, False):
+            for seed in range(11, 16):
+                lazy = scan(fam, grid=grid, seed=seed, early_stop=early_stop)
+                whole = scan(fam, grid=grid, witnesses=_library(fam, mode, seed), early_stop=early_stop)
+                case = (mode, early_stop, seed)
+                assert lazy.rows == whole.rows, case
+                assert (lazy.verdict, lazy.witness_id, lazy.witness_t) == (
+                    whole.verdict, whole.witness_id, whole.witness_t), case

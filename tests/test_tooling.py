@@ -236,3 +236,19 @@ def test_src_applies_no_operand_at_a_time():
                 and (getattr(call.func, "attr", None) or getattr(call.func, "id", None)) in {"stacked_apply", "apply"}
             ]
     assert not looped, looped
+
+
+def test_scan_draws_the_default_library_lazily():
+    """divisibility._scan reads the default library through the generator
+    _draws, chunk by chunk: it never calls default_witnesses, which lists
+    the whole library, so the library cannot be drawn whole again before
+    the first chunk."""
+    tree = ast.parse((ROOT / "src" / "divscan" / "divisibility.py").read_text())
+    scan = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_scan")
+    called = {
+        getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+        for call in ast.walk(scan)
+        if isinstance(call, ast.Call)
+    }
+    assert "_draws" in called
+    assert "default_witnesses" not in called
