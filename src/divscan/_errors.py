@@ -56,19 +56,6 @@ class OutsideValidityWindow(DivscanError):
     """Parameter lies outside the window where the map is a channel."""
 
 
-class NotSymplectic(DivscanError):
-    """A matrix required to be symplectic is not; names the offending factor."""
-
-    def __init__(self, message: str, factor: str = "", deviation: float | None = None):
-        super().__init__(message)
-        self.factor = factor
-        self.deviation = deviation
-
-
-class InvalidDilation(DivscanError):
-    """Dilation produced a pair violating the channel validity inequality."""
-
-
 class InvalidState(DivscanError):
     """Covariance matrix fails the state validity inequality."""
 

@@ -241,15 +241,6 @@ def _times(v: np.ndarray, s: np.ndarray) -> np.ndarray:
     return v @ s.T
 
 
-def transpose_channel(d: int) -> Channel:
-    """X -> X^T; the standard example of a positive map that is not CP."""
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[i + d * j, j + d * i] = 1.0
-    return Channel(d=d, super_matrix=s)
-
-
 def positivity_by_contractivity(ch: Channel, n_samples: int = 400, seed: int = 7):
     """Probe positivity of a TP map through trace-norm contractivity.
 

@@ -193,7 +193,7 @@ def _run_scan(cfg):
         "tau_slope": cfg.tau_slope,
         "report": report.to_json(),
     }
-    rows = [(t, wid, val, der, der > cfg.tau_slope) for t, wid, val, der in report.csv_rows()]
+    rows = [(t, wid, val, der, der > cfg.tau_slope) for t, wid, val, der in report.rows]
     summary = f"{cfg.command} {cfg.preset}: {report.verdict}"
     return obj, rows, summary, 2 if report.verdict.startswith("NOT_") else 0
 

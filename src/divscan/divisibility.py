@@ -208,7 +208,7 @@ class DivisibilityReport:
     witness_t: float | None = None
     derivative: float | None = None
     witness_matrix: np.ndarray | None = None
-    rows: list = field(default_factory=list)
+    rows: list = field(default_factory=list)  # (t, witness_id, trace_norm, derivative) per point per witness
     notes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -222,10 +222,6 @@ class DivisibilityReport:
             "witness_matrix": wm,
             "notes": list(self.notes),
         }
-
-    def csv_rows(self):
-        """(t, witness_id, trace_norm, derivative) per grid point per witness."""
-        return list(self.rows)
 
 
 def _chunks(n: int, early_stop: bool):

@@ -5,7 +5,9 @@ Phase-space ordering is qq..pp throughout: the symplectic form is
 J = [[0, I_m], [-I_m, 0]]. A channel is the pair (X, Y) acting on covariance
 matrices as S -> X S X^T + Y/2, valid iff the Hermitian matrix
 Y + i(J - X J X^T) is PSD (Heinosaari, Holevo & Wolf, QIC 10, 619 (2010)).
-A state covariance S is valid iff 2S + iJ is PSD.
+A state covariance S is valid iff 2S + iJ is PSD. A dilation R1 T R2 is
+checked by dilation_report, which flags a factor that is not symplectic and
+a pair that is not valid, and raises on neither.
 
 The determinant scan flags each grid point where the central-difference
 slope of det X_t exceeds tau_slope. A flag is not a proof: det X_t = e^t
@@ -19,15 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._errors import (
-    DimensionMismatch,
-    InvalidChannel,
-    InvalidDilation,
-    InvalidFamily,
-    InvalidState,
-    NotSymplectic,
-    SingularX,
-)
+from ._errors import DimensionMismatch, InvalidChannel, InvalidFamily, InvalidState, SingularX
 from .divisibility import STENCIL_WIDTH, _check_stencil, _check_time, central_difference
 from .operators import TAU_SLOPE
 
@@ -59,44 +53,11 @@ def symplectic_deviation(r: np.ndarray) -> float:
     return float(np.max(np.abs(r @ j @ r.T - j)))
 
 
-def is_symplectic(r: np.ndarray) -> bool:
-    return symplectic_deviation(r) <= VALID_ATOL
-
-
 def block_r(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Embed a mode-space pair into phase space: [[X, Y], [-Y, X]]."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.block([[x, y], [-y, x]])
-
-
-def squeeze_diag(s) -> np.ndarray:
-    """diag(s_1..s_m, 1/s_1..1/s_m); symplectic for any nonzero s_i."""
-    s = np.asarray(s, dtype=float)
-    return np.diag(np.concatenate([s, 1.0 / s]))
-
-
-def planar_rotation(m: int, i: int, j: int, theta: float) -> np.ndarray:
-    """Orthogonal rotation of modes i, j applied identically to q and p;
-    [[O, 0], [0, O]] is symplectic for orthogonal O."""
-    o = np.eye(m)
-    c, s = np.cos(theta), np.sin(theta)
-    o[i, i] = o[j, j] = c
-    o[i, j], o[j, i] = -s, s
-    z = np.zeros((m, m))
-    return np.block([[o, z], [z, o]])
-
-
-def random_symplectic(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Product of six random planar rotations and squeezers."""
-    r = np.eye(2 * m)
-    for _ in range(6):
-        if m >= 2 and rng.random() < 0.5:
-            i, j = rng.choice(m, size=2, replace=False)
-            r = r @ planar_rotation(m, int(i), int(j), float(rng.uniform(0, 2 * np.pi)))
-        else:
-            r = r @ squeeze_diag(np.exp(rng.uniform(-0.5, 0.5, size=m)))
-    return r
 
 
 @dataclass(frozen=True)
@@ -192,26 +153,6 @@ def dilation_report(r1, t, r2, m_keep: int) -> dict:
         "pair_valid": min_eig >= -VALID_ATOL,
         "validity_min_eig": min_eig,
     }
-
-
-def dilation_channel(r1, t, r2, m_keep: int) -> GaussianPair:
-    """Strict form of the dilation: raises NotSymplectic naming the first
-    offending factor, and InvalidDilation when the extracted pair violates
-    the validity inequality (a round-off guard: symplectic factors give a
-    validity matrix L12 (I + iJ) L12^T, which is PSD)."""
-    rep = dilation_report(r1, t, r2, m_keep)
-    for name in ("R1", "T", "R2"):
-        if not rep["symplectic"][name]:
-            raise NotSymplectic(
-                f"{name} is not symplectic (max deviation {rep['deviations'][name]:.3e})",
-                factor=name,
-                deviation=rep["deviations"][name],
-            )
-    if not rep["pair_valid"]:
-        raise InvalidDilation(
-            f"extracted pair violates validity (min eigenvalue {rep['validity_min_eig']:.3e})"
-        )
-    return rep["pair"]
 
 
 @dataclass

@@ -10,9 +10,9 @@ channels form a decreasing idempotent family (p_i p_j = p_max(i,j)):
 
 Phi(a,b,c,d) = aI + bE + cB + dD. Its superoperator is written straight
 from the four coefficients (see phi); no basis matrices are formed or kept.
-Closed-form Choi spectrum, CP and positivity conditions, and the
-left-divisor coefficients for families Lambda_t = Phi(a_t,b_t,c_t,d_t) all
-live here.
+Closed-form Choi spectrum, the CP condition, a necessary 2-positivity
+condition, the l = 1 positivity condition, and the left-divisor
+coefficients for families Lambda_t = Phi(a_t,b_t,c_t,d_t) all live here.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DegenerateDenominator, DimensionMismatch, HypothesisViolated, InvalidFamily
-from .channels import TP_ATOL, Channel, stacked_apply
+from .channels import TP_ATOL, Channel
 from .divisibility import DynamicalFamily, make_dynamical_family
 from .operators import vec
 
@@ -99,51 +99,16 @@ def two_positive_necessary(params: IdempotentParams, atol: float = COEFF_ATOL) -
     return bool((2 * a + 2 * b + tail >= -atol) and (tail >= -atol) and (d >= -atol))
 
 
-def two_positive_probe_choi(params: IdempotentParams) -> np.ndarray:
-    """Dense route for the 2-positivity conditions: the Choi matrix of
-    I_2 (x) Phi compressed to the span of two basis vectors inside one block,
-    (I_2 (x) Phi)(Y) for the 2d x 2d operand Y whose block (i, j) is E_ij.
-    Its spectrum is {2a+2b+c/k+d/nk (x1), c/k+d/nk (x 2k-1), d/nk (x 2k(n-1))}.
+def l_positive_condition(params: IdempotentParams) -> bool:
+    """The l = 1 case of b*||C_E||_S(l) + c + d + a*l >= 0, stated for
+    a, b <= 0: with ||C_E||_S(1) = k it reads b*k + a + c + d >= 0. The
+    Schmidt-rank-constrained norm for l >= 2 is not computed. Raises
+    HypothesisViolated when a > 0 or b > 0.
     """
-    if params.k < 2:
-        raise HypothesisViolated("probe needs two basis vectors in one block (k >= 2)")
-    d = params.n * params.k
-    omega = np.zeros(2 * d)
-    omega[[0, d + 1]] = 1.0  # e_0 (x) e_0 + e_1 (x) e_1
-    return stacked_apply(phi(params).super, d, np.outer(omega, omega)[None])[0]
-
-
-def l_positive_condition(params: IdempotentParams, l: int) -> bool:
-    """Evaluate b*||C_E||_S(l) + c + d + a*l >= 0 (stated hypothesis a,b <= 0).
-
-    Only l = 1 is computed, where the norm ||C_E||_S(1) is k; the
-    Schmidt-rank-constrained norm for l >= 2 is out of scope. Raises
-    HypothesisViolated when a > 0 or b > 0, when l is out of range, or
-    for l >= 2.
-    """
-    n, k = params.n, params.k
     a, b, c, d = params.coeffs()
     if a > COEFF_ATOL or b > COEFF_ATOL:
         raise HypothesisViolated(f"condition stated for a, b <= 0; got a={a}, b={b}")
-    if not 1 <= l <= n * k:
-        raise HypothesisViolated(f"need 1 <= l <= nk = {n * k}, got l={l}")
-    if l != 1:
-        raise HypothesisViolated(f"only l = 1 is computed; ||C_E||_S(l) for l={l} is out of scope")
-    return bool(b * k + c + d + a >= -COEFF_ATOL)
-
-
-def positivity_sufficient(n: int, k: int, alpha: float, beta: float, gamma: float, delta: float) -> bool:
-    """Sufficient (not necessary) condition for Phi(alpha..delta) positive.
-
-    Either all four coefficients are nonnegative, or alpha, delta >= 0,
-    beta <= 0 and beta + gamma/k + delta/(nk) >= 0. The second branch follows
-    from bounding each block of the output from below by
-    (beta + gamma/k + delta/nk) * tr(X_block) * (unit direction).
-    """
-    if min(alpha, beta, gamma, delta) >= -COEFF_ATOL:
-        return True
-    w = beta + gamma / k + delta / (n * k)
-    return bool(alpha >= -COEFF_ATOL and delta >= -COEFF_ATOL and beta <= COEFF_ATOL and w >= -COEFF_ATOL)
+    return bool(b * params.k + c + d + a >= -COEFF_ATOL)
 
 
 _SUM_NAMES = ("a_s", "a_s+b_s", "a_s+b_s+c_s", "a_s+b_s+c_s+d_s")
@@ -172,20 +137,10 @@ def divisor_coeffs(a_s, b_s, c_s, d_s, a_t, b_t, c_t, d_t):
     return (alpha, beta, gamma, delta)
 
 
-def idempotent_product(x, y):
-    """Coefficients of p(x) p(y) over a decreasing idempotent family:
-    z_i = y_i * Sx_i + x_i * Sy_{i-1} with S the partial-sum operator."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"coefficient vectors differ in length: {x.shape} vs {y.shape}")
-    sx = np.cumsum(x)
-    sy = np.concatenate(([0.0], np.cumsum(y)[:-1]))
-    return y * sx + x * sy
-
-
 def solve_left_divisor(x, z):
-    """Solve idempotent_product(y, x) = z for y.
+    """Solve p(y) p(x) = p(z) for y over a decreasing idempotent family,
+    where the product has coefficients z_i = x_i Sy_i + y_i Sx_{i-1}, S the
+    partial-sum operator (Sx_0 = 0).
 
     Triangular recursion: y_1 = z_1/x_1 and
     y_i = z_i/Sx_i - x_i Sz_{i-1} / (Sx_{i-1} Sx_i); equivalently the partial
@@ -250,7 +205,7 @@ def classify_regime(n: int, k: int, s_coeffs, t_coeffs) -> str:
     if cp_condition(div):
         return "CP"
     if alpha <= COEFF_ATOL and beta <= COEFF_ATOL:
-        if l_positive_condition(div, 1):
+        if l_positive_condition(div):
             return "P-not-CP"
         return "not-P"
     return "undetermined"
@@ -273,7 +228,7 @@ def truncation_report(s_coeffs, t_coeffs, k: int, n_list):
                 "delta": delta,
                 "cp": cp_condition(div),
                 "two_positive": two_positive_necessary(div),
-                "l1": l_positive_condition(div, 1) if alpha <= COEFF_ATOL and beta <= COEFF_ATOL else None,
+                "l1": l_positive_condition(div) if alpha <= COEFF_ATOL and beta <= COEFF_ATOL else None,
             }
         )
     return rows

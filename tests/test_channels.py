@@ -19,12 +19,13 @@ from divscan.channels import (
     positivity_by_contractivity,
     stacked_apply,
     super_channel,
-    transpose_channel,
 )
 from divscan.divisibility import intermediate_map
 from divscan.operators import random_hermitian, random_projector_difference, trace_norm, unvec, vec
 from divscan.presets import DESIGNATED_PAIR, IDEMPOTENT_BLOCKS, idempotent_family_preset
 from divscan.schur import schur_channel
+
+from _reference import transpose_channel
 
 
 def random_cptp(d, n_kraus, rng):

@@ -26,7 +26,6 @@ from divscan.channels import (
     inverse,
     kraus_channel,
     super_channel,
-    transpose_channel,
 )
 from divscan.divisibility import (
     STENCIL_WIDTH,
@@ -52,6 +51,8 @@ from divscan.presets import (
     unitary_family,
 )
 from divscan.schur import cp_block_witness, hopping_witness, make_schur_family
+
+from _reference import transpose_channel
 
 D = 4
 DEPOL = np.outer(vec(np.eye(D)), vec(np.eye(D)).conj()) / D
@@ -83,7 +84,7 @@ def test_constant_family_is_clean_evidence_with_zero_derivatives():
     fam = DynamicalFamily(d=3, t_domain=(0.0, 1.0), channel_at=lambda t: ch, name="const")
     report = p_divisibility_scan(fam, grid=np.linspace(0.1, 0.9, 5), h=1e-4)
     assert report.verdict == "P_EVIDENCE"
-    assert all(abs(row[3]) <= 1e-6 for row in report.csv_rows())
+    assert all(abs(row[3]) <= 1e-6 for row in report.rows)
 
 
 def test_unitary_family_clean_in_both_modes():
@@ -273,7 +274,7 @@ def test_reports_serialize_to_json_and_csv():
     assert obj["witness_t"] is not None
     assert obj["derivative"] is not None
     assert isinstance(obj["witness_matrix"], list)
-    rows = report.csv_rows()
+    rows = report.rows
     assert len(rows) > 0
     assert all(len(r) == 4 for r in rows)
 

@@ -10,7 +10,6 @@ from divscan._errors import (
     InvalidChannel,
     InvalidFamily,
     InvalidState,
-    NotSymplectic,
     SingularX,
 )
 from divscan.gaussian import (
@@ -21,19 +20,16 @@ from divscan.gaussian import (
     compose_pairs,
     det_criterion_scan,
     det_x,
-    dilation_channel,
     dilation_report,
-    is_symplectic,
     is_valid_state,
     jmat,
     make_gaussian_family,
     make_pair,
-    planar_rotation,
-    random_symplectic,
-    squeeze_diag,
     symplectic_deviation,
 )
 from divscan.presets import GAUSSIAN_PRESETS, gaussian_family, gaussian_pair_at
+
+from _reference import is_symplectic, planar_rotation, random_symplectic, squeeze_diag
 
 
 def dilation_2x1(t):
@@ -145,15 +141,6 @@ def test_dilation_report_flags_but_never_raises():
     assert rep["deviations"]["R1"] > 0.1
 
 
-def test_strict_dilation_names_offending_factor():
-    from divscan.presets import _DIL2_R1, _DIL2_R2, _dil2_t
-
-    with pytest.raises(NotSymplectic) as err:
-        dilation_channel(_DIL2_R1, _dil2_t(2.0), _DIL2_R2, m_keep=1)
-    assert err.value.factor == "R1"
-    assert err.value.deviation > 0.1
-
-
 def test_symplectic_dilations_are_valid():
     """L J L^T = J gives J - X J X^T = L12 J L12^T, so the validity matrix
     Y + i(J - X J X^T) is L12 (I + iJ) L12^T, which is PSD."""
@@ -169,7 +156,7 @@ def test_symplectic_dilations_are_valid():
             factored = l12 @ (np.eye(len(env)) + 1j * jmat(m_total - m_keep)) @ l12.T
             assert np.max(np.abs(rep["pair"].validity_matrix() - factored)) < 1e-9
             assert rep["validity_min_eig"] >= -1e-12
-            dilation_channel(r1, t, r2, m_keep)  # raises neither error
+            assert all(rep["symplectic"].values()) and rep["pair_valid"]
 
 
 def test_validity_inequality_rejects_invalid_pairs():
@@ -182,7 +169,8 @@ def test_validity_inequality_rejects_invalid_pairs():
     assert make_pair(2.0 * np.eye(2), 3.0 * np.eye(2)).is_valid()
     rng = np.random.default_rng(77)
     r1, r2 = random_symplectic(3, rng), random_symplectic(3, rng)
-    pair = dilation_channel(r1, squeeze_diag([1.0, 1.3, 0.8]), r2, m_keep=2)
+    pair = dilation_report(r1, squeeze_diag([1.0, 1.3, 0.8]), r2, m_keep=2)["pair"]
+    assert make_pair(pair.x, pair.y).is_valid()
     with pytest.raises(InvalidChannel):
         make_pair(pair.x.T, pair.y)
 

@@ -3,6 +3,7 @@ working."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import divscan._errors
@@ -12,6 +13,16 @@ import divscan.presets
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+
+# top-level names in src/divscan that nothing else there references, each
+# with the job that keeps it in the library
+KEEP_UNCALLED = {
+    "compose_pairs": "composes Gaussian pairs for exact divisibility (ROADMAP item 1)",
+    "apply_to_covariance": "acts on covariances for photon loss (ROADMAP item 8)",
+    "make_pair": "checks an (X, Y) pair a caller passes in",
+    "make_gaussian_family": "checks a Gaussian family a caller passes in",
+    "kernel_inclusion_report": "reports kernel inclusion for non-invertible families (ROADMAP item 9)",
+}
 
 
 def _load_tracing():
@@ -252,3 +263,38 @@ def test_scan_draws_the_default_library_lazily():
     }
     assert "_draws" in called
     assert "default_witnesses" not in called
+
+
+def test_every_library_definition_has_a_user():
+    """Every top-level function or class of src/divscan, __init__ aside, is
+    referenced by another top-level statement there, imported by the
+    acceptance suite or perfbench/ (a SITES entry counts), or kept on
+    KEEP_UNCALLED with its reason, so code that only tests call lives in
+    tests/_reference.py."""
+    statements = [
+        stmt
+        for path in sorted((ROOT / "src" / "divscan").glob("*.py"))
+        if path.name != "__init__.py"
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    used = [
+        {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+        | {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+        for stmt in statements
+    ]
+    outside = set()
+    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("divscan"):
+                outside |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                outside |= set(re.findall(r"divscan\.\w+:(\w+)", node.value))
+    defined = [stmt for stmt in statements if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+    unused = [
+        stmt.name
+        for stmt in defined
+        if stmt.name not in outside | KEEP_UNCALLED.keys()
+        and not any(stmt.name in names for other, names in zip(statements, used) if other is not stmt)
+    ]
+    assert not unused, unused
+    assert KEEP_UNCALLED.keys() <= {stmt.name for stmt in defined}
