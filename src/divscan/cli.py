@@ -171,6 +171,8 @@ def _grid_and_h(cfg, entry: dict, domain: tuple[float, float]):
     ts = _checked_grid(cfg, entry, domain)
     lo, hi = (ts[0], ts[-1]) if cfg.command == "gaussian" else domain
     h = cfg.h if cfg.h is not None else STENCIL_WIDTH * float(hi - lo)
+    if h > (domain[1] - domain[0]) / 2:
+        raise ConfigError(f"h={h} is above half the domain {list(domain)}, so no stencil t +/- h fits inside it")
     # grids may touch the domain boundary; pull those points in by h so the
     # finite-difference stencil stays inside
     ts[0] = max(ts[0], domain[0] + h)
@@ -287,6 +289,7 @@ def _run_intermediate(cfg):
     entry = _preset(cfg, FAMILY_PRESETS)
     fam = _build_family(cfg, entry)
     s, t = cfg.pair if cfg.pair is not None else default_pair(fam.t_domain)
+    _check_domain("pair", s, t, fam.t_domain)
     result = intermediate_map(fam, s, t, seed=cfg.seed)
     ch = result["map"]
     obj = {

@@ -172,7 +172,7 @@ def default_witnesses(d: int, rng: np.random.Generator, n_proj: int = 20, n_herm
     """The generic witness library: all E_ii - E_jj diagonal differences
     (seeded subsample above pair_cap), random rank-1 projector differences,
     and random Hermitian samples. Returns (id, matrix) pairs, the whole of
-    what _draws(d, rng, ...) yields; the scan reads _draws chunk by chunk."""
+    what _draws(d, rng, ...) yields; the scan streams _draws instead."""
     return list(_draws(d, rng, n_proj, n_herm, pair_cap))
 
 
@@ -222,19 +222,6 @@ class DivisibilityReport:
             "witness_matrix": wm,
             "notes": list(self.notes),
         }
-
-
-def _chunks(n: int, early_stop: bool):
-    """Witness index ranges: all at once, or 1, 2, 4, ... with early stop so
-    that a violation among the first witnesses ends the scan early."""
-    if not early_stop:
-        yield 0, n
-        return
-    start, size = 0, 1
-    while start < n:
-        yield start, min(start + size, n)
-        start += size
-        size *= 2
 
 
 def _by_dtype(ws: np.ndarray):
@@ -300,10 +287,11 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     on C^d (P), I (x) Lambda_t on witnesses on C^d (x) C^d (CP); the mode
     sets only the witness dimension, the default library and the verdicts.
 
-    witnesses=None reads the canonical witnesses, then _draws(dim, seed,
-    ...), one chunk at a time: the library's size is known before any
-    draw. A given library is already in memory; it is listed and every
-    shape checked before the first row."""
+    The library is one stream, read in slices of 1, 2, 4, ... witnesses
+    with early stop (all at once without) until a slice is empty:
+    witnesses=None streams the canonical witnesses, then _draws(dim, seed,
+    ...), each witness drawn as its slice is read. A given library is
+    listed and every shape checked before the first row."""
     cp = mode == "CP"
     lo, hi = fam.t_domain
     if h is None:
@@ -311,26 +299,22 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     grid = np.linspace(lo + h, hi - h, 51) if grid is None else np.asarray(grid, dtype=float)
     _check_stencil(grid, h, fam.t_domain)
     dim = fam.d * fam.d if cp else fam.d
-    drawn, n_drawn = (), 0
+    drawn = ()
     if witnesses is None:
         canonical = fam.cp_witnesses if cp else fam.witnesses
         witnesses = [(f"canonical-{i}", w) for i, w in enumerate(canonical)]
         n_proj, n_herm, pair_cap = (10, 10, 60) if cp else (20, 20, 300)
         drawn = _draws(dim, seed, n_proj, n_herm, pair_cap)
-        n_drawn = min(dim * (dim - 1) // 2, pair_cap) + n_proj + n_herm
     witnesses = list(witnesses)
-    if not witnesses and not n_drawn:
-        raise HypothesisViolated("the witness library is empty; an empty scan is no evidence")
     for wid, w in witnesses:
         if np.shape(w) != (dim, dim):
             raise DimensionMismatch(f"witness {wid} has shape {np.shape(w)}, expected {(dim, dim)}")
 
-    source = chain(witnesses, drawn)
+    source, size = chain(witnesses, drawn), 1
     rows = []
     notes = []
     best = None  # (derivative, t, id, matrix)
-    for start, stop in _chunks(len(witnesses) + n_drawn, early_stop):
-        chunk = list(islice(source, stop - start))
+    while (best is None or not early_stop) and (chunk := list(islice(source, size if early_stop else None))):
         ws = require_hermitian(np.stack([np.asarray(w) for _, w in chunk]), SCAN_HERM_ATOL)
         values, derivs, fine = _curves(fam, grid, h, ws, tau_slope)
         for n, (wid, w) in enumerate(chunk):
@@ -350,25 +334,24 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
                 # witnesses cannot change the verdict, only the argmax
                 notes.append("stopped at first violating witness")
                 break
-        if best is not None and early_stop:
-            break
+        size *= 2
+    if not rows:
+        raise HypothesisViolated("the witness library is empty; an empty scan is no evidence")
 
-    if best is not None:
-        deriv, t, wid, w = best
-        verdict = NOT_CP_DIVISIBLE if cp else NOT_P_DIVISIBLE
-        return DivisibilityReport(
-            verdict=verdict,
-            mode=mode,
-            witness_id=wid,
-            witness_t=t,
-            derivative=deriv,
-            witness_matrix=w,
-            rows=rows,
-            notes=notes,
-        )
-    verdict = CP_EVIDENCE if cp else P_EVIDENCE
-    notes.append("no witness growth found; evidence of divisibility, not proof")
-    return DivisibilityReport(verdict=verdict, mode=mode, rows=rows, notes=notes)
+    if best is None:
+        notes.append("no witness growth found; evidence of divisibility, not proof")
+    deriv, t, wid, w = best or (None, None, None, None)
+    found, evidence = (NOT_CP_DIVISIBLE, CP_EVIDENCE) if cp else (NOT_P_DIVISIBLE, P_EVIDENCE)
+    return DivisibilityReport(
+        verdict=evidence if best is None else found,
+        mode=mode,
+        witness_id=wid,
+        witness_t=t,
+        derivative=deriv,
+        witness_matrix=w,
+        rows=rows,
+        notes=notes,
+    )
 
 
 def p_divisibility_scan(

@@ -38,6 +38,10 @@ class IdempotentParams:
     c: float
     d: float
 
+    def __post_init__(self):
+        if self.n < 1 or self.k < 1:
+            raise DimensionMismatch(f"need n, k >= 1, got n={self.n}, k={self.k}")
+
     def coeffs(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
 
@@ -47,12 +51,9 @@ def phi(params: IdempotentParams) -> Channel:
     be negative, so no Kraus form is attached). With M the 0/1 block mask,
     E is the Schur multiplier by M, so aI + bE is the diagonal a + b vec(M);
     B and D act only between the vec positions j(nk+1) of X's diagonal,
-    where they add c/k on M's support and d/(nk) everywhere. Raises
-    DimensionMismatch unless n, k >= 1.
+    where they add c/k on M's support and d/(nk) everywhere.
     """
     n, k = params.n, params.k
-    if n < 1 or k < 1:
-        raise DimensionMismatch(f"need n, k >= 1, got n={n}, k={k}")
     a, b, c, d = params.coeffs()
     blocks = np.arange(n * k) // k
     mask = (blocks[:, None] == blocks).astype(float)

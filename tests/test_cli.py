@@ -339,13 +339,14 @@ def test_an_option_the_command_does_not_read_is_a_config_error(command, key, tmp
         ["idempotent", "--preset", "idempotent-cp", "--h", "5"],
         ["scan-p", "--preset", "schur", "--h", "nan"],
         ["scan-p", "--preset", "schur", "--h", "1" + "0" * 400],
+        ["scan-p", "--preset", "unitary", "--h", "5"],
         ["scan-p", "--preset", "unitary", "--seed=-1"],
         ["scan-p", "--preset", "unitary", "stray"],
         ["no-such-command"],
         ["--bogus"],
         ["--list-presets", "--bogus"],
     ],
-    ids=["unknown-flag", "bad-seed", "fractional-seed", "abbreviation", "h-for-help", "nan-h", "huge-h", "negative-seed", "stray", "command", "top-flag", "list-with-flag"],
+    ids=["unknown-flag", "bad-seed", "fractional-seed", "abbreviation", "h-for-help", "nan-h", "huge-h", "h-above-half-domain", "negative-seed", "stray", "command", "top-flag", "list-with-flag"],
 )
 def test_usage_errors_exit_one_with_config_error(argv, tmp_path, capsys):
     """Exit 2 means a NOT_* verdict, so no usage error may exit with it."""
@@ -409,8 +410,9 @@ def test_n_with_a_non_schur_preset_is_a_config_error(tmp_path, capsys):
     assert "schur" in err["message"]
 
 
-def test_idempotent_pair_outside_domain_is_a_config_error(tmp_path, capsys):
-    code, report, _ = run_cli(["idempotent", "--preset", "idempotent-cp", "--pair", "0.5:3"], tmp_path)
+@pytest.mark.parametrize("command", ["idempotent", "intermediate"])
+def test_idempotent_pair_outside_domain_is_a_config_error(command, tmp_path, capsys):
+    code, report, _ = run_cli([command, "--preset", "idempotent-cp", "--pair", "0.5:3"], tmp_path)
     assert code == 1 and report is None
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"

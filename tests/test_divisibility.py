@@ -629,7 +629,8 @@ def test_scan_checks_each_input_once(monkeypatch, mode, early_stop):
     monkeypatch.undo()
 
     scanned = len(report.rows) // len(grid)
-    chunks = sum(start < scanned for start, _ in divscan.divisibility._chunks(len(witnesses), early_stop))
+    # slices of 1, 2, 4, ... with early stop: k of them hold 2^k - 1 witnesses
+    chunks = scanned.bit_length() if early_stop else 1
     assert calls["require_hermitian"] == chunks
     assert calls["hp_deviation"] == calls["channel"] >= 3 * len(grid) * chunks
     assert calls["_apply"] >= calls["channel"]
@@ -644,6 +645,28 @@ def test_witness_of_wrong_shape_raises_dimension_mismatch(scan, dim, early_stop)
         with pytest.raises(DimensionMismatch):
             scan(fam, grid=np.linspace(0.2, 1.8, 3), h=1e-4,
                  witnesses=[("good", good), ("bad", bad)], early_stop=early_stop)
+
+
+@pytest.mark.parametrize("mode", ["P", "CP"])
+def test_one_shot_library_gives_the_report_of_its_list(monkeypatch, mode):
+    """A caller's library is listed before the scan reads it, so a one-shot
+    iterator gives the report its list gives, and a bad shape anywhere in
+    it raises DimensionMismatch before the first row, even behind the
+    witness where early stop ends the scan."""
+    fam = make_schur_family(4)
+    witnesses = _late_violator_witnesses(4, mode)
+    dim = fam.d if mode == "P" else fam.d * fam.d
+    scan = p_divisibility_scan if mode == "P" else cp_divisibility_scan
+    grid = np.linspace(0.05, 0.45, 5)
+    listed = scan(fam, grid=grid, h=1e-4, witnesses=witnesses)
+    streamed = scan(fam, grid=grid, h=1e-4, witnesses=iter(witnesses))
+    assert listed.verdict == f"NOT_{mode}_DIVISIBLE" and listed.witness_id == "grows"
+    assert streamed.to_json() == listed.to_json() and streamed.rows == listed.rows
+    members = []
+    monkeypatch.setattr(DynamicalFamily, "channel", lambda self, t: members.append(t))
+    with pytest.raises(DimensionMismatch):
+        scan(fam, grid=grid, h=1e-4, witnesses=iter(witnesses + [("bad", np.eye(dim + 1))]))
+    assert members == []
 
 
 def _cp_scan_peak_bytes(points):

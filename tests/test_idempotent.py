@@ -77,8 +77,18 @@ def test_basis_products_collapse_to_the_coarser_projection():
 
 @pytest.mark.parametrize("n, k", [(0, 2), (2, 0), (-1, 2)])
 def test_phi_rejects_empty_or_negative_block_counts(n, k):
-    with pytest.raises(DimensionMismatch):
-        phi(IdempotentParams(n, k, 0.25, 0.25, 0.25, 0.25))
+    """IdempotentParams itself rejects the block counts, so every closed
+    form raises DimensionMismatch, not a ZeroDivisionError."""
+    s, t = (0.5, 0.2, 0.2, 0.1), (0.3, 0.2, 0.3, 0.2)
+    for call in (
+        lambda: phi(IdempotentParams(n, k, 0.25, 0.25, 0.25, 0.25)),
+        lambda: cp_condition(IdempotentParams(n, k, 0.25, 0.25, 0.25, 0.25)),
+        lambda: choi_spectrum_closed_form(IdempotentParams(n, k, 0.25, 0.25, 0.25, 0.25)),
+        lambda: classify_regime(n, k, s, t),
+        lambda: truncation_report(s, t, k, [2, n]),
+    ):
+        with pytest.raises(DimensionMismatch, match="need n, k >= 1"):
+            call()
 
 
 @st.composite
