@@ -40,18 +40,25 @@ PROBE_HERM_ATOL = 1e-8  # Hermiticity slack of probed images
 
 
 def kraus_to_super(kraus) -> np.ndarray:
-    """sum_j kron(conj(K_j), K_j) as one matmul over the Kraus index: with
-    K_j flattened into row j of F, (F^H F)[(i, j), (k, l)] is the kron entry
-    ((i, k), (j, l)). Real Kraus operators give a real superoperator. Raises
-    DimensionMismatch unless the K_j are matrices of one shape."""
+    """sum_m kron(conj(K_m), K_m) from the Gram matrix of the entries the
+    K_m occupy: with F_C[m, p] = K_m[i_p, j_p] over the positions (i_p, j_p)
+    where some K_m is nonzero (or NaN), (F_C^H F_C)[p, q] is the kron entry
+    ((i_p, i_q), (j_p, j_q)) and goes straight there; the rest is exact
+    zeros. The product is a gemm over two buffers, conj(F_C) and F_C: numpy
+    sends a.T @ a on one real buffer to syrk, which rounds differently. Real
+    Kraus operators give a real superoperator. Raises DimensionMismatch
+    unless the K_m are matrices of one shape."""
     ks = [np.asarray(k) for k in kraus]
     shape = ks[0].shape if ks else ()
     if len(shape) != 2 or any(k.shape != shape for k in ks):
         raise DimensionMismatch("Kraus operators must be matrices of one shape")
     d_out, d_in = shape
-    f = _inexact(np.stack(ks)).reshape(len(ks), d_out * d_in)
-    g = (f.conj().T @ f).reshape(d_out, d_in, d_out, d_in)
-    return g.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
+    stack = _inexact(np.stack(ks))
+    i, j = np.nonzero(stack.any(axis=0))
+    fc = stack[:, i, j]
+    s = np.zeros((d_out, d_out, d_in, d_in), dtype=stack.dtype)
+    s[i[:, None], i, j[:, None], j] = np.conjugate(fc).T @ fc
+    return s.reshape(d_out * d_out, d_in * d_in)
 
 
 class Channel:

@@ -8,11 +8,11 @@ matrix itself: Lambda_t maps it to t times itself, so its trace norm grows
 linearly with the constant slope 2 sum_k |cos(k pi/(n+1))| and the family is
 not even P-divisible despite being CPTP at every t.
 
-The superoperator of Lambda_t is diag(vec(A_t)). It is formed from the
-diagonal Kraus operators that certify CP, so its off-diagonal zeros are
-exact (its diagonal is A_t up to rounding), and the scan engine, finding it
-diagonal, applies it to witness stacks as the entrywise product with that
-diagonal rather than as a d^2 x d^2 matmul.
+The superoperator of Lambda_t is diag(vec(A_t)). It is formed from the n
+diagonal Kraus operators that certify CP, by an n x n Gram product, so its
+off-diagonal zeros are exact (its diagonal is A_t up to rounding), and the
+scan engine, finding it diagonal, applies it to witness stacks as the
+entrywise product with that diagonal rather than as a d^2 x d^2 matmul.
 """
 
 from __future__ import annotations
@@ -64,17 +64,18 @@ def cp_block_witness(n: int) -> np.ndarray:
 
 
 def schur_channel(n: int, t: float) -> Channel:
-    """X -> A_t o X, built from diagonal Kraus operators (from the
-    eigendecomposition of A_t) that certify it CP; its superoperator is
-    formed from them at construction. Raises OutsideValidityWindow for t
-    outside [0, 1/2], where the mask stops being PSD."""
+    """X -> A_t o X, built from the Kraus operators sqrt(v_i) diag(u_i), one
+    per eigenpair (v_i, u_i) of A_t and written as one stack, that certify
+    it CP. Raises OutsideValidityWindow for t outside [0, 1/2], where the
+    mask stops being PSD."""
     if t < -DOMAIN_ATOL or t > 0.5 + DOMAIN_ATOL:
         raise OutsideValidityWindow(f"t={t} outside the CP window [0, 0.5]")
     a = toeplitz_a(n, max(t, 0.0))
     vals, vecs = np.linalg.eigh(a)
     vals = np.clip(vals, 0.0, None)  # boundary t=1/2: clip eigensolver noise
-    kraus = [np.diag(np.sqrt(v) * vecs[:, i]) for i, v in enumerate(vals)]
-    return Channel(d=n, kraus=kraus)
+    kraus = np.zeros((n, n * n))
+    kraus[:, :: n + 1] = (vecs * np.sqrt(vals)).T  # row i: the diagonal of K_i
+    return Channel(d=n, kraus=kraus.reshape(n, n, n))
 
 
 def witness_growth(n: int, grid) -> list[tuple[float, float, float]]:

@@ -12,6 +12,8 @@ from divscan._errors import DimensionMismatch, HypothesisViolated
 from divscan.channels import Channel, stacked_apply
 from divscan.gaussian import VALID_ATOL, symplectic_deviation
 from divscan.idempotent import IdempotentParams, phi
+from divscan.operators import _inexact
+from divscan.schur import toeplitz_a
 
 
 def transpose_channel(d: int) -> Channel:
@@ -21,6 +23,27 @@ def transpose_channel(d: int) -> Channel:
         for j in range(d):
             s[i + d * j, j + d * i] = 1.0
     return Channel(d=d, super_matrix=s)
+
+
+def kraus_to_super_full(kraus) -> np.ndarray:
+    """sum_m kron(conj(K_m), K_m) from the full Gram matrix F^H F of the
+    flattened K_m (row m of F is K_m), permuted into place:
+    (F^H F)[(i, j), (k, l)] is the kron entry ((i, k), (j, l)).
+    kraus_to_super, which multiplies only the occupied columns of F, must
+    equal this build bit for bit."""
+    f = _inexact(np.stack([np.asarray(k) for k in kraus]))
+    r, d_out, d_in = f.shape
+    f = f.reshape(r, d_out * d_in)
+    g = (f.conj().T @ f).reshape(d_out, d_in, d_out, d_in)
+    return g.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
+
+
+def schur_kraus_by_diag(n: int, t: float) -> list[np.ndarray]:
+    """The Schur member's Kraus operators built one np.diag at a time, from
+    the same eigendecomposition of the mask as schur_channel."""
+    vals, vecs = np.linalg.eigh(toeplitz_a(n, max(t, 0.0)))
+    vals = np.clip(vals, 0.0, None)
+    return [np.diag(np.sqrt(v) * vecs[:, i]) for i, v in enumerate(vals)]
 
 
 def two_positive_probe_choi(params: IdempotentParams) -> np.ndarray:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divscan.channels
-from divscan._errors import DimensionMismatch, HypothesisViolated, SingularChannel
+from divscan._errors import DimensionMismatch, HypothesisViolated, InvalidFamily, SingularChannel
 from divscan.channels import (
     Channel,
     choi,
@@ -20,12 +20,12 @@ from divscan.channels import (
     stacked_apply,
     super_channel,
 )
-from divscan.divisibility import intermediate_map
+from divscan.divisibility import STENCIL_WIDTH, DynamicalFamily, intermediate_map
 from divscan.operators import random_hermitian, random_projector_difference, trace_norm, unvec, vec
-from divscan.presets import DESIGNATED_PAIR, IDEMPOTENT_BLOCKS, idempotent_family_preset
+from divscan.presets import DESIGNATED_PAIR, FAMILY_PRESETS, IDEMPOTENT_BLOCKS, _mix_kraus, idempotent_family_preset
 from divscan.schur import schur_channel
 
-from _reference import transpose_channel
+from _reference import kraus_to_super_full, transpose_channel
 
 
 def random_cptp(d, n_kraus, rng):
@@ -84,6 +84,82 @@ def test_kraus_to_super_rejects_mixed_shapes_with_a_typed_error(shapes):
     DimensionMismatch rather than numpy's ValueError."""
     with pytest.raises(DimensionMismatch):
         kraus_to_super([np.ones(shape) for shape in shapes])
+
+
+def _sparse_kraus_sets():
+    rng = np.random.default_rng(41)
+    single = np.zeros((3, 3))
+    single[1, 2] = 0.7
+    rect = rng.normal(size=(2, 3, 5)) + 1j * rng.normal(size=(2, 3, 5))
+    rect[:, :, [1, 3]] = 0.0
+    return {
+        "diagonal": [np.diag(rng.normal(size=4)) for _ in range(3)],
+        "single-entry": [single],
+        "mix-kraus": list(_mix_kraus(4)),
+        "rect-zero-columns": list(rect),
+        "all-zero": [np.zeros((3, 3))],
+        "with-zero-operator": [np.zeros((3, 3)), rng.normal(size=(3, 3))],
+    }
+
+
+SPARSE_KRAUS = _sparse_kraus_sets()
+
+
+@pytest.mark.parametrize("name", SPARSE_KRAUS)
+def test_sparse_kraus_set_is_the_sum_of_krons_with_exact_zeros(name):
+    """Only the entries some K_m occupies enter the Gram matrix; the result
+    is still sum kron(conj K_m, K_m), of the input's real or complex dtype,
+    and every entry that no kron term reaches is an exact zero."""
+    ks = SPARSE_KRAUS[name]
+    expected = sum(np.kron(k.conj(), k) for k in ks)
+    reached = sum(np.kron(k != 0, k != 0).astype(int) for k in ks) > 0
+    s = kraus_to_super(ks)
+    assert s.shape == expected.shape and s.dtype == np.result_type(*ks, np.float64)
+    assert np.max(np.abs(s - expected)) < 1e-13
+    assert not np.any(s[~reached])
+
+
+def test_nan_kraus_entry_gives_a_non_finite_member_named_by_t():
+    """A NaN entry counts as occupied: the superoperator holds NaN, but only
+    where a kron term reaches (it stays an exact zero elsewhere), and
+    DynamicalFamily.channel raises InvalidFamily naming t."""
+    bad = np.diag([np.nan, 1.0, 0.5])
+    s = kraus_to_super([bad])
+    reached = np.kron(bad != 0, bad != 0)
+    assert np.isnan(s).any() and not np.any(s[~reached])
+    fam = DynamicalFamily(
+        d=3, t_domain=(0.0, 1.0), channel_at=lambda t: kraus_channel([bad if t > 0.5 else np.eye(3)]), name="nan-kraus"
+    )
+    assert fam.channel(0.2).is_tp()
+    with pytest.raises(InvalidFamily, match="non-finite superoperator at t=0.7") as err:
+        fam.channel(0.7)
+    assert err.value.t == 0.7
+
+
+def _kraus_members(case):
+    """Schur n at 201 times in its window, or a Kraus preset at the stencil
+    times t, t +/- h/10, t +/- h of its default grid."""
+    if case.startswith("schur-"):
+        return [schur_channel(int(case[6:]), float(t)) for t in np.linspace(0.0, 0.5, 201)]
+    entry = FAMILY_PRESETS[case]
+    fam = entry["build"]()
+    lo, hi = fam.t_domain
+    offsets = STENCIL_WIDTH * (hi - lo) * np.array([-1.0, -0.1, 0.0, 0.1, 1.0])
+    times = np.clip(np.linspace(*entry["default_grid"])[:, None] + offsets, lo, hi)
+    return [fam.channel(float(t)) for t in times.ravel()]
+
+
+@pytest.mark.parametrize("case", ["schur-8", "schur-12", "schur-16", "unitary", "generic-noncp"])
+def test_kraus_superoperator_is_bitwise_the_full_gram_build(case):
+    """kraus_to_super multiplies only the occupied columns of F, and the
+    result equals the full F^H F route bit for bit, signs of zero included.
+    Schur witness_t is an argmax of slopes that differ by rounding alone, so
+    one ulp here could move it; a Gram product sent to syrk rounds
+    differently and fails this."""
+    for ch in _kraus_members(case):
+        want = kraus_to_super_full(ch.kraus)
+        assert ch.super.dtype == want.dtype and ch.super.shape == want.shape
+        assert ch.super.tobytes() == want.tobytes(), "differs from the full Gram build"
 
 
 def test_real_input_stays_float64_and_matches_the_complex_route():

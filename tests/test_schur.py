@@ -16,6 +16,8 @@ from divscan.schur import (
     witness_growth,
 )
 
+from _reference import schur_kraus_by_diag
+
 N8_SLOPE = 9.51754096628727  # 2 sum |2cos(k pi/9)|/... frozen from the closed form
 N4_SLOPE = 2.0 * np.sqrt(5.0)
 
@@ -154,3 +156,13 @@ def test_real_kraus_superoperator_is_bitwise_the_complex_build(n):
         assert real.dtype == np.float64
         assert np.array_equal(cplx.real, real), t
         assert not np.any(cplx.imag), t
+
+
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_kraus_stack_is_the_one_diag_at_a_time_build(n):
+    """schur_channel writes its n diagonal Kraus operators as one stack;
+    each equals np.diag(sqrt(v_i) * vecs[:, i]) bit for bit."""
+    for t in np.linspace(0.0, 0.5, 21):
+        got, want = schur_channel(n, float(t)).kraus, schur_kraus_by_diag(n, float(t))
+        assert len(got) == n
+        assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want)), t
