@@ -7,12 +7,15 @@ norm curve has positive slope certifies NOT divisible; absence of growth over
 a witness library is evidence, not proof (the converse direction needs
 surjectivity, which a numerical scan cannot establish).
 
-Derivatives are central differences with stencil width h; any flagged slope
-is re-checked at h/10 and must stay above tau_slope/2 to count, which filters
-stencil artifacts near kinks.
+Derivatives are central differences with stencil width h; a flagged slope
+counts only if its re-check at h/10 stays above tau_slope/2, which filters
+stencil artifacts near kinks. Flagged slopes are re-checked largest first
+(witness by witness with early stop) until one is confirmed, and that one
+is the pick: a flagged slope ranked below it is neither re-checked nor
+noted.
 
 P and CP scans run one engine on one path. At each stencil time tau (t and
-t +/- h, plus t +/- h/10 for a re-check) it builds the d^2 x d^2
+t +/- h, plus t +/- h/10 where a re-check runs) it builds the d^2 x d^2
 superoperator S_tau once per witness stack and applies I_m (x) Lambda_tau
 to the whole stack, m read from the witnesses' shape: m = 1 in P mode, and
 m = d in CP mode, so I (x) Lambda_t is never built. With early_stop=True
@@ -55,7 +58,7 @@ the complex rows of a real S_tau take two real matmuls (dgemm).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -247,15 +250,17 @@ def _nonzero_blocks(ys: np.ndarray, d: int) -> np.ndarray:
     return ys.reshape(n, m, d, m, d)[:, keep][:, :, :, keep].reshape(n, keep.size * d, keep.size * d)
 
 
-def _curves(fam, grid, h, ws, tau_slope):
-    """Norms, central-difference slopes and h/10 re-check slopes, each of
-    shape (len(grid), N), for one checked stack of N witnesses, P or CP.
+def _curves(fam, grid, h, ws):
+    """Norms and central-difference slopes, each of shape (len(grid), N),
+    for one checked stack of N witnesses, P or CP, and recheck(k, cols):
+    the h/10 slopes at grid[k] of the witnesses cols, built on demand.
 
     Each stack is first cut to its nonzero blocks. S_tau is built and
     checked once per stencil time of this stack (so once per chunk of the
     library) and applied to its real and its complex rows, and the norms go
     back in row order; nothing outlives the stencil time that built it.
-    Re-check slopes are NaN where the slope did not exceed tau_slope.
+    recheck cuts and splits the stack ws[cols] as its own, so _scan passes
+    every witness flagged at grid[k], whichever cell asks.
     """
 
     def norms(ys: np.ndarray):  # tau -> trace norms of I_m (x) Lambda_tau on the stack ys
@@ -271,15 +276,16 @@ def _curves(fam, grid, h, ws, tau_slope):
         return at
 
     shape = (len(grid), len(ws))
-    values, derivs, fine = np.empty(shape), np.empty(shape), np.full(shape, np.nan)
+    values, derivs = np.empty(shape), np.empty(shape)
     curve = norms(ws)
     for k, t in enumerate(grid.tolist()):
         values[k] = curve(t)
         derivs[k] = central_difference(curve, t, h)
-        flagged = np.flatnonzero(derivs[k] > tau_slope)
-        if flagged.size:
-            fine[k, flagged] = central_difference(norms(ws[flagged]), t, h / 10)
-    return values, derivs, fine
+
+    def recheck(k, cols):
+        return central_difference(norms(ws[cols]), float(grid[k]), h / 10)
+
+    return values, derivs, recheck
 
 
 def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> DivisibilityReport:
@@ -291,7 +297,13 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     with early stop (all at once without) until a slice is empty:
     witnesses=None streams the canonical witnesses, then _draws(dim, seed,
     ...), each witness drawn as its slice is read. A given library is
-    listed and every shape checked before the first row."""
+    listed and every shape checked before the first row.
+
+    A slice's flagged cells (t, witness) are re-checked in (-slope,
+    witness, t) order, (witness, -slope, t) with early stop, up to the
+    first one confirmed, the pick: the first strict maximum in (witness, t)
+    order, as the full pass found it. The first cell at a grid point
+    re-checks every witness flagged there, so none is re-checked twice."""
     cp = mode == "CP"
     lo, hi = fam.t_domain
     if h is None:
@@ -311,29 +323,37 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
             raise DimensionMismatch(f"witness {wid} has shape {np.shape(w)}, expected {(dim, dim)}")
 
     source, size = chain(witnesses, drawn), 1
+    ts = grid.tolist()
     rows = []
     notes = []
     best = None  # (derivative, t, id, matrix)
     while (best is None or not early_stop) and (chunk := list(islice(source, size if early_stop else None))):
         ws = require_hermitian(np.stack([np.asarray(w) for _, w in chunk]), SCAN_HERM_ATOL)
-        values, derivs, fine = _curves(fam, grid, h, ws, tau_slope)
-        for n, (wid, w) in enumerate(chunk):
-            for k, t in enumerate(grid):
-                t, deriv = float(t), float(derivs[k, n])
-                rows.append((t, wid, float(values[k, n]), deriv))
-                if deriv > tau_slope:
-                    if fine[k, n] > tau_slope / 2:
-                        if best is None or deriv > best[0]:
-                            best = (deriv, t, wid, w)
-                    else:
-                        notes.append(
-                            f"slope {deriv:.3e} at t={t} (witness {wid}) not confirmed at h/10; ignored"
-                        )
-            if best is not None and early_stop:
-                # the flagged witness's full curve is in rows already; later
-                # witnesses cannot change the verdict, only the argmax
-                notes.append("stopped at first violating witness")
+        values, derivs, recheck = _curves(fam, grid, h, ws)
+        flagged = derivs > tau_slope
+        ks, ns = np.nonzero(flagged)
+        order = np.lexsort((ks, -derivs[ks, ns], ns) if early_stop else (ks, ns, -derivs[ks, ns]))
+        fine, checked, missed, read = np.full(derivs.shape, np.nan), set(), [], len(chunk)
+        for k, n in zip(ks[order].tolist(), ns[order].tolist()):
+            if k not in checked:
+                checked.add(k)
+                cols = np.flatnonzero(flagged[k])
+                fine[k, cols] = recheck(k, cols)
+            if fine[k, n] > tau_slope / 2:
+                best = (float(derivs[k, n]), ts[k], *chunk[n])
+                if early_stop:
+                    # later witnesses cannot change the verdict, only the argmax
+                    read = n + 1
                 break
+            missed.append((n, k))
+        for (wid, _), vs, ds in zip(chunk[:read], values.T.tolist(), derivs.T.tolist()):
+            rows += zip(ts, repeat(wid), vs, ds)
+        notes += [
+            f"slope {derivs[k, n]:.3e} at t={ts[k]} (witness {chunk[n][0]}) not confirmed at h/10; ignored"
+            for n, k in sorted(missed)
+        ]
+        if best is not None and early_stop:
+            notes.append("stopped at first violating witness")
         size *= 2
     if not rows:
         raise HypothesisViolated("the witness library is empty; an empty scan is no evidence")

@@ -38,6 +38,14 @@ def kraus_to_super_full(kraus) -> np.ndarray:
     return g.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
 
 
+def hp_deviation_by_difference(s: np.ndarray, d: int) -> float:
+    """max |S[(i,j),(k,l)] - conj(S[(j,i),(l,k)])| as one plain expression
+    over the reshaped superoperator. Channel.hp_deviation, which forms the
+    difference in one buffer, must equal it bit for bit."""
+    s = s.reshape((d,) * 4)
+    return float(np.max(np.abs(s - s.transpose(1, 0, 3, 2).conj())))
+
+
 def schur_kraus_by_diag(n: int, t: float) -> list[np.ndarray]:
     """The Schur member's Kraus operators built one np.diag at a time, from
     the same eigendecomposition of the mask as schur_channel."""

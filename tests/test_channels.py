@@ -25,7 +25,7 @@ from divscan.operators import random_hermitian, random_projector_difference, tra
 from divscan.presets import DESIGNATED_PAIR, FAMILY_PRESETS, IDEMPOTENT_BLOCKS, _mix_kraus, idempotent_family_preset
 from divscan.schur import schur_channel
 
-from _reference import kraus_to_super_full, transpose_channel
+from _reference import hp_deviation_by_difference, kraus_to_super_full, transpose_channel
 
 
 def random_cptp(d, n_kraus, rng):
@@ -160,6 +160,26 @@ def test_kraus_superoperator_is_bitwise_the_full_gram_build(case):
         want = kraus_to_super_full(ch.kraus)
         assert ch.super.dtype == want.dtype and ch.super.shape == want.shape
         assert ch.super.tobytes() == want.tobytes(), "differs from the full Gram build"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 16])
+def test_hp_deviation_is_bitwise_the_plain_difference(d):
+    """Channel.hp_deviation gives the plain expression's float bit for bit
+    on real and complex superoperators that are HP, nearly HP or far from
+    it, and NaN for a superoperator with a NaN entry."""
+    rng = np.random.default_rng(d)
+    shape = (d * d, d * d)
+    for _ in range(4):
+        for s in (rng.normal(size=shape), rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+            s4 = s.reshape((d,) * 4)
+            hp = ((s4 + s4.transpose(1, 0, 3, 2).conj()) / 2).reshape(d * d, d * d)
+            for m in (s, hp, hp + 1e-12 * s):
+                got = Channel(d, super_matrix=m).hp_deviation()
+                assert np.float64(got).tobytes() == np.float64(hp_deviation_by_difference(m, d)).tobytes()
+            assert Channel(d, super_matrix=hp).hp_deviation() == 0.0
+            bad = s.copy()
+            bad[0, -1] = np.nan
+            assert np.isnan(Channel(d, super_matrix=bad).hp_deviation())
 
 
 def test_real_input_stays_float64_and_matches_the_complex_route():

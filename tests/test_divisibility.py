@@ -465,6 +465,101 @@ def test_split_by_dtype_keeps_row_order_and_matches_the_complex_reference(case, 
     assert any(wid == report.witness_id and abs(t - report.witness_t) <= 1e-9 for wid, t in ties)
 
 
+KINK_GRID, KINK_H = np.array([0.2, 0.4, 0.6, 0.8]), 0.01
+
+
+def _kinked_dephasing(built=None):
+    """Dephasing X -> diag(X) + c(t) offdiag(X) on C^2, so sigma_x has trace
+    norm 2 c(t), with c piecewise linear: flat up to 0.205, then steep, so
+    the h-slope at t=0.2 is 5.56 and the h/10 slope 0; slope 1 through
+    t=0.4 (norm slope 2, confirmed); flat up to 0.605, then gentle, so
+    t=0.6 flags 0.263 and would fail its re-check. Each member's t goes to
+    built."""
+
+    def channel_at(t):
+        if built is not None:
+            built.append(t)
+        c = np.interp(t, [0.0, 0.205, 0.25, 0.35, 0.45, 0.605, 0.7, 1.0], [0.1, 0.1, 0.6, 0.6, 0.7, 0.7, 0.75, 0.75])
+        return super_channel(np.diag([1.0, c, c, 1.0]), 2)
+
+    return DynamicalFamily(d=2, t_domain=(0.0, 1.0), channel_at=channel_at, name="kinked")
+
+
+KINK_LIBRARY = [("x", np.array([[0.0, 1.0], [1.0, 0.0]])), ("z", np.diag([1.0, -1.0]))]
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_rejected_top_slope_is_noted_and_the_pick_falls_to_the_next_confirmed(early_stop):
+    """The largest flagged slope (t=0.2) fails its h/10 re-check: it is
+    noted, and the pick is the largest slope that passes (t=0.4)."""
+    report = p_divisibility_scan(_kinked_dephasing(), grid=KINK_GRID, h=KINK_H, witnesses=KINK_LIBRARY,
+                                 early_stop=early_stop)
+    slopes = {t: d for t, wid, _, d in report.rows if wid == "x"}
+    assert slopes[0.2] > slopes[0.4] > slopes[0.6] > 1e-6 >= slopes[0.8]
+    assert report.verdict == "NOT_P_DIVISIBLE"
+    assert (report.witness_id, report.witness_t) == ("x", 0.4)
+    assert abs(report.derivative - 2.0) <= 1e-9
+    assert report.notes[0] == f"slope {slopes[0.2]:.3e} at t=0.2 (witness x) not confirmed at h/10; ignored"
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_failing_slope_below_the_pick_is_neither_rechecked_nor_noted(early_stop):
+    """The flagged slope at t=0.6 ranks below the pick, so no member is
+    built at 0.6 +/- h/10 and no note names it: the walk stops at the
+    first confirmed slope. Without early stop the flat witness z is read
+    too, but early stop ends the scan at x."""
+    built = []
+    report = p_divisibility_scan(_kinked_dephasing(built), grid=KINK_GRID, h=KINK_H, witnesses=KINK_LIBRARY,
+                                 early_stop=early_stop)
+    stencil = {t + s for t in KINK_GRID.tolist() for s in (-KINK_H, 0.0, KINK_H)}
+    rechecked = {t + s for t in (0.2, 0.4) for s in (-KINK_H / 10, KINK_H / 10)}
+    assert set(built) == stencil | rechecked
+    assert not any("t=0.6" in note for note in report.notes)
+    tail = ["stopped at first violating witness"] if early_stop else []
+    assert report.notes[1:] == tail
+    assert [wid for _, wid, _, _ in report.rows[:: len(KINK_GRID)]] == (["x"] if early_stop else ["x", "z"])
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_equal_slopes_pick_the_first_witness_then_the_first_time(early_stop):
+    """The hopping witness twice under the Schur family: each time gives the
+    two the same slope bit for bit, and the slope is constant in t up to
+    rounding. The pick is the first largest slope in (witness, t) order:
+    hop-a at the first t that reaches the maximum. A flat witness first puts
+    both in the second early-stop chunk."""
+    fam = make_schur_family(4)
+    flat = np.diag([1.0, -1.0, 0.0, 0.0])
+    hop = hopping_witness(4)
+    library = [("flat", flat), ("hop-a", hop), ("hop-b", hop.copy())]
+    report = p_divisibility_scan(fam, grid=np.linspace(0.05, 0.45, 21), h=5e-5, witnesses=library,
+                                 early_stop=early_stop)
+    slopes = {wid: [d for _, w, _, d in report.rows if w == wid] for wid in ("hop-a", "hop-b")}
+    if not early_stop:
+        assert slopes["hop-a"] == slopes["hop-b"]
+    top = max(slopes["hop-a"])
+    first = next(t for t, wid, _, d in report.rows if wid == "hop-a" and d == top)
+    assert (report.witness_id, report.witness_t, report.derivative) == ("hop-a", first, top)
+    assert [wid for _, wid, _, _ in report.rows[::21]] == ["flat", "hop-a"] + ([] if early_stop else ["hop-b"])
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+@pytest.mark.parametrize("mode", ["P", "CP"])
+def test_schur_scan_rechecks_only_the_grid_point_of_the_pick(monkeypatch, mode, early_stop):
+    """Every grid point of the Schur n=8 preset flags its canonical witness,
+    and the first one re-checked gives the pick: the scan builds the three
+    stencil members of its 41 grid points and two more, 125 members.
+    Re-checking every flagged grid point would build 205."""
+    fam = make_schur_family(8)
+    builds = []
+    channel = DynamicalFamily.channel
+    monkeypatch.setattr(DynamicalFamily, "channel", lambda self, t: builds.append(t) or channel(self, t))
+    scan = p_divisibility_scan if mode == "P" else cp_divisibility_scan
+    report = scan(fam, grid=np.linspace(0.05, 0.45, 41), h=STENCIL_WIDTH * 0.5, early_stop=early_stop)
+    monkeypatch.undo()
+    assert report.witness_id == "canonical-0"
+    assert len(builds) == 3 * 41 + 2
+
+
 def _skewing_family():
     """Super-only X -> A X: TP-free and not Hermiticity preserving."""
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
