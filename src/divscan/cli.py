@@ -25,6 +25,8 @@ import numpy as np
 from ._errors import ConfigError, DivscanError
 from .divisibility import (
     DOMAIN_ATOL,
+    NOT_P_DIVISIBLE,
+    P_EVIDENCE,
     STENCIL_WIDTH,
     cp_divisibility_scan,
     intermediate_map,
@@ -265,7 +267,7 @@ def _run_gaussian(cfg):
     first = gaussian_pair_at(cfg.preset, float(ts[0]))
     pair_valid = all(r["valid"] for r in rows)
     any_violation = any(r["violation"] for r in rows)
-    verdict = "NOT_P_DIVISIBLE" if any_violation else "P_EVIDENCE"
+    verdict = NOT_P_DIVISIBLE if any_violation else P_EVIDENCE
     validation = {
         "symplectic": first["symplectic"],
         "deviations": first["deviations"],

@@ -250,42 +250,24 @@ def _nonzero_blocks(ys: np.ndarray, d: int) -> np.ndarray:
     return ys.reshape(n, m, d, m, d)[:, keep][:, :, :, keep].reshape(n, keep.size * d, keep.size * d)
 
 
-def _curves(fam, grid, h, ws):
-    """Norms and central-difference slopes, each of shape (len(grid), N),
-    for one checked stack of N witnesses, P or CP, and recheck(k, cols):
-    the h/10 slopes at grid[k] of the witnesses cols, built on demand.
+def _norms(fam, ys: np.ndarray):
+    """tau -> the trace norms of I_m (x) Lambda_tau on the checked stack ys
+    of N witnesses, P or CP, in row order: the scan's one norm route.
 
-    Each stack is first cut to its nonzero blocks. S_tau is built and
-    checked once per stencil time of this stack (so once per chunk of the
-    library) and applied to its real and its complex rows, and the norms go
-    back in row order; nothing outlives the stencil time that built it.
-    recheck cuts and splits the stack ws[cols] as its own, so _scan passes
-    every witness flagged at grid[k], whichever cell asks.
+    The stack is cut to its nonzero blocks and split by dtype once; each
+    call builds and checks S_tau once and applies it to the real and to the
+    complex rows, and nothing outlives the call.
     """
+    parts = _by_dtype(_nonzero_blocks(ys, fam.d))
 
-    def norms(ys: np.ndarray):  # tau -> trace norms of I_m (x) Lambda_tau on the stack ys
-        parts = _by_dtype(_nonzero_blocks(ys, fam.d))
+    def at(tau):
+        s = fam.channel(tau).super
+        support, out = _support(s), np.empty(len(ys))
+        for rows, part in parts:
+            out[rows] = _trace_norms(_apply(s, fam.d, part, support))
+        return out
 
-        def at(tau):
-            s = fam.channel(tau).super
-            support, out = _support(s), np.empty(len(ys))
-            for rows, part in parts:
-                out[rows] = _trace_norms(_apply(s, fam.d, part, support))
-            return out
-
-        return at
-
-    shape = (len(grid), len(ws))
-    values, derivs = np.empty(shape), np.empty(shape)
-    curve = norms(ws)
-    for k, t in enumerate(grid.tolist()):
-        values[k] = curve(t)
-        derivs[k] = central_difference(curve, t, h)
-
-    def recheck(k, cols):
-        return central_difference(norms(ws[cols]), float(grid[k]), h / 10)
-
-    return values, derivs, recheck
+    return at
 
 
 def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> DivisibilityReport:
@@ -299,11 +281,12 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     ...), each witness drawn as its slice is read. A given library is
     listed and every shape checked before the first row.
 
-    A slice's flagged cells (t, witness) are re-checked in (-slope,
-    witness, t) order, (witness, -slope, t) with early stop, up to the
-    first one confirmed, the pick: the first strict maximum in (witness, t)
-    order, as the full pass found it. The first cell at a grid point
-    re-checks every witness flagged there, so none is re-checked twice."""
+    A slice's norms all come from _norms. Its flagged cells (t, witness)
+    are re-checked in (-slope, witness, t) order, (witness, -slope, t) with
+    early stop, up to the first one confirmed, the pick: the first strict
+    maximum in (witness, t) order, as the full pass found it. The first
+    cell at a grid point re-checks every witness flagged there, so none is
+    re-checked twice."""
     cp = mode == "CP"
     lo, hi = fam.t_domain
     if h is None:
@@ -329,17 +312,20 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     best = None  # (derivative, t, id, matrix)
     while (best is None or not early_stop) and (chunk := list(islice(source, size if early_stop else None))):
         ws = require_hermitian(np.stack([np.asarray(w) for _, w in chunk]), SCAN_HERM_ATOL)
-        values, derivs, recheck = _curves(fam, grid, h, ws)
+        curve = _norms(fam, ws)
+        values, derivs = np.empty((2, len(ts), len(chunk)))
+        for k, t in enumerate(ts):
+            values[k], derivs[k] = curve(t), central_difference(curve, t, h)
         flagged = derivs > tau_slope
         ks, ns = np.nonzero(flagged)
         order = np.lexsort((ks, -derivs[ks, ns], ns) if early_stop else (ks, ns, -derivs[ks, ns]))
-        fine, checked, missed, read = np.full(derivs.shape, np.nan), set(), [], len(chunk)
+        fine, missed, read = {}, [], len(chunk)  # grid point -> {witness: h/10 slope}
         for k, n in zip(ks[order].tolist(), ns[order].tolist()):
-            if k not in checked:
-                checked.add(k)
+            if k not in fine:
                 cols = np.flatnonzero(flagged[k])
-                fine[k, cols] = recheck(k, cols)
-            if fine[k, n] > tau_slope / 2:
+                slopes = central_difference(_norms(fam, ws[cols]), ts[k], h / 10)
+                fine[k] = dict(zip(cols.tolist(), slopes.tolist()))
+            if fine[k][n] > tau_slope / 2:
                 best = (float(derivs[k, n]), ts[k], *chunk[n])
                 if early_stop:
                     # later witnesses cannot change the verdict, only the argmax

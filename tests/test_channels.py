@@ -262,6 +262,25 @@ def test_channel_takes_exactly_one_form_on_a_positive_dimension():
         Channel(0, kraus=[np.zeros((0, 0))])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Channel(2, kraus=[np.eye(3)]),
+        lambda: Channel(2, kraus=[np.eye(2), np.ones((2, 3))]),
+        lambda: Channel(2, super_matrix=np.eye(3)),
+        lambda: Channel(2, super_matrix=np.eye(8)),
+        lambda: compose(super_channel(np.eye(4), 2), super_channel(np.eye(9), 3)),
+    ],
+    ids=["kraus-3x3", "kraus-2x3", "super-3x3", "super-8x8", "compose-2-3"],
+)
+def test_operators_of_another_dimension_raise_dimension_mismatch(build):
+    """A Kraus operator that is not d x d, a superoperator that is not
+    d^2 x d^2, and a composition of channels on different d are typed
+    errors, not a channel of the wrong size or numpy's matmul error."""
+    with pytest.raises(DimensionMismatch, match="does not match d=2|dimensions differ: 2 vs 3"):
+        build()
+
+
 def test_non_hp_map_is_not_cp():
     """The Choi matrix of X -> X + i(X - X^T) is not Hermitian, so it is not
     PSD, though its Hermitian part is; a Choi matrix within CP_ATOL of

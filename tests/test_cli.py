@@ -273,6 +273,21 @@ def test_config_file_syntax_error_reports_line(tmp_path, capsys):
     assert "line 3" in json.loads(capsys.readouterr().err)["message"]
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [(None, "cannot read config file"), ('["preset", "schur"]', "must hold a JSON object")],
+    ids=["missing", "array"],
+)
+def test_config_file_that_is_not_a_readable_object_is_a_config_error(text, named, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    code, report, _ = run_cli(["scan-p", "--config", str(cfg)], tmp_path)
+    assert code == 1 and report is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and named in err["message"]
+
+
 # ------------------------------------------------------------ command table
 
 # a well-formed value for every option, so that only the option's absence
@@ -341,12 +356,14 @@ def test_an_option_the_command_does_not_read_is_a_config_error(command, key, tmp
         ["scan-p", "--preset", "schur", "--h", "1" + "0" * 400],
         ["scan-p", "--preset", "unitary", "--h", "5"],
         ["scan-p", "--preset", "unitary", "--seed=-1"],
+        ["scan-p", "--preset", "unitary", "--h", "0"],
+        ["scan-p", "--preset", "unitary", "--tau-slope", "-1"],
         ["scan-p", "--preset", "unitary", "stray"],
         ["no-such-command"],
         ["--bogus"],
         ["--list-presets", "--bogus"],
     ],
-    ids=["unknown-flag", "bad-seed", "fractional-seed", "abbreviation", "h-for-help", "nan-h", "huge-h", "h-above-half-domain", "negative-seed", "stray", "command", "top-flag", "list-with-flag"],
+    ids=["unknown-flag", "bad-seed", "fractional-seed", "abbreviation", "h-for-help", "nan-h", "huge-h", "h-above-half-domain", "negative-seed", "zero-h", "negative-tau-slope", "stray", "command", "top-flag", "list-with-flag"],
 )
 def test_usage_errors_exit_one_with_config_error(argv, tmp_path, capsys):
     """Exit 2 means a NOT_* verdict, so no usage error may exit with it."""

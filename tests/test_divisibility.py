@@ -197,6 +197,21 @@ def test_kernel_inclusion_report_verdicts():
     assert kernel_inclusion_report(fb, 1.0, 2.0).verdict == "NOT_DIVISIBLE"
 
 
+def test_kernel_inclusion_reads_the_zero_map_as_all_kernel():
+    """Ker(0) is the whole space: Lambda_t = Phi Lambda_s has a solution
+    after a zero Lambda_s only when Lambda_t is zero too, and after the
+    identity always. A pair with s > t is a DomainExceeded."""
+    zero, one = super_channel(np.zeros((D * D, D * D)), D), super_channel(np.eye(D * D), D)
+    fam = DynamicalFamily(d=D, t_domain=(0.0, 1.0), channel_at=lambda t: zero if t < 0.5 else one, name="zero-one")
+    gone = DynamicalFamily(d=D, t_domain=(0.0, 1.0), channel_at=lambda t: one if t < 0.5 else zero, name="one-zero")
+    assert kernel_inclusion_divisible(fam, 0.1, 0.2) is True
+    assert kernel_inclusion_divisible(fam, 0.2, 0.8) is False
+    assert kernel_inclusion_divisible(gone, 0.2, 0.8) is True
+    assert kernel_inclusion_divisible(gone, 0.6, 0.8) is True
+    with pytest.raises(DomainExceeded, match="need s <= t"):
+        kernel_inclusion_divisible(fam, 0.8, 0.2)
+
+
 def test_intermediate_map_unitary_is_cp_and_exact():
     fam = unitary_family()
     out = intermediate_map(fam, 0.3, 0.8)

@@ -397,6 +397,30 @@ def test_make_gaussian_family_validates_grid():
         make_gaussian_family(bad, m=1, t_domain=(0.0, 1.0), name="bad")
 
 
+def test_make_gaussian_family_returns_a_valid_family():
+    """The attenuator X_t = sqrt(e^-t) I_2, Y_t = (1 - e^-t) I_2 is valid at
+    every t, so make_gaussian_family returns it with its domain as floats."""
+
+    def attenuator(t):
+        return make_pair(np.sqrt(np.exp(-t)) * np.eye(2), (1 - np.exp(-t)) * np.eye(2))
+
+    fam = make_gaussian_family(attenuator, m=1, t_domain=(0, 1), name="attenuator")
+    assert isinstance(fam, GaussianFamily) and fam.t_domain == (0.0, 1.0) and fam.m == 1
+    assert det_x(fam, 0.5) == pytest.approx(np.exp(-0.5), abs=1e-15)
+
+
+def test_covariance_maps_reject_mismatched_or_invalid_inputs():
+    """apply_to_covariance checks the covariance's shape against the pair,
+    then the pair's validity; compose_pairs checks the mode counts."""
+    one, two = make_pair(np.eye(2), np.zeros((2, 2))), make_pair(np.eye(4), np.zeros((4, 4)))
+    with pytest.raises(DimensionMismatch, match="covariance shape"):
+        apply_to_covariance(one, 0.5 * np.eye(4))
+    with pytest.raises(InvalidChannel, match="validity inequality"):
+        apply_to_covariance(GaussianPair(m=1, x=2.0 * np.eye(2), y=np.zeros((2, 2))), 0.5 * np.eye(2))
+    with pytest.raises(DimensionMismatch, match="mode counts differ: 2 vs 1"):
+        compose_pairs(two, one)
+
+
 def test_three_mode_preset_reports_defective_inputs():
     rep = gaussian_pair_at("dilation-3x2", 1.0)
     assert rep["symplectic"]["R1"] is False

@@ -289,6 +289,22 @@ def test_degenerate_denominator_names_the_vanishing_sum():
     assert "a_s+b_s" in str(err.value)
 
 
+def test_solve_left_divisor_rejects_mismatched_or_degenerate_vectors():
+    with pytest.raises(DimensionMismatch, match="differ in length"):
+        solve_left_divisor((1.0, 1.0, 1.0), (1.0, 3.0, 5.0, 7.0))
+    # x_1 + x_2 = 0 kills the second partial sum
+    with pytest.raises(DegenerateDenominator, match="through index 1"):
+        solve_left_divisor((0.5, -0.5, 0.5, 0.5), (1.0, 3.0, 5.0, 7.0))
+
+
+def test_divisor_outside_the_hypothesis_is_undetermined():
+    """The divisor (2.25, -1.25, 0, 0) fails the CP condition, and alpha > 0
+    puts it outside the a, b <= 0 hypothesis of the P condition."""
+    s_coeffs, t_coeffs = (0.4, 0.3, 0.2, 0.1), (0.9, -0.2, 0.2, 0.1)
+    assert np.allclose(divisor_coeffs(*s_coeffs, *t_coeffs), (2.25, -1.25, 0.0, 0.0), rtol=0, atol=1e-12)
+    assert classify_regime(2, 2, s_coeffs, t_coeffs) == "undetermined"
+
+
 def test_make_family_rejects_non_unit_sum():
     def fns(t):
         return (0.5, 0.2, 0.2, 0.2)  # sums to 1.1

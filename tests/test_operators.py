@@ -146,6 +146,14 @@ def test_trace_norms_of_a_stack_match_trace_norm_and_keep_its_checks():
         trace_norms(np.ones((2, 2, 3)))
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (9,), (1, 1, 3, 3)], ids=["matrix", "vector", "4d"])
+def test_trace_norms_rejects_what_is_not_a_stack(shape):
+    """trace_norms takes a stack (N, D, D): a single matrix, a vector or a
+    4-D array is a DimensionMismatch."""
+    with pytest.raises(DimensionMismatch, match="expected a stack of square matrices"):
+        trace_norms(np.ones(shape))
+
+
 def test_real_stacks_stay_real_and_match_the_complex_route():
     """A real symmetric stack is taken as it is (dsyevd, not zheevd): its
     norms are float64 and agree with the complex cast's within 1e-12, and

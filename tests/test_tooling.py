@@ -169,6 +169,25 @@ def test_hp_deviation_is_read_only_by_the_member_check():
     assert not stray, stray
 
 
+def test_scan_norms_have_one_route():
+    """Every norm the scan reads comes from one primitive: in
+    divisibility.py, _apply, _support and _trace_norms are called only
+    inside _norms, so a second norm route cannot grow back beside it."""
+    routes = {"_apply", "_support", "_trace_norms"}
+
+    def calls(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, ast.FunctionDef) else scope
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) in routes:
+                yield child.func.id, inner, child.lineno
+            yield from calls(child, inner)
+
+    found = list(calls(ast.parse((ROOT / "src" / "divscan" / "divisibility.py").read_text()), ""))
+    assert {name for name, _, _ in found} == routes, found
+    stray = [f for f in found if f[1].split(".")[0] != "_norms"]
+    assert not stray, stray
+
+
 def test_src_holds_no_cache():
     """Nothing is kept from one stencil time to the next: no function or
     property in src/ is decorated with lru_cache, cache or cached_property,
