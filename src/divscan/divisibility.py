@@ -22,12 +22,19 @@ m = d in CP mode, so I (x) Lambda_t is never built. With early_stop=True
 the library goes through as stacks of 1, 2, 4, ... witnesses, each with
 its own pass over the stencil times, so S_tau is built once per stencil
 time in every chunk: scan-p --preset unitary builds 342 channels for 57
-stencil times in 6 chunks. Nothing is kept past the stencil time that
-built it, and the default library is drawn chunk by chunk as the scan
-reads it, so memory grows with the largest chunk read x D^2 (D the
-witness dimension), not with grid length: early_stop=False reads the
-whole library as one stack, while scan-cp --preset schur stops at the
-first canonical witness and draws no random witness.
+stencil times in 6 chunks. Members are built in that order, t, t + h,
+t - h at each grid point, on the calling thread, and one stencil time is
+in flight: the eigensolves of a stencil time run while the member at the
+next one is built, checked and applied, and nothing is kept past the
+stencil time after the one that built it (_stencil). An eigensolve stack
+of at least operators.OVERLAP_SIZE goes to one worker thread, started by
+the first such stack where the process may use two CPUs; it runs only
+np.linalg.eigvalsh, so bits do not depend on it, and there is no setting.
+The default library is drawn chunk by chunk as the scan reads it, so
+memory grows with the largest chunk read x D^2 (D the witness
+dimension), not with grid length: early_stop=False reads the whole
+library as one stack, while scan-cp --preset schur stops at the first
+canonical witness and draws no random witness.
 
 Hermiticity is checked once per input, never per image: each chunk's
 stack passes require_hermitian once (a non-finite witness fails it), and
@@ -256,18 +263,48 @@ def _norms(fam, ys: np.ndarray):
 
     The stack is cut to its nonzero blocks and split by dtype once; each
     call builds and checks S_tau once and applies it to the real and to the
-    complex rows, and nothing outlives the call.
+    complex rows. When a part's eigensolve went to the worker (_trace_norms
+    with overlap), the call returns a function that waits for the norms,
+    in their place. Nothing outlives the norms of the call.
     """
     parts = _by_dtype(_nonzero_blocks(ys, fam.d))
 
     def at(tau):
         s = fam.channel(tau).super
-        support, out = _support(s), np.empty(len(ys))
+        support, out, waits = _support(s), np.empty(len(ys)), []
         for rows, part in parts:
-            out[rows] = _trace_norms(_apply(s, fam.d, part, support))
-        return out
+            norms = _trace_norms(_apply(s, fam.d, part, support), overlap=True)
+            if callable(norms):
+                waits.append((rows, norms))
+            else:
+                out[rows] = norms
+        if not waits:
+            return out
+
+        def wait():
+            for rows, norms in waits:
+                out[rows] = norms()
+            return out
+
+        return wait
 
     return at
+
+
+def _stencil(curve, taus):
+    """The norms curve(tau) for tau in taus, in order. Norms still on the
+    worker are read once the member at the next tau is built, checked and
+    applied, so at most two stencil times are in flight."""
+    held = None
+    for tau in taus:
+        norms = curve(tau)
+        if held is not None:
+            yield held()
+        held = norms if callable(norms) else None
+        if held is None:
+            yield norms
+    if held is not None:
+        yield held()
 
 
 def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> DivisibilityReport:
@@ -312,10 +349,10 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     best = None  # (derivative, t, id, matrix)
     while (best is None or not early_stop) and (chunk := list(islice(source, size if early_stop else None))):
         ws = require_hermitian(np.stack([np.asarray(w) for _, w in chunk]), SCAN_HERM_ATOL)
-        curve = _norms(fam, ws)
-        values, derivs = np.empty((2, len(ts), len(chunk)))
-        for k, t in enumerate(ts):
-            values[k], derivs[k] = curve(t), central_difference(curve, t, h)
+        # members at t, t + h, t - h for each grid point in turn
+        taus = chain.from_iterable((t, t + h, t - h) for t in ts)
+        values, ups, downs = np.reshape(list(_stencil(_norms(fam, ws), taus)), (len(ts), 3, -1)).transpose(1, 0, 2)
+        derivs = (ups - downs) / (2 * h)
         flagged = derivs > tau_slope
         ks, ns = np.nonzero(flagged)
         order = np.lexsort((ks, -derivs[ks, ns], ns) if early_stop else (ks, ns, -derivs[ks, ns]))
@@ -323,7 +360,8 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
         for k, n in zip(ks[order].tolist(), ns[order].tolist()):
             if k not in fine:
                 cols = np.flatnonzero(flagged[k])
-                slopes = central_difference(_norms(fam, ws[cols]), ts[k], h / 10)
+                up, down = _stencil(_norms(fam, ws[cols]), (ts[k] + h / 10, ts[k] - h / 10))
+                slopes = (up - down) / (2 * (h / 10))
                 fine[k] = dict(zip(cols.tolist(), slopes.tolist()))
             if fine[k][n] > tau_slope / 2:
                 best = (float(derivs[k, n]), ts[k], *chunk[n])

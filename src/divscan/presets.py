@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._errors import DimensionMismatch
 from .channels import Channel, choi, inverse, stacked_apply
 
 # Not called here; perfbench/tracing.py wraps it under this name.
@@ -166,6 +167,11 @@ def _choi_negative_witness(n: int, k: int, s_coeffs, t_coeffs) -> np.ndarray:
 
 
 def idempotent_family_preset(kind: str, n: int, k: int) -> DynamicalFamily:
+    """The idempotent family `kind` on C^(nk). DimensionMismatch for
+    idempotent-not-p at n * k < 2, where its canonical witness
+    E_00 - E_11 does not fit."""
+    if kind == "idempotent-not-p" and n * k < 2:
+        raise DimensionMismatch(f"idempotent-not-p needs n * k >= 2 for its witness E_00 - E_11, got n={n}, k={k}")
     fns = idempotent_coeff_fns(kind)
     cp_witnesses = ()
     if kind in ("idempotent-p-not-cp", "idempotent-not-p"):

@@ -20,6 +20,7 @@ from divscan.idempotent import (
     two_positive_necessary,
 )
 from divscan.operators import vec
+from divscan.presets import idempotent_family_preset
 
 from _reference import idempotent_product, two_positive_probe_choi
 
@@ -343,3 +344,15 @@ def test_truncation_report_tracks_divisor_conditions_across_sizes():
         assert set(r) >= {"n", "alpha", "beta", "gamma", "delta", "cp", "two_positive", "l1"}
         # divisor coefficients are n-independent in this parametrization
         assert abs(r["alpha"] - rows[0]["alpha"]) < 1e-12
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (0, 1)])
+def test_not_p_preset_without_room_for_its_witness_raises_dimension_mismatch(n, k):
+    """idempotent-not-p's canonical witness E_00 - E_11 needs n * k >= 2:
+    below that the preset raises DimensionMismatch naming the rule, not the
+    IndexError of writing w[1, 1]; the other presets build at n = k = 1."""
+    with pytest.raises(DimensionMismatch, match=r"n \* k >= 2"):
+        idempotent_family_preset("idempotent-not-p", n, k)
+    assert idempotent_family_preset("idempotent-not-p", 1, 2).d == 2
+    for kind in ("idempotent-cp", "idempotent-p-not-cp"):
+        assert idempotent_family_preset(kind, 1, 1).d == 1
