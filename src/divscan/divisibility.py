@@ -26,9 +26,10 @@ stencil times in 6 chunks. Members are built in that order, t, t + h,
 t - h at each grid point, on the calling thread, and one stencil time is
 in flight: the eigensolves of a stencil time run while the member at the
 next one is built, checked and applied, and nothing is kept past the
-stencil time after the one that built it (_stencil). An eigensolve stack
-of at least operators.OVERLAP_SIZE goes to one worker thread, started by
-the first such stack where the process may use two CPUs; it runs only
+stencil time after the one that built it (_norms). An eigensolve stack
+of at least operators.OVERLAP_SIZE goes to a one-thread executor, made by
+the first such stack where the process may use two CPUs, and its
+eigenvalues are read from their Future; the worker runs only
 np.linalg.eigvalsh, so bits do not depend on it, and there is no setting.
 The default library is drawn chunk by chunk as the scan reads it, so
 memory grows with the largest chunk read x D^2 (D the witness
@@ -257,54 +258,35 @@ def _nonzero_blocks(ys: np.ndarray, d: int) -> np.ndarray:
     return ys.reshape(n, m, d, m, d)[:, keep][:, :, :, keep].reshape(n, keep.size * d, keep.size * d)
 
 
-def _norms(fam, ys: np.ndarray):
-    """tau -> the trace norms of I_m (x) Lambda_tau on the checked stack ys
-    of N witnesses, P or CP, in row order: the scan's one norm route.
+def _norms(fam, ys: np.ndarray, taus):
+    """The trace norms of I_m (x) Lambda_tau on the checked stack ys of N
+    witnesses, P or CP, for each tau in taus, in order and in row order:
+    the scan's one norm route.
 
     The stack is cut to its nonzero blocks and split by dtype once; each
-    call builds and checks S_tau once and applies it to the real and to the
-    complex rows. When a part's eigensolve went to the worker (_trace_norms
-    with overlap), the call returns a function that waits for the norms,
-    in their place. Nothing outlives the norms of the call.
+    tau builds and checks S_tau once and applies it to the real and to the
+    complex rows. A part whose eigensolve went to the worker (_trace_norms
+    with overlap) gives a function that waits for its norms, and the norms
+    at a tau are read once the member at the next tau is built, checked
+    and applied: at most two stencil times are in flight, and nothing
+    outlives them.
     """
     parts = _by_dtype(_nonzero_blocks(ys, fam.d))
 
-    def at(tau):
-        s = fam.channel(tau).super
-        support, out, waits = _support(s), np.empty(len(ys)), []
-        for rows, part in parts:
-            norms = _trace_norms(_apply(s, fam.d, part, support), overlap=True)
-            if callable(norms):
-                waits.append((rows, norms))
-            else:
-                out[rows] = norms
-        if not waits:
-            return out
+    def read(held):
+        out = np.empty(len(ys))
+        for rows, norms in held:
+            out[rows] = norms() if callable(norms) else norms
+        return out
 
-        def wait():
-            for rows, norms in waits:
-                out[rows] = norms()
-            return out
-
-        return wait
-
-    return at
-
-
-def _stencil(curve, taus):
-    """The norms curve(tau) for tau in taus, in order. Norms still on the
-    worker are read once the member at the next tau is built, checked and
-    applied, so at most two stencil times are in flight."""
-    held = None
+    held = []
     for tau in taus:
-        norms = curve(tau)
-        if held is not None:
-            yield held()
-        held = norms if callable(norms) else None
-        if held is None:
-            yield norms
-    if held is not None:
-        yield held()
+        s = fam.channel(tau).super
+        support = _support(s)
+        held.append([(rows, _trace_norms(_apply(s, fam.d, part, support), overlap=True)) for rows, part in parts])
+        if len(held) == 2:
+            yield read(held.pop(0))
+    yield from map(read, held)
 
 
 def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> DivisibilityReport:
@@ -351,7 +333,7 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
         ws = require_hermitian(np.stack([np.asarray(w) for _, w in chunk]), SCAN_HERM_ATOL)
         # members at t, t + h, t - h for each grid point in turn
         taus = chain.from_iterable((t, t + h, t - h) for t in ts)
-        values, ups, downs = np.reshape(list(_stencil(_norms(fam, ws), taus)), (len(ts), 3, -1)).transpose(1, 0, 2)
+        values, ups, downs = np.reshape(list(_norms(fam, ws, taus)), (len(ts), 3, -1)).transpose(1, 0, 2)
         derivs = (ups - downs) / (2 * h)
         flagged = derivs > tau_slope
         ks, ns = np.nonzero(flagged)
@@ -360,7 +342,7 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
         for k, n in zip(ks[order].tolist(), ns[order].tolist()):
             if k not in fine:
                 cols = np.flatnonzero(flagged[k])
-                up, down = _stencil(_norms(fam, ws[cols]), (ts[k] + h / 10, ts[k] - h / 10))
+                up, down = _norms(fam, ws[cols], (ts[k] + h / 10, ts[k] - h / 10))
                 slopes = (up - down) / (2 * (h / 10))
                 fine[k] = dict(zip(cols.tolist(), slopes.tolist()))
             if fine[k][n] > tau_slope / 2:

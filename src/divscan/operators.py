@@ -10,8 +10,9 @@ an eigensolve, and the others take one stacked eigensolve at full size. The
 divisibility scan calls that route directly on its images, already cut to
 their nonzero blocks: it checks its witnesses and each channel once instead,
 and the eigensolve reads one triangle of each image, so no image is checked
-or copied. The scan's large stacks are solved on one worker thread while
-it builds the next member (_on_worker); bits do not change.
+or copied. The scan's large stacks are solved on one worker thread, a
+ThreadPoolExecutor, while it builds the next member (_pool); bits do not
+change.
 
 Vectorization is column-stacking throughout: ``vec(A X B) = kron(B.T, A) vec(X)``.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import os
 import threading
+from functools import partial
 
 import numpy as np
 
@@ -116,9 +118,9 @@ def _trace_norms(xs: np.ndarray, overlap: bool = False):
     stacks to their nonzero blocks before the apply.
 
     Returns the norms, float64 in row order; with overlap=True, a stack
-    of at least OVERLAP_SIZE (N D^3) to eigensolve goes to the worker
-    thread, and the return is then a function that waits for the norms
-    (_on_worker).
+    of at least OVERLAP_SIZE (N D^3) to eigensolve goes to the worker, and
+    the return is then a function that reads the eigenvalues from their
+    Future and returns the norms (_pool).
     """
     out, rows = np.empty(len(xs)), slice(None)
     if np.count_nonzero(xs) < xs.size:  # with no zero entry, every row is eigensolved as it is
@@ -130,70 +132,42 @@ def _trace_norms(xs: np.ndarray, overlap: bool = False):
         if rows.size == len(xs):  # a view, not a copy
             rows = slice(None)
     stack = xs[rows]
-    if overlap and stack.size * stack.shape[-1] >= OVERLAP_SIZE and (jobs := _worker()) is not None:
-        return _on_worker(jobs, stack, out, rows)
-    out[rows] = np.sum(np.abs(_eigvalsh(stack)), axis=-1)
+    eigvals = lambda: np.linalg.eigvalsh(stack)  # noqa: E731 - the one eigensolve, here or on the worker
+    if overlap and stack.size * stack.shape[-1] >= OVERLAP_SIZE and (pool := _pool()) is not None:
+        # the worker runs the eigensolve alone: each numpy call after it would
+        # release the GIL and wait to take it back from the calling thread
+        return partial(_write, out, rows, pool.submit(eigvals).result)
+    return _write(out, rows, eigvals)
+
+
+def _write(out: np.ndarray, rows, eigvals) -> np.ndarray:
+    """out with the norms of rows written from their eigenvalues, eigvals()."""
+    out[rows] = np.sum(np.abs(eigvals()), axis=-1)
     return out
 
 
-def _eigvalsh(stack: np.ndarray) -> np.ndarray:
-    """The one eigensolve of every trace norm, run here or on the worker."""
-    return np.linalg.eigvalsh(stack)
-
-
-def _on_worker(jobs, stack: np.ndarray, out: np.ndarray, rows):
-    """Send stack to the worker with a reply slot of its own, and return a
-    function that waits for the reply and returns out with the norms of
-    rows written. A reply never read (a scan that raised) reaches no one.
-    A stack whose eigensolve raised on the worker comes back and is solved
-    here, so the caller gets the serial path's error."""
-    from queue import SimpleQueue  # already imported by _worker
-
-    reply = SimpleQueue()
-    jobs.put((stack, reply))
-
-    def norms():
-        w = reply.get()
-        out[rows] = np.sum(np.abs(w if w.ndim == 2 else _eigvalsh(w)), axis=-1)
-        return out
-
-    return norms
-
-
-def _worker():
-    """The worker's job queue, its thread started by the first call, or
-    None when the process may run on one CPU only (or the platform cannot
-    tell): a scan uses min(2, CPUs) threads, the calling one and the worker."""
-    global _jobs
+def _pool():
+    """The worker, a one-thread executor made by the first call, or None
+    when the process may run on one CPU only (or the platform cannot tell):
+    a scan uses min(2, CPUs) threads, the calling one and the worker. Its
+    Future raises the eigensolve's own error in the caller."""
+    global _executor
     with _lock:
-        if _jobs is None and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
-            from queue import SimpleQueue  # here, so that a process with no worker never imports it
+        if _executor is None and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+            # here, so that a process with no worker never imports it, nor the logging it imports
+            from concurrent.futures import ThreadPoolExecutor
 
-            _jobs = SimpleQueue()
-            threading.Thread(target=_serve, args=(_jobs,), name="divscan-eigvalsh", daemon=True).start()
-        return _jobs
-
-
-def _serve(jobs) -> None:
-    """The worker thread: puts the eigenvalues of each (stack, reply) job,
-    in order, in its reply, or the stack itself when its eigensolve raised,
-    and drops the stack as soon as it is solved."""
-    while True:
-        stack, reply = jobs.get()
-        try:
-            reply.put(_eigvalsh(stack))
-        except Exception:  # raised again by the caller's own eigensolve
-            reply.put(stack)
-        del stack, reply
+            _executor = ThreadPoolExecutor(1, thread_name_prefix="divscan-eigvalsh")
+        return _executor
 
 
 def _forked() -> None:
     """A forked child has no worker thread: its first stack starts one."""
-    global _jobs, _lock
-    _jobs, _lock = None, threading.Lock()
+    global _executor, _lock
+    _executor, _lock = None, threading.Lock()
 
 
-_jobs = None
+_executor = None
 _lock = threading.Lock()
 os.register_at_fork(after_in_child=_forked)
 

@@ -168,10 +168,12 @@ def _choi_negative_witness(n: int, k: int, s_coeffs, t_coeffs) -> np.ndarray:
 
 def idempotent_family_preset(kind: str, n: int, k: int) -> DynamicalFamily:
     """The idempotent family `kind` on C^(nk). DimensionMismatch for
-    idempotent-not-p at n * k < 2, where its canonical witness
-    E_00 - E_11 does not fit."""
-    if kind == "idempotent-not-p" and n * k < 2:
-        raise DimensionMismatch(f"idempotent-not-p needs n * k >= 2 for its witness E_00 - E_11, got n={n}, k={k}")
+    idempotent-not-p at n < 1 or k < 2, where its canonical witness
+    E_00 - E_11 does not fit in one k x k block (at k = 1 the family is CP)."""
+    if kind == "idempotent-not-p" and (n < 1 or k < 2):
+        raise DimensionMismatch(
+            f"idempotent-not-p needs n >= 1 and k >= 2 for its witness E_00 - E_11 in one block, got n={n}, k={k}"
+        )
     fns = idempotent_coeff_fns(kind)
     cp_witnesses = ()
     if kind in ("idempotent-p-not-cp", "idempotent-not-p"):

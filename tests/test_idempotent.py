@@ -346,12 +346,13 @@ def test_truncation_report_tracks_divisor_conditions_across_sizes():
         assert abs(r["alpha"] - rows[0]["alpha"]) < 1e-12
 
 
-@pytest.mark.parametrize("n, k", [(1, 1), (0, 1)])
+@pytest.mark.parametrize("n, k", [(1, 1), (0, 1), (2, 1), (3, 1)])
 def test_not_p_preset_without_room_for_its_witness_raises_dimension_mismatch(n, k):
-    """idempotent-not-p's canonical witness E_00 - E_11 needs n * k >= 2:
-    below that the preset raises DimensionMismatch naming the rule, not the
-    IndexError of writing w[1, 1]; the other presets build at n = k = 1."""
-    with pytest.raises(DimensionMismatch, match=r"n \* k >= 2"):
+    """idempotent-not-p's canonical witness E_00 - E_11 needs one block of
+    k >= 2: below that the preset raises DimensionMismatch naming the rule,
+    not the IndexError of writing w[1, 1] nor, at k = 1, a family whose
+    designated step is CP; the other presets build at n = k = 1."""
+    with pytest.raises(DimensionMismatch, match=r"n >= 1 and k >= 2"):
         idempotent_family_preset("idempotent-not-p", n, k)
     assert idempotent_family_preset("idempotent-not-p", 1, 2).d == 2
     for kind in ("idempotent-cp", "idempotent-p-not-cp"):

@@ -7,12 +7,15 @@ wait on the worker runs under a timeout, so a hang fails the test instead of
 blocking the suite."""
 
 import hashlib
+import json
 import os
 import select
 import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +24,16 @@ import divscan.operators
 from divscan.channels import super_channel
 from divscan.divisibility import DynamicalFamily, cp_divisibility_scan, default_witnesses, p_divisibility_scan
 from divscan._errors import NonHermitianInput
-from divscan.presets import idempotent_family_preset
+from divscan.presets import FAMILY_PRESETS, idempotent_family_preset
 from divscan.schur import make_schur_family
 
 TIMEOUT_S = 60
-WORKER = "divscan-eigvalsh"  # the worker thread's name
+WORKER = "divscan-eigvalsh"  # the prefix of the worker thread's name
+
+
+def _on_worker(names):
+    """Whether any of the thread names is the worker's."""
+    return any(name.startswith(WORKER) for name in names)
 
 
 def _within(*calls):
@@ -61,6 +69,14 @@ def _path(monkeypatch, threaded):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
+def _python(code):
+    """Run code in a fresh python process that imports divscan from this
+    checkout; its exit status and output, or a failure after TIMEOUT_S."""
+    src = str(Path(divscan.operators.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+
+
 def _scan(monkeypatch, threaded, scan, fam, **kwargs):
     _path(monkeypatch, threaded)
     return _within((scan, (fam,), kwargs))[0]
@@ -77,7 +93,7 @@ def _solvers(monkeypatch, delay=0.0):
 
     def logged(a, *args, **kwargs):
         names.append(threading.current_thread().name)
-        if names[-1] == WORKER:
+        if names[-1].startswith(WORKER):
             time.sleep(delay)
         return eigvalsh(a, *args, **kwargs)
 
@@ -145,7 +161,7 @@ def test_threaded_scan_is_the_serial_scan_bit_for_bit(monkeypatch, kind, case):
         report = _scan(monkeypatch, threaded, scan, fam, **kwargs)
         runs.append((_record(report), list(times)))
     assert runs[0] == runs[1]
-    assert WORKER in solvers
+    assert _on_worker(solvers)
 
 
 def test_one_cpu_starts_no_thread(monkeypatch):
@@ -153,13 +169,13 @@ def test_one_cpu_starts_no_thread(monkeypatch):
     no thread is started, and the report is the serial one."""
     fam = idempotent_family_preset("idempotent-cp", 2, 2)
     serial = _record(_scan(monkeypatch, False, p_divisibility_scan, fam, early_stop=False))
-    monkeypatch.setattr(divscan.operators, "_jobs", None)
+    monkeypatch.setattr(divscan.operators, "_executor", None)
     monkeypatch.setattr(divscan.operators, "OVERLAP_SIZE", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     before = set(threading.enumerate())
     report = _within((p_divisibility_scan, (fam,), dict(early_stop=False)))[0]
     assert set(threading.enumerate()) == before
-    assert divscan.operators._jobs is None
+    assert divscan.operators._executor is None
     assert _record(report) == serial
 
 
@@ -183,7 +199,7 @@ def test_worker_eigensolve_error_is_raised_in_the_caller(monkeypatch):
             _scan(monkeypatch, threaded, p_divisibility_scan, fam, early_stop=False)
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1] == (np.linalg.LinAlgError, "Eigenvalues did not converge")
-    assert WORKER in solvers
+    assert _on_worker(solvers)
 
 
 def test_member_error_with_a_stack_in_flight_leaves_no_stale_result(monkeypatch):
@@ -207,7 +223,7 @@ def test_member_error_with_a_stack_in_flight_leaves_no_stale_result(monkeypatch)
         errors.append((str(info.value), info.value.t))
     assert errors[0] == errors[1]
     assert _record(_scan(monkeypatch, True, p_divisibility_scan, good, early_stop=False)) == expected
-    assert WORKER in solvers
+    assert _on_worker(solvers)
 
 
 def test_scans_run_at_once_each_get_their_serial_report(monkeypatch):
@@ -232,7 +248,7 @@ def test_scans_run_at_once_each_get_their_serial_report(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert WORKER in solvers
+    assert _on_worker(solvers)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -242,7 +258,7 @@ def test_child_forked_after_the_worker_started_can_scan(monkeypatch):
     fam = make_schur_family(4)
     serial = _record(_scan(monkeypatch, False, p_divisibility_scan, fam, early_stop=False))
     _scan(monkeypatch, True, p_divisibility_scan, fam, early_stop=False)
-    assert WORKER in {th.name for th in threading.enumerate()}
+    assert _on_worker(th.name for th in threading.enumerate())
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: report a digest of its scan, never return to pytest
@@ -264,8 +280,8 @@ def test_child_forked_after_the_worker_started_can_scan(monkeypatch):
 
 
 def test_reply_slot_is_per_submission(monkeypatch):
-    """Each stack sent to the worker has its own reply, so two replies read
-    in the opposite order still belong to their stacks."""
+    """Each stack sent to the worker has its own Future, so two deferred
+    norms read in the opposite order still are those of their own stacks."""
     rng = np.random.default_rng(5)
     stacks = [rng.standard_normal((3, 6, 6)) for _ in range(2)]
     stacks = [(a + a.swapaxes(1, 2)) / 2 for a in stacks]
@@ -274,5 +290,60 @@ def test_reply_slot_is_per_submission(monkeypatch):
     solvers = _solvers(monkeypatch)
     first, second = (divscan.operators._trace_norms(a, overlap=True) for a in stacks)
     got = _within((second, (), {}), (first, (), {}))
-    assert solvers == [WORKER, WORKER]
+    assert [name.startswith(WORKER) for name in solvers] == [True, True]
     assert all(np.array_equal(norms, want) for norms, want in zip(got[::-1], serial))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_child_forked_after_the_worker_started_exits_normally():
+    """The executor's thread is joined when the interpreter exits: a child
+    forked after the worker started, which scans on its own worker and
+    leaves through sys.exit, exits with status 0 instead of hanging on the
+    parent's thread. An alarm ends a child that hangs, so none outlives
+    the test."""
+    code = (
+        "import os, signal, sys\n"
+        "import divscan.operators\n"
+        "from divscan.divisibility import p_divisibility_scan\n"
+        "from divscan.schur import make_schur_family\n"
+        "divscan.operators.OVERLAP_SIZE = 0\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fam = make_schur_family(4)\n"
+        "p_divisibility_scan(fam, early_stop=False)\n"
+        "assert divscan.operators._executor is not None\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        f"    signal.alarm({TIMEOUT_S})\n"
+        "    assert divscan.operators._executor is None\n"
+        "    p_divisibility_scan(fam, early_stop=False)\n"
+        "    assert divscan.operators._executor is not None\n"
+        "    sys.exit(0)\n"
+        "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+    )
+    run = _python(code)
+    assert run.returncode == 0, run.stderr
+
+
+def test_cli_process_loads_no_pool(tmp_path):
+    """concurrent.futures is imported by the first stack sent to the
+    worker, and no CLI preset sends one: import divscan loads neither
+    concurrent nor logging, and scan-p and scan-cp on every family preset,
+    and the schur command, leave concurrent unloaded and start no thread."""
+    run = _python("import sys, divscan\nprint(sorted({'concurrent', 'logging'} & set(sys.modules)))\n")
+    assert (run.returncode, run.stdout.splitlines()[-1]) == (0, "[]"), run.stderr
+    runs = [[command, "--preset", preset] for command in ("scan-p", "scan-cp") for preset in sorted(FAMILY_PRESETS)]
+    runs.append(["schur"])
+    code = (
+        "import json, sys, threading\n"
+        "from divscan.cli import main\n"
+        "seen = []\n"
+        f"for i, args in enumerate({runs!r}):\n"
+        f"    out = {str(tmp_path)!r} + f'/{{i}}'\n"
+        "    main(args + ['--out-json', out + '.json', '--out-csv', out + '.csv'])\n"
+        "    seen.append(['concurrent' in sys.modules, threading.active_count()])\n"
+        "print(json.dumps(seen))\n"
+    )
+    run = _python(code)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [[False, 1]] * len(runs)
+    assert len(list(tmp_path.glob("*.json"))) == len(runs)

@@ -320,31 +320,35 @@ def test_every_library_definition_has_a_user():
 
 
 def test_src_starts_threads_in_one_function():
-    """The scan's eigensolve worker is the one thread the library starts:
-    in src/, threading.Thread (or _thread.start_new_thread) is called in
-    exactly one function, and no module imports concurrent.futures or
-    multiprocessing, so a second pool cannot grow beside it."""
-    starters = {"Thread", "start_new_thread"}
+    """The scan's eigensolve worker is the one pool the library makes: in
+    src/, threading.Thread, _thread.start_new_thread or ThreadPoolExecutor
+    is called in exactly one function, concurrent.futures is imported only
+    inside that function, and no module imports multiprocessing, so a
+    second pool cannot grow beside it."""
+    starters = {"Thread", "start_new_thread", "ThreadPoolExecutor"}
+    pools = {"concurrent", "multiprocessing"}
 
-    def calls(node, scope):
+    def found(node, scope):
+        """(what, scope) of each thread start and pool import under node."""
         for child in ast.iter_child_nodes(node):
             inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, ast.FunctionDef) else scope
             func = getattr(child, "func", None)
             if isinstance(child, ast.Call) and (getattr(func, "attr", None) or getattr(func, "id", None)) in starters:
-                yield inner
-            yield from calls(child, inner)
-
-    starts, pools = set(), []
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        starts |= {(path.name, scope) for scope in calls(tree, "")}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                yield "start", inner
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
             else:
-                continue
-            pools += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] in {"concurrent", "multiprocessing"}]
-    assert len(starts) == 1 and "" not in {scope for _, scope in starts}, starts
-    assert not pools, pools
+                modules = []
+            yield from ((name.split(".")[0], inner) for name in modules if name.split(".")[0] in pools)
+            yield from found(child, inner)
+
+    seen = {"start": set(), "concurrent": set(), "multiprocessing": set()}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for what, scope in found(ast.parse(path.read_text()), ""):
+            seen[what].add((path.name, scope))
+    starts = seen["start"]
+    assert len(starts) == 1 and "" not in {scope for _, scope in starts}, seen
+    assert seen["concurrent"] <= starts, seen
+    assert not seen["multiprocessing"], seen
