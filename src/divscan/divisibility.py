@@ -97,11 +97,16 @@ def _check_time(t: float, domain: tuple[float, float], what: str = "t") -> None:
         raise DomainExceeded(f"{what}={t} outside domain [{lo}, {hi}]")
 
 
-def _check_stencil(grid: np.ndarray, h, domain: tuple[float, float]) -> None:
-    """The stencil rule: a non-empty grid and a finite h > 0, else
-    HypothesisViolated; every t +/- h in the domain, else DomainExceeded."""
-    if len(grid) == 0 or not (np.isfinite(h) and h > 0):
-        raise HypothesisViolated(f"a scan needs a non-empty grid and a finite h > 0; got {len(grid)} times, h={h}")
+def _check_stencil(grid: np.ndarray, h, tau_slope, domain: tuple[float, float]) -> None:
+    """The stencil rule: a non-empty 1-D grid, a finite h > 0 and a finite
+    tau_slope > 0, else HypothesisViolated; every t +/- h in the domain,
+    else DomainExceeded."""
+    if np.ndim(grid) != 1 or len(grid) == 0 or not (np.isfinite(h) and h > 0):
+        raise HypothesisViolated(
+            f"a scan needs a non-empty 1-D grid and a finite h > 0; got grid shape {np.shape(grid)}, h={h}"
+        )
+    if not (np.isfinite(tau_slope) and tau_slope > 0):
+        raise HypothesisViolated(f"a scan needs a finite tau_slope > 0; got {tau_slope}")
     _check_time(float(np.min(grid)) - h, domain, what="stencil point t - h")
     _check_time(float(np.max(grid)) + h, domain, what="stencil point t + h")
 
@@ -311,7 +316,7 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     if h is None:
         h = STENCIL_WIDTH * (hi - lo)
     grid = np.linspace(lo + h, hi - h, 51) if grid is None else np.asarray(grid, dtype=float)
-    _check_stencil(grid, h, fam.t_domain)
+    _check_stencil(grid, h, tau_slope, fam.t_domain)
     dim = fam.d * fam.d if cp else fam.d
     drawn = ()
     if witnesses is None:
@@ -334,7 +339,7 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
         # members at t, t + h, t - h for each grid point in turn
         taus = chain.from_iterable((t, t + h, t - h) for t in ts)
         values, ups, downs = np.reshape(list(_norms(fam, ws, taus)), (len(ts), 3, -1)).transpose(1, 0, 2)
-        derivs = (ups - downs) / (2 * h)
+        derivs = central_difference(ups, downs, h)
         flagged = derivs > tau_slope
         ks, ns = np.nonzero(flagged)
         order = np.lexsort((ks, -derivs[ks, ns], ns) if early_stop else (ks, ns, -derivs[ks, ns]))
@@ -342,8 +347,7 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
         for k, n in zip(ks[order].tolist(), ns[order].tolist()):
             if k not in fine:
                 cols = np.flatnonzero(flagged[k])
-                up, down = _norms(fam, ws[cols], (ts[k] + h / 10, ts[k] - h / 10))
-                slopes = (up - down) / (2 * (h / 10))
+                slopes = central_difference(*_norms(fam, ws[cols], (ts[k] + h / 10, ts[k] - h / 10)), h / 10)
                 fine[k] = dict(zip(cols.tolist(), slopes.tolist()))
             if fine[k][n] > tau_slope / 2:
                 best = (float(derivs[k, n]), ts[k], *chunk[n])
@@ -392,8 +396,9 @@ def p_divisibility_scan(
     """Scan d/dt ||Lambda_t(X)||_1 over a witness library.
 
     h defaults to STENCIL_WIDTH times the domain span. HypothesisViolated
-    for an empty grid or library or an h that is not finite and positive;
-    DomainExceeded when a stencil point t +/- h leaves the family domain.
+    for an empty library, a grid that is empty or not 1-D, or an h or a
+    tau_slope that is not finite and positive; DomainExceeded when a
+    stencil point t +/- h leaves the family domain.
     witnesses=None selects the canonical witnesses, then the default library.
     """
     return _scan(fam, grid, h, witnesses, seed, tau_slope, mode="P", early_stop=early_stop)
@@ -412,8 +417,10 @@ def cp_divisibility_scan(
     return _scan(fam, grid, h, witnesses, seed, tau_slope, mode="CP", early_stop=early_stop)
 
 
-def central_difference(f, t: float, h: float):
-    return (f(t + h) - f(t - h)) / (2 * h)
+def central_difference(up, down, h: float):
+    """The stencil slope (up - down) / 2h from the values at t + h and t - h,
+    floats or arrays: the one slope rule of every scan."""
+    return (up - down) / (2 * h)
 
 
 def _null_basis(s: np.ndarray) -> np.ndarray:
@@ -424,6 +431,14 @@ def _null_basis(s: np.ndarray) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def _members(fam: DynamicalFamily, s: float, t: float) -> tuple[Channel, Channel]:
+    """The checked members Lambda_s and Lambda_t of the step s -> t, in that
+    order; DomainExceeded unless s <= t."""
+    if t < s:
+        raise DomainExceeded(f"need s <= t, got s={s}, t={t}")
+    return fam.channel(s), fam.channel(t)
+
+
 def kernel_inclusion_divisible(fam: DynamicalFamily, s: float, t: float) -> bool:
     """Exact divisibility test: some Phi with Lambda_t = Phi Lambda_s exists
     iff Ker(Lambda_s) is contained in Ker(Lambda_t).
@@ -431,10 +446,7 @@ def kernel_inclusion_divisible(fam: DynamicalFamily, s: float, t: float) -> bool
     Decided from an SVD null-space basis of Lambda_s: the rank cut-off RCOND
     and the residual bound KERNEL_ATOL are relative to each map's 2-norm.
     """
-    if t < s:
-        raise DomainExceeded(f"need s <= t, got s={s}, t={t}")
-    ss = fam.channel(s).super
-    st = fam.channel(t).super
+    ss, st = (ch.super for ch in _members(fam, s, t))
     return float(np.max(np.abs(st @ _null_basis(ss)), initial=0.0)) <= KERNEL_ATOL * float(np.linalg.norm(st, 2))
 
 
@@ -460,10 +472,7 @@ def intermediate_map(fam: DynamicalFamily, s: float, t: float, seed: int = 7) ->
     """
     from .channels import compose, inverse, positivity_by_contractivity
 
-    if t < s:
-        raise DomainExceeded(f"need s <= t, got s={s}, t={t}")
-    ch_s = fam.channel(s)
-    ch_t = fam.channel(t)
+    ch_s, ch_t = _members(fam, s, t)
     mid = compose(ch_t, inverse(ch_s))
     contr = positivity_by_contractivity(mid, seed=seed)
     return {"map": mid, "cp": bool(mid.is_cp()), "p": contr}

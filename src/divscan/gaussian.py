@@ -197,9 +197,9 @@ def det_criterion_scan(fam: GaussianFamily, grid, h: float | None = None,
     theirs.
     """
     grid = np.asarray(grid, dtype=float)
-    if h is None and len(grid):
-        h = STENCIL_WIDTH * float(grid[-1] - grid[0])
-    _check_stencil(grid, h, fam.t_domain)
+    if h is None and grid.size:
+        h = STENCIL_WIDTH * float(grid.flat[-1] - grid.flat[0])
+    _check_stencil(grid, h, tau_slope, fam.t_domain)
 
     def det(pair: GaussianPair, tau: float) -> float:
         dv = float(np.linalg.det(pair.x))
@@ -209,7 +209,7 @@ def det_criterion_scan(fam: GaussianFamily, grid, h: float | None = None,
 
     rows = []
     for t in grid.tolist():
-        ddet = central_difference(lambda tau: det(fam.pair(tau), tau), t, h)
+        ddet = central_difference(det(fam.pair(t + h), t + h), det(fam.pair(t - h), t - h), h)
         violation = bool(ddet > tau_slope)
         pair = fam.pair(t)
         rows.append({"t": t, "det": det(pair, t), "ddet": ddet, "violation": violation, "valid": pair.is_valid()})

@@ -39,6 +39,8 @@ class IdempotentParams:
     d: float
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)) or not isinstance(self.k, (int, np.integer)):
+            raise DimensionMismatch(f"need n, k >= 1 as integers, got n={self.n!r}, k={self.k!r}")
         if self.n < 1 or self.k < 1:
             raise DimensionMismatch(f"need n, k >= 1, got n={self.n}, k={self.k}")
 
@@ -194,6 +196,16 @@ def make_family(coeff_fns, n: int, k: int, t_domain, name: str = "",
     )
 
 
+def _row(n: int, k: int, coeffs) -> dict:
+    """The conditions on the divisor Phi(coeffs) at n blocks of dimension
+    k: CP, the necessary 2-positivity conditions, and the l = 1 condition
+    within the a, b <= 0 hypothesis (None outside it)."""
+    div = IdempotentParams(n, k, *coeffs)
+    l1 = l_positive_condition(div) if div.a <= COEFF_ATOL and div.b <= COEFF_ATOL else None
+    return {"n": int(n), "alpha": div.a, "beta": div.b, "gamma": div.c, "delta": div.d,
+            "cp": cp_condition(div), "two_positive": two_positive_necessary(div), "l1": l1}
+
+
 def classify_regime(n: int, k: int, s_coeffs, t_coeffs) -> str:
     """Divisor-based regime label for the step s -> t.
 
@@ -201,35 +213,17 @@ def classify_regime(n: int, k: int, s_coeffs, t_coeffs) -> str:
     hypothesis, 'P-not-CP' when k*beta + alpha + gamma + delta >= 0 and
     'not-P' when it is negative; 'undetermined' otherwise.
     """
-    alpha, beta, gamma, delta = divisor_coeffs(*s_coeffs, *t_coeffs)
-    div = IdempotentParams(n, k, alpha, beta, gamma, delta)
-    if cp_condition(div):
+    row = _row(n, k, divisor_coeffs(*s_coeffs, *t_coeffs))
+    if row["cp"]:
         return "CP"
-    if alpha <= COEFF_ATOL and beta <= COEFF_ATOL:
-        if l_positive_condition(div):
-            return "P-not-CP"
-        return "not-P"
-    return "undetermined"
+    if row["l1"] is None:
+        return "undetermined"
+    return "P-not-CP" if row["l1"] else "not-P"
 
 
 def truncation_report(s_coeffs, t_coeffs, k: int, n_list):
     """Divisor conditions as the number of blocks grows (fixed k): the finite
     stand-in for the infinite-dimensional limit. Divisor coefficients do not
     depend on n; the positivity conditions do."""
-    alpha, beta, gamma, delta = divisor_coeffs(*s_coeffs, *t_coeffs)
-    rows = []
-    for n in n_list:
-        div = IdempotentParams(int(n), k, alpha, beta, gamma, delta)
-        rows.append(
-            {
-                "n": int(n),
-                "alpha": alpha,
-                "beta": beta,
-                "gamma": gamma,
-                "delta": delta,
-                "cp": cp_condition(div),
-                "two_positive": two_positive_necessary(div),
-                "l1": l_positive_condition(div) if alpha <= COEFF_ATOL and beta <= COEFF_ATOL else None,
-            }
-        )
-    return rows
+    coeffs = divisor_coeffs(*s_coeffs, *t_coeffs)
+    return [_row(n, k, coeffs) for n in n_list]

@@ -29,7 +29,7 @@ def toeplitz_a(n: int, t: float) -> np.ndarray:
     """The mask matrix: ones on the diagonal, t on the off-diagonals."""
     if n < 2:
         raise DimensionMismatch(f"need n >= 2, got {n}")
-    if t < 0:
+    if not t >= 0:
         raise OutsideValidityWindow(f"need t >= 0, got {t}")
     a = np.eye(n)
     idx = np.arange(n - 1)
@@ -68,7 +68,7 @@ def schur_channel(n: int, t: float) -> Channel:
     per eigenpair (v_i, u_i) of A_t and written as one stack, that certify
     it CP. Raises OutsideValidityWindow for t outside [0, 1/2], where the
     mask stops being PSD."""
-    if t < -DOMAIN_ATOL or t > 0.5 + DOMAIN_ATOL:
+    if not -DOMAIN_ATOL <= t <= 0.5 + DOMAIN_ATOL:
         raise OutsideValidityWindow(f"t={t} outside the CP window [0, 0.5]")
     a = toeplitz_a(n, max(t, 0.0))
     vals, vecs = np.linalg.eigh(a)

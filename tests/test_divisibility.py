@@ -125,23 +125,31 @@ def test_scan_respects_domain():
 
 
 @pytest.mark.parametrize(
-    "grid, h, witnesses",
+    "grid, h, tau_slope, witnesses",
     [
-        ([0.5], 0.0, None),
-        ([0.5], -1e-4, None),
-        ([0.5], np.nan, None),
-        ([0.5], np.inf, None),
-        ([], 1e-4, None),
-        ([0.5], 1e-4, []),
+        ([0.5], 0.0, 1e-6, None),
+        ([0.5], -1e-4, 1e-6, None),
+        ([0.5], np.nan, 1e-6, None),
+        ([0.5], np.inf, 1e-6, None),
+        ([], 1e-4, 1e-6, None),
+        ([[0.5, 0.6]], 1e-4, 1e-6, None),
+        ([0.5], 1e-4, 0.0, None),
+        ([0.5], 1e-4, -1.0, None),
+        ([0.5], 1e-4, np.nan, None),
+        ([0.5], 1e-4, np.inf, None),
+        ([0.5], 1e-4, 1e-6, []),
     ],
-    ids=["h-zero", "h-negative", "h-nan", "h-inf", "empty-grid", "no-witnesses"],
+    ids=["h-zero", "h-negative", "h-nan", "h-inf", "empty-grid", "grid-2d", "tau-zero", "tau-negative", "tau-nan",
+         "tau-inf", "no-witnesses"],
 )
 @pytest.mark.parametrize("scan", [p_divisibility_scan, cp_divisibility_scan])
-def test_scan_without_a_stencil_or_witnesses_is_no_evidence(scan, grid, h, witnesses):
+def test_scan_without_a_stencil_or_witnesses_is_no_evidence(scan, grid, h, tau_slope, witnesses):
     """With h=0 the CP scan of generic-noncp used to read CP_EVIDENCE from a
-    NaN slope, and an empty grid or library gave evidence from zero rows."""
+    NaN slope, and an empty grid or library gave evidence from zero rows. A
+    2-D grid used to raise a bare TypeError; tau_slope=0 or -1 flagged
+    rounding noise as growth, and nan or inf gave P_EVIDENCE."""
     with pytest.raises(HypothesisViolated):
-        scan(generic_noncp_family(), grid=np.array(grid, dtype=float), h=h, witnesses=witnesses)
+        scan(generic_noncp_family(), grid=np.array(grid, dtype=float), h=h, tau_slope=tau_slope, witnesses=witnesses)
 
 
 def test_scan_soundness_recheck_at_finer_h():
@@ -149,9 +157,8 @@ def test_scan_soundness_recheck_at_finer_h():
     fam = generic_noncp_family()
     report = cp_divisibility_scan(fam, grid=np.linspace(0.1, 0.9, 9), h=1e-4)
     assert report.verdict == "NOT_CP_DIVISIBLE"
-    finer = central_difference(
-        lambda t: _extended_norm(fam, t), report.witness_t, 1e-5
-    )
+    t = report.witness_t
+    finer = central_difference(_extended_norm(fam, t + 1e-5), _extended_norm(fam, t - 1e-5), 1e-5)
     assert finer > 1e-6 / 2
 
 

@@ -344,27 +344,33 @@ def test_gaussian_family_pair_checks_the_domain(t):
 
 
 @pytest.mark.parametrize(
-    "grid, h, error",
+    "grid, h, tau_slope, error",
     [
-        ([0.0, 1.0], None, DomainExceeded),
-        ([6.0, 7.0], None, DomainExceeded),
-        ([1.0], None, HypothesisViolated),
-        ([], None, HypothesisViolated),
-        ([], 1e-4, HypothesisViolated),
-        ([1.0, 2.0], 0.0, HypothesisViolated),
-        ([1.0, 2.0], -1e-4, HypothesisViolated),
-        ([1.0, 2.0], np.nan, HypothesisViolated),
+        ([0.0, 1.0], None, 1e-6, DomainExceeded),
+        ([6.0, 7.0], None, 1e-6, DomainExceeded),
+        ([1.0], None, 1e-6, HypothesisViolated),
+        ([], None, 1e-6, HypothesisViolated),
+        ([], 1e-4, 1e-6, HypothesisViolated),
+        ([1.0, 2.0], 0.0, 1e-6, HypothesisViolated),
+        ([1.0, 2.0], -1e-4, 1e-6, HypothesisViolated),
+        ([1.0, 2.0], np.nan, 1e-6, HypothesisViolated),
+        ([[1.0, 2.0]], None, 1e-6, HypothesisViolated),
+        ([1.0, 2.0], None, 0.0, HypothesisViolated),
+        ([1.0, 2.0], None, -1.0, HypothesisViolated),
+        ([1.0, 2.0], None, np.nan, HypothesisViolated),
+        ([1.0, 2.0], None, np.inf, HypothesisViolated),
     ],
     ids=["below-domain", "above-domain", "one-point-default-h", "empty-default-h", "empty",
-         "h-zero", "h-negative", "h-nan"],
+         "h-zero", "h-negative", "h-nan", "grid-2d", "tau-zero", "tau-negative", "tau-nan", "tau-inf"],
 )
-def test_det_scan_checks_its_stencil(grid, h, error):
+def test_det_scan_checks_its_stencil(grid, h, tau_slope, error):
     """The domain is [0.05, 5]: t=0 used to raise ZeroDivisionError inside
     the generator and t=6 was scanned without complaint. A one-point grid
     has no span, so no default h; the scan used to make one up from a span
-    of 1."""
+    of 1. A 2-D grid used to raise a bare TypeError, and tau_slope=nan
+    flagged no row."""
     with pytest.raises(error):
-        det_criterion_scan(dilation_2x1_family(), grid, h=h)
+        det_criterion_scan(dilation_2x1_family(), grid, h=h, tau_slope=tau_slope)
 
 
 def test_compose_pairs_matches_sequential_action():

@@ -76,10 +76,11 @@ def test_basis_products_collapse_to_the_coarser_projection():
             assert np.max(np.abs(supers[i] @ supers[j] - expect)) < 1e-12
 
 
-@pytest.mark.parametrize("n, k", [(0, 2), (2, 0), (-1, 2)])
+@pytest.mark.parametrize("n, k", [(0, 2), (2, 0), (-1, 2), (2.5, 2), (2, 2.0)])
 def test_phi_rejects_empty_or_negative_block_counts(n, k):
     """IdempotentParams itself rejects the block counts, so every closed
-    form raises DimensionMismatch, not a ZeroDivisionError."""
+    form raises DimensionMismatch, not a ZeroDivisionError, nor the
+    TypeError of slicing with a non-integer count."""
     s, t = (0.5, 0.2, 0.2, 0.1), (0.3, 0.2, 0.3, 0.2)
     for call in (
         lambda: phi(IdempotentParams(n, k, 0.25, 0.25, 0.25, 0.25)),
@@ -338,7 +339,7 @@ def test_truncation_report_and_classify_regime_share_the_hypothesis_rule():
 def test_truncation_report_tracks_divisor_conditions_across_sizes():
     s_coeffs = (0.1, 0.05, 0.45, 0.4)
     t_coeffs = (0.05, 0.1, 0.45, 0.4)
-    rows = truncation_report(s_coeffs, t_coeffs, 2, [2, 3, 4, 8])
+    rows = truncation_report(s_coeffs, t_coeffs, 2, np.array([2, 3, 4, 8]))
     assert [r["n"] for r in rows] == [2, 3, 4, 8]
     for r in rows:
         assert set(r) >= {"n", "alpha", "beta", "gamma", "delta", "cp", "two_positive", "l1"}

@@ -66,6 +66,16 @@ def test_channel_cptp_inside_window_pinches_at_zero():
         schur_channel(4, -0.01)
 
 
+def test_window_checks_reject_nan():
+    """A NaN time fails both window checks: schur_channel used to raise
+    numpy's LinAlgError from its eigensolve, and toeplitz_a to return a
+    NaN mask."""
+    with pytest.raises(OutsideValidityWindow):
+        schur_channel(4, np.nan)
+    with pytest.raises(OutsideValidityWindow):
+        toeplitz_a(4, np.nan)
+
+
 def test_kraus_factorization_reproduces_superoperator():
     ch = schur_channel(5, 0.22)
     assert ch.kraus is not None

@@ -25,6 +25,16 @@ KEEP_UNCALLED = {
 }
 
 
+def _scoped(node, scope=""):
+    """(scope, node) for every node below node, scope naming the classes and
+    functions around it, dotted ("" at module level); a class or function
+    is in its own scope."""
+    for child in ast.iter_child_nodes(node):
+        inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
@@ -151,18 +161,11 @@ def test_hp_deviation_is_read_only_by_the_member_check():
     place: in src/, hp_deviation is called only inside
     DynamicalFamily.channel and the Channel class, so a second member check
     cannot fork off beside it."""
-
-    def calls(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
-            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "hp_deviation":
-                yield inner, child.lineno
-            yield from calls(child, inner)
-
     found = [
-        (path.name, scope, line)
+        (path.name, scope, node.lineno)
         for path in sorted((ROOT / "src").rglob("*.py"))
-        for scope, line in calls(ast.parse(path.read_text()), "")
+        for scope, node in _scoped(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "hp_deviation"
     ]
     assert ("divisibility.py", "DynamicalFamily.channel") in {f[:2] for f in found}, found
     stray = [f for f in found if f[1] != "DynamicalFamily.channel" and f[1].split(".")[0] != "Channel"]
@@ -174,15 +177,11 @@ def test_scan_norms_have_one_route():
     divisibility.py, _apply, _support and _trace_norms are called only
     inside _norms, so a second norm route cannot grow back beside it."""
     routes = {"_apply", "_support", "_trace_norms"}
-
-    def calls(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, ast.FunctionDef) else scope
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) in routes:
-                yield child.func.id, inner, child.lineno
-            yield from calls(child, inner)
-
-    found = list(calls(ast.parse((ROOT / "src" / "divscan" / "divisibility.py").read_text()), ""))
+    found = [
+        (node.func.id, scope, node.lineno)
+        for scope, node in _scoped(ast.parse((ROOT / "src" / "divscan" / "divisibility.py").read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in routes
+    ]
     assert {name for name, _, _ in found} == routes, found
     stray = [f for f in found if f[1].split(".")[0] != "_norms"]
     assert not stray, stray
@@ -327,28 +326,52 @@ def test_src_starts_threads_in_one_function():
     second pool cannot grow beside it."""
     starters = {"Thread", "start_new_thread", "ThreadPoolExecutor"}
     pools = {"concurrent", "multiprocessing"}
-
-    def found(node, scope):
-        """(what, scope) of each thread start and pool import under node."""
-        for child in ast.iter_child_nodes(node):
-            inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, ast.FunctionDef) else scope
-            func = getattr(child, "func", None)
-            if isinstance(child, ast.Call) and (getattr(func, "attr", None) or getattr(func, "id", None)) in starters:
-                yield "start", inner
-            if isinstance(child, ast.Import):
-                modules = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                modules = [child.module or ""]
-            else:
-                modules = []
-            yield from ((name.split(".")[0], inner) for name in modules if name.split(".")[0] in pools)
-            yield from found(child, inner)
-
     seen = {"start": set(), "concurrent": set(), "multiprocessing": set()}
     for path in sorted((ROOT / "src").rglob("*.py")):
-        for what, scope in found(ast.parse(path.read_text()), ""):
-            seen[what].add((path.name, scope))
+        for scope, node in _scoped(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and (getattr(func, "attr", None) or getattr(func, "id", None)) in starters:
+                seen["start"].add((path.name, scope))
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            for top in {name.split(".")[0] for name in modules} & pools:
+                seen[top].add((path.name, scope))
     starts = seen["start"]
     assert len(starts) == 1 and "" not in {scope for _, scope in starts}, seen
     assert seen["concurrent"] <= starts, seen
     assert not seen["multiprocessing"], seen
+
+
+def test_stencil_slopes_have_one_rule():
+    """Every stencil slope comes from one quotient: in src/, a division by
+    a 2 * width product sits only in central_difference, and _scan and
+    det_criterion_scan each call it, so a second slope rule cannot fork
+    off beside it."""
+
+    def halved(node):
+        """True for a division by a product with the factor 2."""
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Div)
+            and isinstance(node.right, ast.BinOp)
+            and isinstance(node.right.op, ast.Mult)
+            and any(isinstance(side, ast.Constant) and side.value == 2 for side in (node.right.left, node.right.right))
+        )
+
+    scoped = [
+        (path.name, scope, node)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for scope, node in _scoped(ast.parse(path.read_text()))
+    ]
+    quotients = [(name, scope, node.lineno) for name, scope, node in scoped if halved(node)]
+    callers = {
+        scope.split(".")[0]
+        for _, scope, node in scoped
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "central_difference"
+    }
+    assert quotients and {scope for _, scope, _ in quotients} == {"central_difference"}, quotients
+    assert {"_scan", "det_criterion_scan"} <= callers, callers
