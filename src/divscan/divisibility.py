@@ -7,15 +7,15 @@ norm curve has positive slope certifies NOT divisible; absence of growth over
 a witness library is evidence, not proof (the converse direction needs
 surjectivity, which a numerical scan cannot establish).
 
-Derivatives are central differences with stencil width h; a flagged slope
-counts only if its re-check at h/10 stays above tau_slope/2, which filters
-stencil artifacts near kinks. Flagged slopes are re-checked largest first
-(witness by witness with early stop) until one is confirmed, and that one
-is the pick: a flagged slope ranked below it is neither re-checked nor
-noted.
+Derivatives are central differences with stencil width h. A cell (t, W)
+is flagged where its slope exceeds tau_slope and its norm rose from t - h
+to t + h by more than the rounding bound of the two norms (_rose): such a
+pair alone proves NOT, since no positive TP map raises a trace norm. The
+pick is the largest flagged slope, the first in (witness, t) order, taken
+over the witnesses up to the first flagged one with early stop.
 
 P and CP scans run one engine on one path. At each stencil time tau (t and
-t +/- h, plus t +/- h/10 where a re-check runs) it builds the d^2 x d^2
+t +/- h, and no other time) it builds the d^2 x d^2
 superoperator S_tau once per witness stack and applies I_m (x) Lambda_tau
 to the whole stack, m read from the witnesses' shape: m = 1 in P mode, and
 m = d in CP mode, so I (x) Lambda_t is never built. With early_stop=True
@@ -89,6 +89,7 @@ STENCIL_WIDTH = 1e-4  # default h, relative to the span of the domain or grid
 DOMAIN_ATOL = 1e-12  # slack of every time-in-domain check
 SCAN_HERM_ATOL = 1e-7  # Hermiticity slack of scanned witnesses and of every family member
 KERNEL_ATOL = 1e-8  # kernel-inclusion residual, relative to ||Lambda_t||_2
+ROUNDING = 8 * np.finfo(float).eps  # a rise at most this x size x value is rounding (_rose)
 
 
 def _check_time(t: float, domain: tuple[float, float], what: str = "t") -> None:
@@ -265,8 +266,8 @@ def _nonzero_blocks(ys: np.ndarray, d: int) -> np.ndarray:
 
 def _norms(fam, ys: np.ndarray, taus):
     """The trace norms of I_m (x) Lambda_tau on the checked stack ys of N
-    witnesses, P or CP, for each tau in taus, in order and in row order:
-    the scan's one norm route.
+    witnesses, P or CP, for each stencil time tau in taus, in order and in
+    row order: the scan's one norm route, read once per slice.
 
     The stack is cut to its nonzero blocks and split by dtype once; each
     tau builds and checks S_tau once and applies it to the real and to the
@@ -305,12 +306,11 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     ...), each witness drawn as its slice is read. A given library is
     listed and every shape checked before the first row.
 
-    A slice's norms all come from _norms. Its flagged cells (t, witness)
-    are re-checked in (-slope, witness, t) order, (witness, -slope, t) with
-    early stop, up to the first one confirmed, the pick: the first strict
-    maximum in (witness, t) order, as the full pass found it. The first
-    cell at a grid point re-checks every witness flagged there, so none is
-    re-checked twice."""
+    A slice's norms at t, t + h and t - h all come from one _norms pass. A
+    cell (t, witness) is flagged where its slope exceeds tau_slope and
+    _rose(up, down, dim) holds; the pick is the first strict maximum of the
+    flagged slopes in (witness, t) order. With early stop it is taken over
+    the witnesses up to the first flagged one, and the rows end there."""
     cp = mode == "CP"
     lo, hi = fam.t_domain
     if h is None:
@@ -332,7 +332,6 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     source, size = chain(witnesses, drawn), 1
     ts = grid.tolist()
     rows = []
-    notes = []
     best = None  # (derivative, t, id, matrix)
     while (best is None or not early_stop) and (chunk := list(islice(source, size if early_stop else None))):
         ws = require_hermitian(np.stack([np.asarray(w) for _, w in chunk]), SCAN_HERM_ATOL)
@@ -340,36 +339,23 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
         taus = chain.from_iterable((t, t + h, t - h) for t in ts)
         values, ups, downs = np.reshape(list(_norms(fam, ws, taus)), (len(ts), 3, -1)).transpose(1, 0, 2)
         derivs = central_difference(ups, downs, h)
-        flagged = derivs > tau_slope
-        ks, ns = np.nonzero(flagged)
-        order = np.lexsort((ks, -derivs[ks, ns], ns) if early_stop else (ks, ns, -derivs[ks, ns]))
-        fine, missed, read = {}, [], len(chunk)  # grid point -> {witness: h/10 slope}
-        for k, n in zip(ks[order].tolist(), ns[order].tolist()):
-            if k not in fine:
-                cols = np.flatnonzero(flagged[k])
-                slopes = central_difference(*_norms(fam, ws[cols], (ts[k] + h / 10, ts[k] - h / 10)), h / 10)
-                fine[k] = dict(zip(cols.tolist(), slopes.tolist()))
-            if fine[k][n] > tau_slope / 2:
-                best = (float(derivs[k, n]), ts[k], *chunk[n])
-                if early_stop:
-                    # later witnesses cannot change the verdict, only the argmax
-                    read = n + 1
-                break
-            missed.append((n, k))
+        flagged = (derivs > tau_slope) & _rose(ups, downs, dim)
+        hits = np.flatnonzero(flagged.any(axis=0))
+        # later witnesses cannot change the verdict, only the argmax
+        read = int(hits[0]) + 1 if early_stop and hits.size else len(chunk)
+        if hits.size:
+            n, k = np.unravel_index(np.argmax(np.where(flagged, derivs, -np.inf).T[:read]), (read, len(ts)))
+            best = (float(derivs[k, n]), ts[k], *chunk[n])
         for (wid, _), vs, ds in zip(chunk[:read], values.T.tolist(), derivs.T.tolist()):
             rows += zip(ts, repeat(wid), vs, ds)
-        notes += [
-            f"slope {derivs[k, n]:.3e} at t={ts[k]} (witness {chunk[n][0]}) not confirmed at h/10; ignored"
-            for n, k in sorted(missed)
-        ]
-        if best is not None and early_stop:
-            notes.append("stopped at first violating witness")
         size *= 2
     if not rows:
         raise HypothesisViolated("the witness library is empty; an empty scan is no evidence")
 
     if best is None:
-        notes.append("no witness growth found; evidence of divisibility, not proof")
+        notes = ["no witness growth found; evidence of divisibility, not proof"]
+    else:
+        notes = ["stopped at first violating witness"] if early_stop else []
     deriv, t, wid, w = best or (None, None, None, None)
     found, evidence = (NOT_CP_DIVISIBLE, CP_EVIDENCE) if cp else (NOT_P_DIVISIBLE, P_EVIDENCE)
     return DivisibilityReport(
@@ -421,6 +407,13 @@ def central_difference(up, down, h: float):
     """The stencil slope (up - down) / 2h from the values at t + h and t - h,
     floats or arrays: the one slope rule of every scan."""
     return (up - down) / (2 * h)
+
+
+def _rose(up, down, size: int):
+    """True where up, the value at t + h, exceeds down, at t - h, by more
+    than ROUNDING x size x the larger magnitude, size the side of the
+    matrix behind each value (floats or arrays): the one rise rule."""
+    return up - down > ROUNDING * size * np.maximum(np.abs(up), np.abs(down))
 
 
 def _null_basis(s: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ checked by dilation_report, which flags a factor that is not symplectic and
 a pair that is not valid, and raises on neither.
 
 The determinant scan flags each grid point where the central-difference
-slope of det X_t exceeds tau_slope. A flag is not a proof: det X_t = e^t
+slope of det X_t exceeds tau_slope and det X_t rose over the stencil by
+more than its rounding bound, the rule of the P/CP scans. A flag is not a proof: det X_t = e^t
 rises along the CP-divisible one-mode amplifier X_t = e^{t/2} I,
 Y_t = (e^t - 1) I, which is flagged everywhere. ROADMAP item 1 settles this.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DimensionMismatch, InvalidChannel, InvalidFamily, InvalidState, SingularX
-from .divisibility import STENCIL_WIDTH, _check_stencil, _check_time, central_difference
+from .divisibility import STENCIL_WIDTH, _check_stencil, _check_time, _rose, central_difference
 from .operators import TAU_SLOPE
 
 VALID_ATOL = 1e-9
@@ -190,11 +191,12 @@ def det_criterion_scan(fam: GaussianFamily, grid, h: float | None = None,
     """Central-difference derivative of det X_t over the grid; h defaults
     to STENCIL_WIDTH times the grid span, checked as in the P/CP scans.
 
-    violation=True where it exceeds tau_slope (not a proof; see above), and
-    valid=True where the pair at t is valid. Raises SingularX when |det|
-    falls to DET_FLOOR anywhere on the stencil, checked at t + h, t - h,
-    then t. Each stencil time extracts one pair: det and valid at t share
-    theirs.
+    violation=True where it exceeds tau_slope and det X rose from t - h to
+    t + h above the rounding bound of _rose, size 2m the side of X_t (not a
+    proof; see above), and valid=True where the pair at t is valid. Raises
+    SingularX when |det| falls to DET_FLOOR anywhere on the stencil,
+    checked at t + h, t - h, then t. Each stencil time extracts one pair:
+    det and valid at t share theirs.
     """
     grid = np.asarray(grid, dtype=float)
     if h is None and grid.size:
@@ -209,8 +211,9 @@ def det_criterion_scan(fam: GaussianFamily, grid, h: float | None = None,
 
     rows = []
     for t in grid.tolist():
-        ddet = central_difference(det(fam.pair(t + h), t + h), det(fam.pair(t - h), t - h), h)
-        violation = bool(ddet > tau_slope)
+        up, down = det(fam.pair(t + h), t + h), det(fam.pair(t - h), t - h)
+        ddet = central_difference(up, down, h)
+        violation = bool(ddet > tau_slope and _rose(up, down, 2 * fam.m))
         pair = fam.pair(t)
         rows.append({"t": t, "det": det(pair, t), "ddet": ddet, "violation": violation, "valid": pair.is_valid()})
     return rows

@@ -137,8 +137,8 @@ def test_nan_kraus_entry_gives_a_non_finite_member_named_by_t():
 
 
 def _kraus_members(case):
-    """Schur n at 201 times in its window, or a Kraus preset at the stencil
-    times t, t +/- h/10, t +/- h of its default grid."""
+    """Schur n at 201 times in its window, or a Kraus preset at the times
+    t, t +/- h/10, t +/- h around its default grid."""
     if case.startswith("schur-"):
         return [schur_channel(int(case[6:]), float(t)) for t in np.linspace(0.0, 0.5, 201)]
     entry = FAMILY_PRESETS[case]

@@ -209,6 +209,32 @@ def test_gaussian_command_three_mode_reports_validation_failure(tmp_path):
     assert max(dets) - min(dets) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["scan-p", "--preset", "unitary", "--h", "1e-10"], 0),
+        (["scan-cp", "--preset", "unitary", "--h", "1e-10"], 0),
+        (["scan-p", "--preset", "idempotent-cp", "--h", "1e-10"], 0),
+        (["gaussian", "--preset", "dilation-3x2", "--h", "1e-10"], 0),
+        (["gaussian", "--preset", "dilation-2x1", "--h", "1e-12"], 2),
+    ],
+    ids=["scan-p-unitary", "scan-cp-unitary", "scan-p-idempotent-cp", "dilation-3x2", "dilation-2x1"],
+)
+def test_rounding_noise_at_a_tiny_h_is_no_violation(argv, code, tmp_path):
+    """At --h 1e-10 the stencil values of the divisible unitary and
+    idempotent-cp families, and the constant determinant of dilation-3x2,
+    differ by rounding alone; their slopes above tau_slope used to exit 2.
+    The determinant of dilation-2x1 really rises, so it still exits 2 at
+    h=1e-12. The scan CSV's flag column stays derivative > tau_slope, so
+    rounding can set it under an EVIDENCE verdict."""
+    got, report, csv_text = run_cli(argv, tmp_path)
+    assert got == code
+    verdict = report["verdict"] if argv[0] == "gaussian" else report["report"]["verdict"]
+    assert verdict.endswith("_EVIDENCE") == (code == 0)
+    if argv[:3] == ["scan-p", "--preset", "unitary"]:
+        assert any(line.endswith(",1") for line in csv_text.splitlines())
+
+
 def test_gaussian_grid_touching_the_domain_is_pulled_in(tmp_path):
     """A gaussian grid over the whole domain [0.05, 5] has its endpoints
     pulled in by h, so every determinant slope is taken inside the domain."""

@@ -347,10 +347,11 @@ def test_src_starts_threads_in_one_function():
 
 
 def test_stencil_slopes_have_one_rule():
-    """Every stencil slope comes from one quotient: in src/, a division by
-    a 2 * width product sits only in central_difference, and _scan and
-    det_criterion_scan each call it, so a second slope rule cannot fork
-    off beside it."""
+    """Every stencil slope comes from one quotient and every flag from one
+    rise rule: in src/, a division by a 2 * width product sits only in
+    central_difference, _scan and det_criterion_scan each call it and
+    _rose, and no stencil of width h / 10 is left, so a second slope or
+    flag rule cannot fork off beside them."""
 
     def halved(node):
         """True for a division by a product with the factor 2."""
@@ -369,9 +370,19 @@ def test_stencil_slopes_have_one_rule():
     ]
     quotients = [(name, scope, node.lineno) for name, scope, node in scoped if halved(node)]
     callers = {
-        scope.split(".")[0]
-        for _, scope, node in scoped
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "central_difference"
+        rule: {
+            scope.split(".")[0]
+            for _, scope, node in scoped
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == rule
+        }
+        for rule in ("central_difference", "_rose")
     }
+    tenths = [
+        (name, scope, node.lineno)
+        for name, scope, node in scoped
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and getattr(node.right, "value", None) == 10
+    ]
     assert quotients and {scope for _, scope, _ in quotients} == {"central_difference"}, quotients
-    assert {"_scan", "det_criterion_scan"} <= callers, callers
+    for rule, scopes in callers.items():
+        assert {"_scan", "det_criterion_scan"} <= scopes, (rule, scopes)
+    assert not tenths, tenths
