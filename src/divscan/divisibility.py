@@ -26,9 +26,9 @@ stencil times in 6 chunks. Members are built in that order, t, t + h,
 t - h at each grid point, on the calling thread, and one stencil time is
 in flight: the eigensolves of a stencil time run while the member at the
 next one is built, checked and applied, and nothing is kept past the
-stencil time after the one that built it (_norms). An eigensolve stack
-of at least operators.OVERLAP_SIZE goes to a one-thread executor, made by
-the first such stack where the process may use two CPUs, and its
+stencil time after the one that built it (_norms). Where the process may
+use two CPUs, each eigensolve stack of at least operators.OVERLAP_SIZE
+goes to a one-thread executor that lives for one witness slice, and its
 eigenvalues are read from their Future; the worker runs only
 np.linalg.eigvalsh, so bits do not depend on it, and there is no setting.
 The default library is drawn chunk by chunk as the scan reads it, so
@@ -72,7 +72,8 @@ import numpy as np
 
 from ._errors import DimensionMismatch, DomainExceeded, HypothesisViolated, InvalidFamily, NonHermitianInput
 from .channels import RCOND, TP_HYPOTHESIS_ATOL, Channel, _apply, _matrix_to_json, _support
-from .operators import TAU_SLOPE, _trace_norms, random_hermitian, random_projector_difference, require_hermitian
+from .operators import TAU_SLOPE, _trace_norms, _worker
+from .operators import random_hermitian, random_projector_difference, require_hermitian
 
 # Neither is called here; perfbench/tracing.py wraps each under this name.
 from .channels import extend_channel  # noqa: F401
@@ -130,13 +131,16 @@ class DynamicalFamily:
 
     def channel(self, t: float) -> Channel:
         """channel_at(t), checked here for every consumer: DomainExceeded
-        outside t_domain, DimensionMismatch for a member on another
-        dimension than d, InvalidFamily naming t for a non-finite
-        superoperator, and NonHermitianInput naming t for one that is not
+        outside t_domain, InvalidFamily naming t for a member that is not
+        a Channel, DimensionMismatch for a member on another dimension
+        than d, InvalidFamily naming t for a non-finite superoperator,
+        and NonHermitianInput naming t for one that is not
         Hermiticity preserving (hp_deviation above SCAN_HERM_ATOL), for
         which the trace-norm criterion says nothing."""
         _check_time(t, self.t_domain)
         ch = self.channel_at(t)
+        if not isinstance(ch, Channel):
+            raise InvalidFamily(f"{self.name or 'family'} gave a {type(ch).__name__}, not a Channel, at t={t}", t=t)
         if ch.d != self.d:
             raise DimensionMismatch(f"channel at t={t} has dimension {ch.d}, family dimension {self.d}")
         if not np.isfinite(ch.super).all():
@@ -271,13 +275,15 @@ def _norms(fam, ys: np.ndarray, taus):
 
     The stack is cut to its nonzero blocks and split by dtype once; each
     tau builds and checks S_tau once and applies it to the real and to the
-    complex rows. A part whose eigensolve went to the worker (_trace_norms
-    with overlap) gives a function that waits for its norms, and the norms
-    at a tau are read once the member at the next tau is built, checked
-    and applied: at most two stencil times are in flight, and nothing
-    outlives them.
+    complex rows, on the slice's own worker (_worker) for a stack of at
+    least OVERLAP_SIZE: a part sent there gives a function that waits for
+    its norms, and the norms at a tau are read once the member at the next
+    tau is built, checked and applied. At most two stencil times are in
+    flight, and nothing outlives them: the worker's thread is joined on
+    the way out, an error's too.
     """
     parts = _by_dtype(_nonzero_blocks(ys, fam.d))
+    size = max(part.size * part.shape[-1] for _, part in parts)
 
     def read(held):
         out = np.empty(len(ys))
@@ -286,13 +292,14 @@ def _norms(fam, ys: np.ndarray, taus):
         return out
 
     held = []
-    for tau in taus:
-        s = fam.channel(tau).super
-        support = _support(s)
-        held.append([(rows, _trace_norms(_apply(s, fam.d, part, support), overlap=True)) for rows, part in parts])
-        if len(held) == 2:
-            yield read(held.pop(0))
-    yield from map(read, held)
+    with _worker(size) as pool:
+        for tau in taus:
+            s = fam.channel(tau).super
+            support = _support(s)
+            held.append([(rows, _trace_norms(_apply(s, fam.d, part, support), pool)) for rows, part in parts])
+            if len(held) == 2:
+                yield read(held.pop(0))
+        yield from map(read, held)
 
 
 def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> DivisibilityReport:

@@ -10,9 +10,9 @@ an eigensolve, and the others take one stacked eigensolve at full size. The
 divisibility scan calls that route directly on its images, already cut to
 their nonzero blocks: it checks its witnesses and each channel once instead,
 and the eigensolve reads one triangle of each image, so no image is checked
-or copied. The scan's large stacks are solved on one worker thread, a
-ThreadPoolExecutor, while it builds the next member (_pool); bits do not
-change.
+or copied. Each witness slice of a scan solves its large stacks on a
+one-thread ThreadPoolExecutor of its own while it builds the next member,
+and ends it when the slice's norms are read (_worker); bits do not change.
 
 Vectorization is column-stacking throughout: ``vec(A X B) = kron(B.T, A) vec(X)``.
 """
@@ -20,7 +20,7 @@ Vectorization is column-stacking throughout: ``vec(A X B) = kron(B.T, A) vec(X)`
 from __future__ import annotations
 
 import os
-import threading
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -104,7 +104,7 @@ def trace_norms(xs: np.ndarray, atol: float = TAU_HERM) -> np.ndarray:
     return _trace_norms(require_hermitian(xs, atol))
 
 
-def _trace_norms(xs: np.ndarray, overlap: bool = False):
+def _trace_norms(xs: np.ndarray, pool=None):
     """The trace-norm route, unchecked: each matrix of the (N, D, D) stack
     is taken as Hermitian, and only its diagonal and lower triangle are
     read. Each row's route comes from its exact zeros:
@@ -117,10 +117,10 @@ def _trace_norms(xs: np.ndarray, overlap: bool = False):
     one. Cutting zero rows and columns is the caller's: the scan cuts its
     stacks to their nonzero blocks before the apply.
 
-    Returns the norms, float64 in row order; with overlap=True, a stack
-    of at least OVERLAP_SIZE (N D^3) to eigensolve goes to the worker, and
+    Returns the norms, float64 in row order; given a pool (_worker), a
+    stack of at least OVERLAP_SIZE (N D^3) to eigensolve goes to it, and
     the return is then a function that reads the eigenvalues from their
-    Future and returns the norms (_pool).
+    Future and returns the norms.
     """
     out, rows = np.empty(len(xs)), slice(None)
     if np.count_nonzero(xs) < xs.size:  # with no zero entry, every row is eigensolved as it is
@@ -133,7 +133,7 @@ def _trace_norms(xs: np.ndarray, overlap: bool = False):
             rows = slice(None)
     stack = xs[rows]
     eigvals = lambda: np.linalg.eigvalsh(stack)  # noqa: E731 - the one eigensolve, here or on the worker
-    if overlap and stack.size * stack.shape[-1] >= OVERLAP_SIZE and (pool := _pool()) is not None:
+    if pool is not None and stack.size * stack.shape[-1] >= OVERLAP_SIZE:
         # the worker runs the eigensolve alone: each numpy call after it would
         # release the GIL and wait to take it back from the calling thread
         return partial(_write, out, rows, pool.submit(eigvals).result)
@@ -146,30 +146,20 @@ def _write(out: np.ndarray, rows, eigvals) -> np.ndarray:
     return out
 
 
-def _pool():
-    """The worker, a one-thread executor made by the first call, or None
-    when the process may run on one CPU only (or the platform cannot tell):
-    a scan uses min(2, CPUs) threads, the calling one and the worker. Its
-    Future raises the eigensolve's own error in the caller."""
-    global _executor
-    with _lock:
-        if _executor is None and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
-            # here, so that a process with no worker never imports it, nor the logging it imports
-            from concurrent.futures import ThreadPoolExecutor
+def _worker(size):
+    """The eigensolve worker of one witness slice, to be entered with
+    `with`: a one-thread executor, or a null context (no pool) when size,
+    the largest N D^3 the slice can send, is below OVERLAP_SIZE, or the
+    process may run on one CPU only (or the platform cannot tell): a scan
+    uses min(2, CPUs) threads, the calling one and the worker. Its Futures
+    raise the eigensolve's own error in the caller, and leaving the block
+    joins the thread."""
+    if size < OVERLAP_SIZE or not (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+        return nullcontext()
+    # here, so that a process with no worker never imports it, nor the logging it imports
+    from concurrent.futures import ThreadPoolExecutor
 
-            _executor = ThreadPoolExecutor(1, thread_name_prefix="divscan-eigvalsh")
-        return _executor
-
-
-def _forked() -> None:
-    """A forked child has no worker thread: its first stack starts one."""
-    global _executor, _lock
-    _executor, _lock = None, threading.Lock()
-
-
-_executor = None
-_lock = threading.Lock()
-os.register_at_fork(after_in_child=_forked)
+    return ThreadPoolExecutor(1, thread_name_prefix="divscan-eigvalsh")
 
 
 def vec(x: np.ndarray) -> np.ndarray:

@@ -670,27 +670,42 @@ def test_member_that_is_nan_at_one_stencil_point_raises_invalid_family(scan):
 
 
 def test_non_finite_member_raises_invalid_family_in_every_consumer():
-    """A superoperator-only family that is NaN for t > 0.5: the kernel
-    inclusion test and the intermediate map reach a NaN member through
+    """A superoperator-only family that is NaN for t > 0.5, and one whose
+    channel_at returns a bare array for t > 0.5: the kernel inclusion test,
+    the intermediate map and both scans reach the bad member through
     DynamicalFamily.channel, which raises InvalidFamily naming t rather
-    than letting numpy's SVD raise LinAlgError; so does the validation of
-    make_dynamical_family, at its first grid point past 0.5."""
+    than letting numpy's SVD raise LinAlgError, or the read of ch.d raise
+    AttributeError; so does the validation of make_dynamical_family, at
+    its first grid point past 0.5."""
     d = 2
     mix = np.outer(vec(np.eye(d)), vec(np.eye(d))) / d
 
-    def member(t):
+    def nan_member(t):
         s = (1 - t) * np.eye(d * d) + t * mix
         return super_channel(np.full_like(s, np.nan) if t > 0.5 else s, d)
 
-    fam = DynamicalFamily(d=d, t_domain=(0.0, 1.0), channel_at=member, name="nan-after-0.5")
-    for consumer, s, t in ((kernel_inclusion_divisible, 0.2, 0.7), (kernel_inclusion_report, 0.2, 0.7),
-                           (intermediate_map, 0.7, 0.8)):
-        with pytest.raises(InvalidFamily, match="t=0.7") as err:
-            consumer(fam, s, t)
-        assert err.value.t == 0.7
-    assert kernel_inclusion_divisible(fam, 0.2, 0.4)
-    with pytest.raises(InvalidFamily, match="non-finite superoperator at t=0.55"):
-        make_dynamical_family(member, d=d, t_domain=(0.0, 1.0), name="nan-after-0.5")
+    def array_member(t):
+        s = (1 - t) * np.eye(d * d) + t * mix
+        return s if t > 0.5 else super_channel(s, d)
+
+    for member, what in ((nan_member, "non-finite superoperator"), (array_member, "gave a ndarray, not a Channel,")):
+        fam = DynamicalFamily(d=d, t_domain=(0.0, 1.0), channel_at=member, name="bad-after-0.5")
+        for consumer, s, t in ((kernel_inclusion_divisible, 0.2, 0.7), (kernel_inclusion_report, 0.2, 0.7),
+                               (intermediate_map, 0.7, 0.8)):
+            with pytest.raises(InvalidFamily, match=f"{what} at t=0.7") as err:
+                consumer(fam, s, t)
+            assert err.value.t == 0.7
+        for scan in (p_divisibility_scan, cp_divisibility_scan):
+            with pytest.raises(InvalidFamily, match=f"{what} at t=0.7") as err:
+                scan(fam, grid=[0.45], h=0.25, early_stop=False)
+            assert err.value.t == 0.7
+        assert kernel_inclusion_divisible(fam, 0.2, 0.4)
+        with pytest.raises(InvalidFamily, match=f"{what} at t=0.55") as err:
+            make_dynamical_family(member, d=d, t_domain=(0.0, 1.0), name="bad-after-0.5")
+        assert err.value.t == 0.55
+    with pytest.raises(InvalidFamily, match="gave a ndarray, not a Channel, at t=0.0") as err:
+        make_dynamical_family(lambda t: np.eye(4), 2, (0, 1))
+    assert err.value.t == 0.0
 
 
 @pytest.mark.parametrize("mode", ["P", "CP"])

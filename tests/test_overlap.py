@@ -166,16 +166,25 @@ def test_threaded_scan_is_the_serial_scan_bit_for_bit(monkeypatch, kind, case):
 
 def test_one_cpu_starts_no_thread(monkeypatch):
     """Where the process may run on one CPU, every stack is solved inline:
-    no thread is started, and the report is the serial one."""
+    the slice gets no pool, no thread but the test's own scan thread is
+    started, and the report is the serial one."""
     fam = idempotent_family_preset("idempotent-cp", 2, 2)
     serial = _record(_scan(monkeypatch, False, p_divisibility_scan, fam, early_stop=False))
-    monkeypatch.setattr(divscan.operators, "_executor", None)
     monkeypatch.setattr(divscan.operators, "OVERLAP_SIZE", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    before = set(threading.enumerate())
+    with divscan.operators._worker(np.inf) as pool:
+        assert pool is None
+    started = []
+    start = threading.Thread.start
+
+    def logged(self):
+        started.append(self.name)
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", logged)
+    solvers = _solvers(monkeypatch)
     report = _within((p_divisibility_scan, (fam,), dict(early_stop=False)))[0]
-    assert set(threading.enumerate()) == before
-    assert divscan.operators._executor is None
+    assert len(started) == 1 and not _on_worker(started + solvers), started
     assert _record(report) == serial
 
 
@@ -251,32 +260,57 @@ def test_scans_run_at_once_each_get_their_serial_report(monkeypatch):
     assert _on_worker(solvers)
 
 
+def test_no_worker_outlives_its_scan(monkeypatch):
+    """Each slice's worker thread is joined before the scan returns: none
+    is alive after a threaded scan, nor after one whose member check raises
+    NonHermitianInput while a stack is still in flight on the worker."""
+    good = make_schur_family(4)
+
+    def channel_at(t):
+        ch = good.channel_at(t)
+        return super_channel(1j * ch.super, 4) if t > 0.3 else ch
+
+    bad = DynamicalFamily(d=4, t_domain=good.t_domain, channel_at=channel_at, witnesses=good.witnesses)
+    solvers = _solvers(monkeypatch, delay=0.01)  # so the stack before the bad member is still in flight
+    _scan(monkeypatch, True, p_divisibility_scan, good, early_stop=False)
+    assert _on_worker(solvers)
+    assert not _on_worker(th.name for th in threading.enumerate())
+    solvers.clear()
+    with pytest.raises(NonHermitianInput):
+        _scan(monkeypatch, True, p_divisibility_scan, bad, early_stop=False)
+    assert _on_worker(solvers)
+    assert not _on_worker(th.name for th in threading.enumerate())
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_child_forked_after_the_worker_started_can_scan(monkeypatch):
-    """A child forked while the worker thread runs has no worker: its first
-    stack starts its own, and its scan is the serial one."""
+    """A child forked right after a threaded scan inherits no worker: its
+    own threaded scan starts its own, and its report is the serial one."""
     fam = make_schur_family(4)
     serial = _record(_scan(monkeypatch, False, p_divisibility_scan, fam, early_stop=False))
+    solvers = _solvers(monkeypatch)
     _scan(monkeypatch, True, p_divisibility_scan, fam, early_stop=False)
-    assert _on_worker(th.name for th in threading.enumerate())
+    assert _on_worker(solvers)
     read, write = os.pipe()
     pid = os.fork()
-    if pid == 0:  # the child: report a digest of its scan, never return to pytest
+    if pid == 0:  # the child: report a digest of its scan and whether it used a worker, never return to pytest
         try:
+            solvers.clear()
             report = p_divisibility_scan(fam, early_stop=False)
-            os.write(write, hashlib.sha256(repr(_record(report)).encode()).hexdigest().encode())
+            digest = hashlib.sha256(repr(_record(report)).encode()).hexdigest()
+            os.write(write, f"{digest} {_on_worker(solvers)}".encode())
         finally:
             os._exit(0)
     os.close(write)
     try:
         ready = select.select([read], [], [], TIMEOUT_S)[0]
-        digest = os.read(read, 64).decode() if ready else None
+        reply = os.read(read, 80).decode() if ready else None
     finally:
         os.close(read)
         if not ready:
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    assert digest == hashlib.sha256(repr(serial).encode()).hexdigest()
+    assert reply == f"{hashlib.sha256(repr(serial).encode()).hexdigest()} True"
 
 
 def test_reply_slot_is_per_submission(monkeypatch):
@@ -288,19 +322,19 @@ def test_reply_slot_is_per_submission(monkeypatch):
     serial = [divscan.operators._trace_norms(a) for a in stacks]
     _path(monkeypatch, True)
     solvers = _solvers(monkeypatch)
-    first, second = (divscan.operators._trace_norms(a, overlap=True) for a in stacks)
-    got = _within((second, (), {}), (first, (), {}))
+    with divscan.operators._worker(max(a.size * a.shape[-1] for a in stacks)) as pool:
+        first, second = (divscan.operators._trace_norms(a, pool) for a in stacks)
+        got = _within((second, (), {}), (first, (), {}))
     assert [name.startswith(WORKER) for name in solvers] == [True, True]
     assert all(np.array_equal(norms, want) for norms, want in zip(got[::-1], serial))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_child_forked_after_the_worker_started_exits_normally():
-    """The executor's thread is joined when the interpreter exits: a child
-    forked after the worker started, which scans on its own worker and
-    leaves through sys.exit, exits with status 0 instead of hanging on the
-    parent's thread. An alarm ends a child that hangs, so none outlives
-    the test."""
+    """A child forked right after a threaded scan, which scans on its own
+    worker and leaves through sys.exit, exits with status 0 instead of
+    hanging on a thread of the parent's. An alarm ends a child that hangs,
+    so none outlives the test."""
     code = (
         "import os, signal, sys\n"
         "import divscan.operators\n"
@@ -310,13 +344,10 @@ def test_child_forked_after_the_worker_started_exits_normally():
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "fam = make_schur_family(4)\n"
         "p_divisibility_scan(fam, early_stop=False)\n"
-        "assert divscan.operators._executor is not None\n"
         "pid = os.fork()\n"
         "if pid == 0:\n"
         f"    signal.alarm({TIMEOUT_S})\n"
-        "    assert divscan.operators._executor is None\n"
         "    p_divisibility_scan(fam, early_stop=False)\n"
-        "    assert divscan.operators._executor is not None\n"
         "    sys.exit(0)\n"
         "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
     )

@@ -219,6 +219,21 @@ def test_src_reads_no_environment():
     assert not touched, touched
 
 
+def test_src_keeps_no_process_state():
+    """The library keeps no process-wide state that a fork must reset: no
+    function in src/ has a global statement, and no module calls
+    os.register_at_fork, so each worker and buffer belongs to the call that
+    made it."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+        or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "register_at_fork")
+    ]
+    assert not found, found
+
+
 def test_channels_apply_through_stacked_apply():
     """stacked_apply is the one route that applies a superoperator:
     Channel.apply and extend_channel each call it, and channels.py builds no
