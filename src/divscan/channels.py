@@ -120,6 +120,8 @@ class Channel:
 
 def kraus_channel(kraus) -> Channel:
     ks = [np.asarray(k) for k in kraus]
+    if ks and ks[0].ndim != 2:
+        raise DimensionMismatch(f"Kraus operators must be d x d matrices, got shape {ks[0].shape}")
     return Channel(d=ks[0].shape[0] if ks else 0, kraus=ks)
 
 
@@ -276,11 +278,13 @@ def positivity_by_contractivity(ch: Channel, n_samples: int = 400, seed: int = 7
 
     Returns a dict with keys `positive_evidence`, `witness`, `input_norm`,
     `output_norm`, `n_checked`. No witness means evidence of positivity, not
-    proof. Raises HypothesisViolated for non-TP input, and for n_samples < 1,
-    since an empty probe is no evidence.
+    proof. Raises HypothesisViolated for non-TP input, and for an n_samples
+    that is not an integer >= 1, since an empty probe is no evidence.
     """
-    if n_samples < 1:
-        raise HypothesisViolated(f"contractivity probe needs at least one sample, got n_samples={n_samples}")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise HypothesisViolated(
+            f"contractivity probe needs at least one sample: n_samples must be an integer >= 1, got {n_samples!r}"
+        )
     if not ch.is_tp(atol=TP_HYPOTHESIS_ATOL):
         raise HypothesisViolated("contractivity probe requires a trace-preserving map")
     d = ch.d

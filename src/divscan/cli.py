@@ -45,7 +45,7 @@ from .presets import (
     gaussian_pair_at,
     list_presets,
 )
-from .schur import cosine_abs_sum, toeplitz_a, toeplitz_spectrum, witness_growth
+from .schur import cosine_abs_sum, toeplitz_a, toeplitz_spectrum
 
 
 def _number(name: str, val, integer: bool = False):
@@ -206,7 +206,6 @@ def _run_schur(cfg):
     fam = _build_family(cfg, SCHUR_PRESET)
     n = fam.d
     ts, h = _grid_and_h(cfg, SCHUR_PRESET, fam.t_domain)
-    rows = witness_growth(n, ts)
     report = p_divisibility_scan(fam, grid=ts, h=h, seed=cfg.seed, tau_slope=cfg.tau_slope)
     t_probe = float(ts[len(ts) // 2])
     spectrum_dev = float(np.max(np.abs(toeplitz_spectrum(n, t_probe) - np.linalg.eigvalsh(toeplitz_a(n, t_probe)))))
@@ -219,7 +218,8 @@ def _run_schur(cfg):
         "verdict": report.verdict,
         "report": report.to_json(),
     }
-    csv_rows = [(t, f"hopping-n{n}", nrm, der, der > cfg.tau_slope) for t, nrm, der in rows]
+    # the hopping witness is canonical-0, the scan's first slice: all its rows are kept
+    csv_rows = [(t, f"hopping-n{n}", v, d, d > cfg.tau_slope) for t, wid, v, d in report.rows if wid == "canonical-0"]
     summary = f"schur n={n}: {report.verdict} slope={slope:.6f}"
     return obj, csv_rows, summary, 2 if report.verdict.startswith("NOT_") else 0
 

@@ -6,7 +6,10 @@ when A_t is PSD, i.e. for t in [0, 1/2] (the truncated mask's eigenvalues are
 1 + 2t cos(k pi/(n+1)) > 0 there). The canonical witness is the hopping
 matrix itself: Lambda_t maps it to t times itself, so its trace norm grows
 linearly with the constant slope 2 sum_k |cos(k pi/(n+1))| and the family is
-not even P-divisible despite being CPTP at every t.
+not even P-divisible despite being CPTP at every t. Nothing here takes a
+norm: the `schur` command's table is its P scan's own rows for this witness
+(canonical-0), and the closed-form slope is the number they are checked
+against.
 
 The superoperator of Lambda_t is diag(vec(A_t)). It is formed from the n
 diagonal Kraus operators that certify CP, by an n x n Gram product, so its
@@ -22,13 +25,15 @@ import numpy as np
 from ._errors import DimensionMismatch, OutsideValidityWindow
 from .channels import Channel
 from .divisibility import DOMAIN_ATOL, DynamicalFamily, make_dynamical_family
-from .operators import trace_norm
+
+# Not called here; perfbench/tracing.py wraps it under this name.
+from .operators import trace_norm  # noqa: F401
 
 
 def toeplitz_a(n: int, t: float) -> np.ndarray:
     """The mask matrix: ones on the diagonal, t on the off-diagonals."""
-    if n < 2:
-        raise DimensionMismatch(f"need n >= 2, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise DimensionMismatch(f"need n >= 2 as an integer, got n={n!r}")
     if not t >= 0:
         raise OutsideValidityWindow(f"need t >= 0, got {t}")
     a = np.eye(n)
@@ -76,21 +81,6 @@ def schur_channel(n: int, t: float) -> Channel:
     kraus = np.zeros((n, n * n))
     kraus[:, :: n + 1] = (vecs * np.sqrt(vals)).T  # row i: the diagonal of K_i
     return Channel(d=n, kraus=kraus.reshape(n, n, n))
-
-
-def witness_growth(n: int, grid) -> list[tuple[float, float, float]]:
-    """(t, trace_norm, derivative) rows for the hopping witness.
-
-    The norm is evaluated honestly (entrywise product, then eigenvalues);
-    the derivative column is the exact constant 2 sum|cos(k pi/(n+1))|.
-    """
-    x = hopping_witness(n)
-    slope = 2.0 * cosine_abs_sum(n)
-    rows = []
-    for t in np.asarray(grid, dtype=float):
-        masked = toeplitz_a(n, float(t)) * x  # entrywise; exact at finite n
-        rows.append((float(t), trace_norm(masked), slope))
-    return rows
 
 
 def make_schur_family(n: int) -> DynamicalFamily:

@@ -248,6 +248,15 @@ def test_empty_kraus_set_is_rejected_at_construction():
         Channel(2, kraus=(), super_matrix=np.eye(4))
 
 
+@pytest.mark.parametrize("k", [np.float64(1.0), 1.0], ids=["numpy", "python"])
+def test_zero_dimensional_kraus_operator_is_rejected(k):
+    """kraus_channel reads d from its first operator's shape, so a 0-D
+    operator raises DimensionMismatch naming its shape (), not numpy's
+    IndexError."""
+    with pytest.raises(DimensionMismatch, match=r"shape \(\)"):
+        kraus_channel([k])
+
+
 def test_channel_takes_exactly_one_form_on_a_positive_dimension():
     """A Kraus set certifies only the superoperator built from it: given
     both forms, the transpose map would pass as CP and HP under the
@@ -641,7 +650,7 @@ def test_contractivity_probe_passes_cptp_channels():
     assert out["n_checked"] == 100
 
 
-@pytest.mark.parametrize("n_samples", [0, -1])
+@pytest.mark.parametrize("n_samples", [0, -1, 1.5, 2.0, "3"])
 def test_contractivity_probe_without_samples_is_no_evidence(n_samples):
     """A probe that checks no operand has found nothing: it raises instead
     of reporting positive evidence with n_checked 0."""

@@ -189,6 +189,22 @@ def test_schur_command_emits_growth_table(tmp_path):
     assert "hopping-n4" in lines[1]
 
 
+@pytest.mark.parametrize("flags", [[], ["--n", "4"], ["--tau-slope", "100"]], ids=["default", "n4", "evidence"])
+def test_schur_table_is_its_scans_hopping_rows(flags, tmp_path):
+    """The schur CSV is the canonical-0 (hopping witness) rows of the P scan
+    that scan-p --preset schur runs with the same flags, relabelled
+    hopping-n{n}: every row, also when the scan ends at evidence, with each
+    measured slope within 1e-9 of the closed form."""
+    code, report, csv_text = run_cli(["schur"] + flags, tmp_path, name="schur")
+    scan_code, _, scan_csv = run_cli(["scan-p", "--preset", "schur"] + flags, tmp_path, name="scan")
+    assert code == scan_code == (0 if "--tau-slope" in flags else 2)
+    rows = [line.split(",") for line in csv_text.splitlines()[1:]]
+    scan_rows = [line.split(",") for line in scan_csv.splitlines()[1:] if ",canonical-0," in line]
+    assert len(rows) == 41
+    assert rows == [[t, f"hopping-n{report['n']}", *rest] for t, _, *rest in scan_rows]
+    assert all(abs(float(row[3]) - report["closed_form_slope"]) < 1e-9 for row in rows)
+
+
 def test_gaussian_command_two_mode_flags_violations(tmp_path):
     code, report, csv_text = run_cli(["gaussian", "--preset", "dilation-2x1"], tmp_path)
     assert code == 2

@@ -13,7 +13,6 @@ from divscan.schur import (
     schur_channel,
     toeplitz_a,
     toeplitz_spectrum,
-    witness_growth,
 )
 
 from _reference import schur_kraus_by_diag
@@ -24,12 +23,23 @@ N4_SLOPE = 2.0 * np.sqrt(5.0)
 
 def test_toeplitz_matrix_shape_and_guards():
     a = toeplitz_a(3, 0.2)
+    assert np.array_equal(toeplitz_a(np.int64(3), 0.2), a)
     assert np.array_equal(np.diag(a), np.ones(3))
     assert a[0, 1] == 0.2 and a[1, 0] == 0.2 and a[0, 2] == 0.0
     with pytest.raises(DimensionMismatch):
         toeplitz_a(1, 0.2)
     with pytest.raises(OutsideValidityWindow):
         toeplitz_a(3, -0.1)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+def test_schur_size_must_be_an_integer(n):
+    """Every Schur builder reads n through toeplitz_a, which refuses a size
+    that is not an integer with DimensionMismatch, not numpy's TypeError."""
+    calls = ((toeplitz_a, (n, 0.1)), (schur_channel, (n, 0.1)), (hopping_witness, (n,)), (make_schur_family, (n,)))
+    for build, args in calls:
+        with pytest.raises(DimensionMismatch, match="as an integer"):
+            build(*args)
 
 
 def test_spectrum_formula_matches_eigensolve_up_to_n_100():
@@ -108,13 +118,6 @@ def test_hopping_witness_trace_norm_is_exactly_linear():
         for t in (0.1, 0.3, 0.45):
             val = trace_norm(schur_channel(n, t).apply(hopping_witness(n)))
             assert abs(val - slope * t) < 1e-10
-
-
-def test_witness_growth_rows_carry_closed_form_slope():
-    rows = witness_growth(4, np.linspace(0.05, 0.45, 5))
-    for t, norm, slope in rows:
-        assert abs(slope - N4_SLOPE) < 1e-12
-        assert abs(norm - N4_SLOPE * t) < 1e-10
 
 
 def test_scan_slope_matches_closed_form_n4_and_n8():

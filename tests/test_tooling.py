@@ -172,6 +172,21 @@ def test_hp_deviation_is_read_only_by_the_member_check():
     assert not stray, stray
 
 
+def test_trace_norms_are_taken_in_two_modules():
+    """A trace norm in src/ comes from operators.py or channels.py (whose
+    contractivity probe takes its own): nothing else calls trace_norm or
+    trace_norms, so a second norm route beside the scan's, such as a growth
+    table of its own in schur.py or cli.py, cannot grow back."""
+    callers = {
+        path.name
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in {"trace_norm", "trace_norms"}
+    }
+    assert callers == {"operators.py", "channels.py"}, callers
+
+
 def test_scan_norms_have_one_route():
     """Every norm the scan reads comes from one primitive: in
     divisibility.py, _apply, _support and _trace_norms are called only
