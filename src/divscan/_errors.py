@@ -45,7 +45,7 @@ class DegenerateDenominator(DivscanError):
 
 
 class InvalidFamily(DivscanError):
-    """Family construction failed validation; carries the first offending t."""
+    """A family's fields or members failed a check; carries the first offending t."""
 
     def __init__(self, message: str, t=None):
         super().__init__(message)

@@ -26,7 +26,7 @@ from ._errors import (
     HypothesisViolated,
     SingularChannel,
 )
-from .operators import _inexact, random_projector_difference, trace_norms, unvec, vec
+from .operators import _check_seed, _inexact, _is_count, random_projector_difference, trace_norms, unvec, vec
 
 # Not called here; perfbench/tracing.py wraps it under this name.
 from .operators import trace_norm  # noqa: F401
@@ -278,10 +278,11 @@ def positivity_by_contractivity(ch: Channel, n_samples: int = 400, seed: int = 7
 
     Returns a dict with keys `positive_evidence`, `witness`, `input_norm`,
     `output_norm`, `n_checked`. No witness means evidence of positivity, not
-    proof. Raises HypothesisViolated for non-TP input, and for an n_samples
-    that is not an integer >= 1, since an empty probe is no evidence.
+    proof. Raises HypothesisViolated for non-TP input, a seed _check_seed
+    refuses, or an n_samples below 1, since an empty probe is no evidence.
     """
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+    _check_seed(seed)
+    if not _is_count(n_samples, 1):
         raise HypothesisViolated(
             f"contractivity probe needs at least one sample: n_samples must be an integer >= 1, got {n_samples!r}"
         )

@@ -72,7 +72,7 @@ import numpy as np
 
 from ._errors import DimensionMismatch, DomainExceeded, HypothesisViolated, InvalidFamily, NonHermitianInput
 from .channels import RCOND, TP_HYPOTHESIS_ATOL, Channel, _apply, _matrix_to_json, _support
-from .operators import TAU_SLOPE, _trace_norms, _worker
+from .operators import TAU_SLOPE, _check_seed, _is_count, _trace_norms, _worker
 from .operators import random_hermitian, random_projector_difference, require_hermitian
 
 # Neither is called here; perfbench/tracing.py wraps each under this name.
@@ -129,6 +129,16 @@ class DynamicalFamily:
     witnesses: tuple = ()
     cp_witnesses: tuple = ()
 
+    def __post_init__(self):
+        """DimensionMismatch unless d is an integer >= 1, InvalidFamily unless
+        t_domain is two finite times lo < hi, kept as floats; no member is built."""
+        if not _is_count(self.d, 1):
+            raise DimensionMismatch(f"{self.name or 'family'} needs an integer dimension d >= 1, got d={self.d!r}")
+        dom = self.t_domain = tuple(map(float, self.t_domain))
+        if not (len(dom) == 2 and np.isfinite(dom).all() and dom[0] < dom[1]):
+            raise InvalidFamily(f"{self.name or 'family'} needs a domain of two finite times lo < hi, got {dom}")
+        self.witnesses, self.cp_witnesses = tuple(self.witnesses), tuple(self.cp_witnesses)
+
     def channel(self, t: float) -> Channel:
         """channel_at(t), checked here for every consumer: DomainExceeded
         outside t_domain, InvalidFamily naming t for a member that is not
@@ -154,16 +164,9 @@ class DynamicalFamily:
         return ch
 
 
-def make_dynamical_family(
-    channel_at,
-    d: int,
-    t_domain: tuple[float, float],
-    name: str = "",
-    witnesses=(),
-    cp_witnesses=(),
-    validate: bool = True,
-) -> DynamicalFamily:
-    """Build a family and check CP + TP on a 21-point validation grid.
+def make_dynamical_family(channel_at, d: int, t_domain: tuple[float, float], name: str = "",
+                          witnesses=(), cp_witnesses=()) -> DynamicalFamily:
+    """DynamicalFamily(...) with CP + TP checked on a 21-point validation grid.
 
     Each member comes through DynamicalFamily.channel, with its checks
     (dimension, finite, HP: NonHermitianInput naming t), and is then checked
@@ -171,21 +174,13 @@ def make_dynamical_family(
     member given only as a superoperator needs a Choi PSD test (at CP_ATOL).
     Raises InvalidFamily with the first offending t.
     """
-    fam = DynamicalFamily(
-        d=d,
-        t_domain=(float(t_domain[0]), float(t_domain[1])),
-        channel_at=channel_at,
-        name=name,
-        witnesses=tuple(witnesses),
-        cp_witnesses=tuple(cp_witnesses),
-    )
-    if validate:
-        for t in np.linspace(fam.t_domain[0], fam.t_domain[1], 21):
-            ch = fam.channel(float(t))
-            if not ch.is_tp(atol=TP_HYPOTHESIS_ATOL):
-                raise InvalidFamily(f"{name or 'family'} not TP at t={t}", t=float(t))
-            if not ch.is_cp():
-                raise InvalidFamily(f"{name or 'family'} not CP at t={t}", t=float(t))
+    fam = DynamicalFamily(d, t_domain, channel_at, name, witnesses, cp_witnesses)
+    for t in np.linspace(*fam.t_domain, 21):
+        ch = fam.channel(float(t))
+        if not ch.is_tp(atol=TP_HYPOTHESIS_ATOL):
+            raise InvalidFamily(f"{name or 'family'} not TP at t={t}", t=float(t))
+        if not ch.is_cp():
+            raise InvalidFamily(f"{name or 'family'} not CP at t={t}", t=float(t))
     return fam
 
 
@@ -193,7 +188,13 @@ def default_witnesses(d: int, rng: np.random.Generator, n_proj: int = 20, n_herm
     """The generic witness library: all E_ii - E_jj diagonal differences
     (seeded subsample above pair_cap), random rank-1 projector differences,
     and random Hermitian samples. Returns (id, matrix) pairs, the whole of
-    what _draws(d, rng, ...) yields; the scan streams _draws instead."""
+    what _draws(d, rng, ...) yields; the scan streams _draws instead. Every
+    argument is checked first (DimensionMismatch for d, else HypothesisViolated)."""
+    _check_seed(rng)
+    if not _is_count(d, 1):
+        raise DimensionMismatch(f"witnesses need an integer dimension d >= 1, got d={d!r}")
+    if not all(_is_count(n, 0) for n in (n_proj, n_herm, pair_cap)):
+        raise HypothesisViolated(f"need integers n_proj, n_herm, pair_cap >= 0, got {(n_proj, n_herm, pair_cap)}")
     return list(_draws(d, rng, n_proj, n_herm, pair_cap))
 
 
@@ -318,6 +319,7 @@ def _scan(fam, grid, h, witnesses, seed, tau_slope, mode, early_stop) -> Divisib
     _rose(up, down, dim) holds; the pick is the first strict maximum of the
     flagged slopes in (witness, t) order. With early stop it is taken over
     the witnesses up to the first flagged one, and the rows end there."""
+    _check_seed(seed)
     cp = mode == "CP"
     lo, hi = fam.t_domain
     if h is None:
@@ -389,8 +391,8 @@ def p_divisibility_scan(
     """Scan d/dt ||Lambda_t(X)||_1 over a witness library.
 
     h defaults to STENCIL_WIDTH times the domain span. HypothesisViolated
-    for an empty library, a grid that is empty or not 1-D, or an h or a
-    tau_slope that is not finite and positive; DomainExceeded when a
+    for a bad seed, an empty library, a grid that is empty or not 1-D, or an
+    h or a tau_slope that is not finite and positive; DomainExceeded when a
     stencil point t +/- h leaves the family domain.
     witnesses=None selects the canonical witnesses, then the default library.
     """

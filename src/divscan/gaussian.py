@@ -24,7 +24,7 @@ import numpy as np
 
 from ._errors import DimensionMismatch, InvalidChannel, InvalidFamily, InvalidState, SingularX
 from .divisibility import STENCIL_WIDTH, _check_stencil, _check_time, _rose, central_difference
-from .operators import TAU_SLOPE
+from .operators import TAU_SLOPE, _is_count
 
 VALID_ATOL = 1e-9
 DET_FLOOR = 1e-12  # |det X_t| at or below this: X_t counts as singular
@@ -135,10 +135,10 @@ def dilation_report(r1, t, r2, m_keep: int) -> dict:
     factor and the extracted pair. Returns the pair plus every validation
     flag so defective inputs are reported rather than fatal. Only shapes
     raise: DimensionMismatch unless R1, T and R2 share one 2m x 2m shape
-    and 1 <= m_keep <= m."""
+    and m_keep is an integer in [1, m]."""
     m_total = _mode_count("R1, T, R2", r1, t, r2)
-    if not 1 <= m_keep <= m_total:
-        raise DimensionMismatch(f"need 1 <= m_keep <= {m_total}, got {m_keep}")
+    if not (_is_count(m_keep, 1) and m_keep <= m_total):
+        raise DimensionMismatch(f"need 1 <= m_keep <= {m_total} as an integer, got {m_keep!r}")
     devs = {
         "R1": symplectic_deviation(r1),
         "T": symplectic_deviation(t),

@@ -23,8 +23,11 @@ import numpy as np
 
 from ._errors import DegenerateDenominator, DimensionMismatch, HypothesisViolated, InvalidFamily
 from .channels import TP_ATOL, Channel
-from .divisibility import DynamicalFamily, make_dynamical_family
-from .operators import vec
+from .divisibility import DynamicalFamily
+from .operators import _is_count, vec
+
+# Not called here; perfbench/tracing.py wraps it under this name.
+from .divisibility import make_dynamical_family  # noqa: F401
 
 COEFF_ATOL = 1e-12  # sign slack of closed-form coefficients and partial sums
 
@@ -39,10 +42,8 @@ class IdempotentParams:
     d: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or not isinstance(self.k, (int, np.integer)):
+        if not (_is_count(self.n, 1) and _is_count(self.k, 1)):
             raise DimensionMismatch(f"need n, k >= 1 as integers, got n={self.n!r}, k={self.k!r}")
-        if self.n < 1 or self.k < 1:
-            raise DimensionMismatch(f"need n, k >= 1, got n={self.n}, k={self.k}")
 
     def coeffs(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -170,30 +171,21 @@ def make_family(coeff_fns, n: int, k: int, t_domain, name: str = "",
     """Family Lambda_t = Phi(a_t, b_t, c_t, d_t) on C^(nk).
 
     coeff_fns maps t to the coefficient 4-tuple. Validity at construction:
-    coefficients sum to 1 (TP) and the CP condition holds at each of 41 grid
-    points; InvalidFamily carries the first offending t.
+    the family's fields, then TP (coefficients sum to 1) and the CP condition
+    at each of 41 grid points, which stand in for make_dynamical_family's
+    21-point check; InvalidFamily carries the first offending t.
     """
-    lo, hi = float(t_domain[0]), float(t_domain[1])
-    for t in np.linspace(lo, hi, 41):
+    def channel_at(t: float) -> Channel:
+        return phi(IdempotentParams(n, k, *coeff_fns(t)))
+
+    fam = DynamicalFamily(n * k, t_domain, channel_at, name or f"idempotent(n={n},k={k})", witnesses, cp_witnesses)
+    for t in np.linspace(*fam.t_domain, 41):
         a, b, c, d = coeff_fns(float(t))
         if abs(a + b + c + d - 1.0) > TP_ATOL:
             raise InvalidFamily(f"coefficients do not sum to 1 at t={t}", t=float(t))
         if not cp_condition(IdempotentParams(n, k, a, b, c, d)):
             raise InvalidFamily(f"CP condition fails at t={t}", t=float(t))
-
-    def channel_at(t: float) -> Channel:
-        a, b, c, d = coeff_fns(t)
-        return phi(IdempotentParams(n, k, a, b, c, d))
-
-    return make_dynamical_family(
-        channel_at,
-        d=n * k,
-        t_domain=(lo, hi),
-        name=name or f"idempotent(n={n},k={k})",
-        witnesses=witnesses,
-        cp_witnesses=cp_witnesses,
-        validate=False,  # already validated through the closed forms above
-    )
+    return fam
 
 
 def _row(n: int, k: int, coeffs) -> dict:

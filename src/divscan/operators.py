@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from ._errors import DimensionMismatch, NonHermitianInput
+from ._errors import DimensionMismatch, HypothesisViolated, NonHermitianInput
 
 TAU_HERM = 1e-10
 TAU_SLOPE = 1e-6
@@ -160,6 +160,17 @@ def _worker(size):
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(1, thread_name_prefix="divscan-eigvalsh")
+
+
+def _is_count(x, least: int) -> bool:
+    """True for an int or numpy integer x >= least; a bool is not a count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
+
+
+def _check_seed(seed) -> None:
+    """HypothesisViolated unless seed is a count >= 0 or a Generator; makes none."""
+    if not (_is_count(seed, 0) or isinstance(seed, np.random.Generator)):  # an int seed loads no numpy.random
+        raise HypothesisViolated(f"seed must be an integer >= 0 or a numpy Generator, got {seed!r}")
 
 
 def vec(x: np.ndarray) -> np.ndarray:

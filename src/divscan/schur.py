@@ -25,6 +25,7 @@ import numpy as np
 from ._errors import DimensionMismatch, OutsideValidityWindow
 from .channels import Channel
 from .divisibility import DOMAIN_ATOL, DynamicalFamily, make_dynamical_family
+from .operators import _is_count
 
 # Not called here; perfbench/tracing.py wraps it under this name.
 from .operators import trace_norm  # noqa: F401
@@ -32,7 +33,7 @@ from .operators import trace_norm  # noqa: F401
 
 def toeplitz_a(n: int, t: float) -> np.ndarray:
     """The mask matrix: ones on the diagonal, t on the off-diagonals."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
+    if not _is_count(n, 2):
         raise DimensionMismatch(f"need n >= 2 as an integer, got n={n!r}")
     if not t >= 0:
         raise OutsideValidityWindow(f"need t >= 0, got {t}")

@@ -650,13 +650,27 @@ def test_contractivity_probe_passes_cptp_channels():
     assert out["n_checked"] == 100
 
 
-@pytest.mark.parametrize("n_samples", [0, -1, 1.5, 2.0, "3"])
+@pytest.mark.parametrize("n_samples", [0, -1, 1.5, 2.0, "3", True])
 def test_contractivity_probe_without_samples_is_no_evidence(n_samples):
     """A probe that checks no operand has found nothing: it raises instead
     of reporting positive evidence with n_checked 0."""
     ch = random_cptp(3, 2, np.random.default_rng(18))
     with pytest.raises(HypothesisViolated, match="at least one sample"):
         positivity_by_contractivity(ch, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+@pytest.mark.parametrize("positive", [True, False])
+def test_contractivity_probe_refuses_a_bad_seed_whether_or_not_it_draws(positive, seed):
+    """The seed is checked before any work: a CPTP channel reaches the
+    random stage, which used to raise numpy's error, and a non-positive TP
+    map is settled by the sweep, which used to return its witness."""
+    d = 3
+    trace_block = np.outer(vec(np.eye(d)), vec(np.eye(d)).conj())
+    not_positive = super_channel((2.0 / d) * trace_block - np.eye(d * d), d)
+    ch = random_cptp(d, 2, np.random.default_rng(18)) if positive else not_positive
+    with pytest.raises(HypothesisViolated, match="seed must be an integer >= 0"):
+        positivity_by_contractivity(ch, n_samples=50, seed=seed)
 
 
 def test_contractivity_probe_witnesses_nonpositive_tp_map():

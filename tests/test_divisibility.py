@@ -268,10 +268,90 @@ def test_member_of_another_dimension_fails_at_construction(member_d):
     member = kraus_channel([np.eye(member_d)])
     with pytest.raises(DimensionMismatch, match=f"t=0.0 has dimension {member_d}, family dimension 4"):
         make_dynamical_family(d=4, t_domain=(0.0, 1.0), channel_at=lambda t: member, name="mixed")
-    fam = make_dynamical_family(d=4, t_domain=(0.0, 1.0), channel_at=lambda t: member, validate=False)
+    fam = DynamicalFamily(d=4, t_domain=(0.0, 1.0), channel_at=lambda t: member)
     for scan in (p_divisibility_scan, cp_divisibility_scan):
         with pytest.raises(DimensionMismatch, match=f"dimension {member_d}, family dimension 4"):
             scan(fam, grid=np.linspace(0.2, 0.8, 3), h=1e-4)
+
+
+def test_direct_family_keeps_its_domain_as_floats_and_witnesses_as_tuples():
+    """DynamicalFamily(...) built directly stores what make_dynamical_family
+    used to convert: the domain as a pair of floats, the witnesses as
+    tuples, so the two routes give the same fields."""
+    ch = kraus_channel([np.eye(2)])
+    w = np.diag([1.0, -1.0])
+    fam = DynamicalFamily(d=np.int64(2), t_domain=np.array([0, 1]), channel_at=lambda t: ch,
+                          witnesses=[w], cp_witnesses=iter([np.kron(w, w)]))
+    assert fam.t_domain == (0.0, 1.0) and all(type(t) is float for t in fam.t_domain)
+    assert isinstance(fam.witnesses, tuple) and isinstance(fam.cp_witnesses, tuple)
+    assert len(fam.witnesses) == len(fam.cp_witnesses) == 1
+    built = make_dynamical_family(lambda t: ch, 2, [0, 1], witnesses=[w])
+    assert (built.t_domain, type(built.witnesses)) == (fam.t_domain, tuple)
+
+
+@pytest.mark.parametrize(
+    "d, t_domain, error, match",
+    [
+        (2.5, (0.0, 1.0), DimensionMismatch, "integer dimension d >= 1, got d=2.5"),
+        (True, (0.0, 1.0), DimensionMismatch, "integer dimension d >= 1, got d=True"),
+        (0, (0.0, 1.0), DimensionMismatch, "integer dimension d >= 1, got d=0"),
+        (2, (1, 0), InvalidFamily, "lo < hi, got \\(1.0, 0.0\\)"),
+        (2, (0, np.nan), InvalidFamily, "two finite times"),
+    ],
+    ids=["d-float", "d-bool", "d-zero", "domain-reversed", "domain-nan"],
+)
+@pytest.mark.parametrize("build", [DynamicalFamily, make_dynamical_family])
+def test_family_checks_its_dimension_and_domain_however_it_is_built(build, d, t_domain, error, match):
+    """Both routes raise the family's own typed error before any member is
+    built: a dimension that is not an integer >= 1 (a bool is none) used to
+    fail only at the first member, or not at all, and a reversed domain
+    with "t=1.0 outside domain [1.0, 0.0]"."""
+
+    def never(t):
+        raise AssertionError("member built")
+
+    with pytest.raises(error, match=match):
+        build(d=d, t_domain=t_domain, channel_at=never, name="")
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True, "3"])
+@pytest.mark.parametrize("scan", [p_divisibility_scan, cp_divisibility_scan])
+@pytest.mark.parametrize("family", [unitary_family, generic_noncp_family])
+def test_scan_refuses_a_bad_seed_whether_or_not_it_draws(family, scan, seed):
+    """The seed is checked before any work: the unitary scans draw witnesses
+    and used to raise numpy's ValueError or TypeError, and generic-noncp
+    settles on a witness it does not draw and used to return its verdict."""
+    with pytest.raises(HypothesisViolated, match="seed must be an integer >= 0"):
+        scan(family(), grid=[0.5], seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+def test_intermediate_map_refuses_a_bad_seed(seed):
+    with pytest.raises(HypothesisViolated, match="seed must be an integer >= 0"):
+        intermediate_map(unitary_family(), 0.5, 1.5, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "d, seed, counts, error",
+    [
+        (3, 21, {"n_proj": 2.5}, HypothesisViolated),
+        (3, 21, {"n_proj": -1}, HypothesisViolated),
+        (3, 21, {"n_herm": True}, HypothesisViolated),
+        (3, 21, {"pair_cap": 1.5}, HypothesisViolated),
+        (3, -1, {}, HypothesisViolated),
+        (3, None, {}, HypothesisViolated),
+        (2.5, 21, {}, DimensionMismatch),
+        (True, 21, {}, DimensionMismatch),
+    ],
+    ids=["n_proj-float", "n_proj-negative", "n_herm-bool", "pair_cap-float", "seed-negative", "seed-none", "d-float",
+         "d-bool"],
+)
+def test_default_witnesses_refuses_bad_counts_dimension_and_seed(d, seed, counts, error):
+    """default_witnesses used to raise numpy's or range's errors for these,
+    to draw no projector difference for n_proj=-1, and to draw from fresh
+    entropy for seed=None."""
+    with pytest.raises(error):
+        default_witnesses(d, seed, **counts)
 
 
 def test_kraus_members_are_certified_cp_without_a_choi_eigensolve(monkeypatch):

@@ -200,6 +200,14 @@ def test_dilation_keep_range_checked():
         dilation_report(np.eye(4), np.eye(4), np.eye(4), m_keep=3)
 
 
+@pytest.mark.parametrize("m_keep", [1.5, True])
+def test_dilation_keep_must_be_an_integer(m_keep):
+    """A non-integer mode count, a bool included, is a DimensionMismatch,
+    not range's TypeError."""
+    with pytest.raises(DimensionMismatch, match="m_keep"):
+        dilation_report(np.eye(4), np.eye(4), np.eye(4), m_keep=m_keep)
+
+
 def test_reconstructed_l_matches_frozen_closed_form():
     from divscan.presets import _DIL2_R1, _DIL2_R2, _dil2_t
 

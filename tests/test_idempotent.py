@@ -76,7 +76,7 @@ def test_basis_products_collapse_to_the_coarser_projection():
             assert np.max(np.abs(supers[i] @ supers[j] - expect)) < 1e-12
 
 
-@pytest.mark.parametrize("n, k", [(0, 2), (2, 0), (-1, 2), (2.5, 2), (2, 2.0)])
+@pytest.mark.parametrize("n, k", [(0, 2), (2, 0), (-1, 2), (2.5, 2), (2, 2.0), (True, 2), (2, True)])
 def test_phi_rejects_empty_or_negative_block_counts(n, k):
     """IdempotentParams itself rejects the block counts, so every closed
     form raises DimensionMismatch, not a ZeroDivisionError, nor the
@@ -313,6 +313,19 @@ def test_make_family_rejects_non_unit_sum():
 
     with pytest.raises(InvalidFamily):
         make_family(fns, 2, 2, (0.0, 1.0), name="bad-sum")
+
+
+@pytest.mark.parametrize("t_domain", [(1.0, 0.0), (0.0, np.inf)])
+def test_make_family_refuses_a_domain_that_is_not_an_interval(t_domain):
+    """make_family builds its DynamicalFamily directly, so the family's own
+    domain check runs before the closed forms: a reversed domain used to be
+    accepted."""
+
+    def fns(t):
+        return (0.25, 0.25, 0.25, 0.25)
+
+    with pytest.raises(InvalidFamily, match="two finite times lo < hi"):
+        make_family(fns, 2, 2, t_domain)
 
 
 def test_make_family_rejects_non_cp_instants():

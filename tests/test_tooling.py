@@ -58,6 +58,38 @@ def test_perfbench_tracer_resolves_every_site():
     assert divscan.presets.extend_channel is extend
 
 
+# the names src/ imports only so that perfbench/tracing.py can wrap them
+# there (ROADMAP item 2, stage A, drops them)
+KEPT_FOR_TRACER = {
+    ("channels", "trace_norm"),
+    ("divisibility", "extend_channel"),
+    ("divisibility", "trace_norm"),
+    ("idempotent", "make_dynamical_family"),
+    ("presets", "extend_channel"),
+    ("schur", "trace_norm"),
+}
+
+
+def test_unused_imports_are_tracer_sites():
+    """Every import in src/ marked `# noqa: F401` binds a name that
+    tracing.SITES wraps in that module, and the list is exactly
+    KEPT_FOR_TRACER, so no unused import hides behind the marker and none
+    is added or dropped unnoticed."""
+    sites = {
+        (module.removeprefix("divscan."), attr)
+        for names, _ in _load_tracing().SITES.values()
+        for module, attr in (site.split(":") for site in names)
+    }
+    kept = set()
+    for path in sorted((ROOT / "src" / "divscan").glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and "# noqa: F401" in lines[node.end_lineno - 1]:
+                kept |= {(path.stem, alias.asname or alias.name) for alias in node.names}
+    assert kept == KEPT_FOR_TRACER, kept
+    assert kept <= sites, kept - sites
+
+
 def test_perfbench_tracer_records_cli_spans(tmp_path, monkeypatch):
     """The names tracing.py wraps in divscan.cli are looked up when a runner
     runs, so a traced CLI run records the scan, closed-form, determinant and
