@@ -1,9 +1,10 @@
 """Finite-dimensional channels: each held as its superoperator (Kraus
-operators kept only as the CP certificate), Choi matrices, composition,
-inversion, and the contractivity-based positivity probe. Every application
-of a superoperator goes through stacked_apply's routes (_apply, which the
-divisibility scan calls directly): I_m (x) Lambda on a stack of (m d) x (m d)
-operands, m read from their shape, so Lambda and I (x) Lambda share a route.
+operators kept, as one stack, only as the CP certificate), Choi matrices,
+composition, inversion, and the contractivity-based positivity probe. Every
+application of a superoperator goes through stacked_apply's routes (_apply,
+which the divisibility scan calls directly): I_m (x) Lambda on a stack of
+(m d) x (m d) operands, m read from their shape, so Lambda and I (x) Lambda
+share a route.
 
 Conventions (column-stacking, fixed package-wide):
 
@@ -39,6 +40,23 @@ GROWTH_ATOL = 1e-9  # trace-norm growth that certifies non-positivity
 PROBE_HERM_ATOL = 1e-8  # Hermiticity slack of probed images
 
 
+def _kraus_stack(kraus, d: int | None = None) -> np.ndarray:
+    """The Kraus set as one (m, d_out, d_in) array, converted once by
+    _inexact: the form Channel keeps and kraus_to_super reads, so a stack
+    passes through unchanged. Raises DimensionMismatch unless there is at
+    least one K_m and all are matrices of one shape, d x d when d is given;
+    a ragged set, which numpy refuses with ValueError, is one of these."""
+    try:
+        stack = _inexact(kraus)
+    except ValueError:  # numpy's error for a ragged set
+        stack = None
+    if stack is None or stack.ndim != 3 or not len(stack) or d is not None and stack.shape[1:] != (d, d):
+        got = "a ragged set" if stack is None else f"a stack of shape {stack.shape}, operator shape {stack.shape[1:]}"
+        where = "" if d is None else f", which does not match d={d}"
+        raise DimensionMismatch(f"need at least one Kraus operator, all matrices of one shape; got {got}{where}")
+    return stack
+
+
 def kraus_to_super(kraus) -> np.ndarray:
     """sum_m kron(conj(K_m), K_m) from the Gram matrix of the entries the
     K_m occupy: with F_C[m, p] = K_m[i_p, j_p] over the positions (i_p, j_p)
@@ -46,14 +64,10 @@ def kraus_to_super(kraus) -> np.ndarray:
     ((i_p, i_q), (j_p, j_q)) and goes straight there; the rest is exact
     zeros. The product is a gemm over two buffers, conj(F_C) and F_C: numpy
     sends a.T @ a on one real buffer to syrk, which rounds differently. Real
-    Kraus operators give a real superoperator. Raises DimensionMismatch
-    unless the K_m are matrices of one shape."""
-    ks = [np.asarray(k) for k in kraus]
-    shape = ks[0].shape if ks else ()
-    if len(shape) != 2 or any(k.shape != shape for k in ks):
-        raise DimensionMismatch("Kraus operators must be matrices of one shape")
-    d_out, d_in = shape
-    stack = _inexact(np.stack(ks))
+    Kraus operators give a real superoperator. The K_m are read as one
+    stack (_kraus_stack), with its DimensionMismatch."""
+    stack = _kraus_stack(kraus)
+    _, d_out, d_in = stack.shape
     i, j = np.nonzero(stack.any(axis=0))
     fc = stack[:, i, j]
     s = np.zeros((d_out, d_out, d_in, d_in), dtype=stack.dtype)
@@ -65,23 +79,19 @@ class Channel:
     """A linear map on d x d matrices, held as its d^2 x d^2 superoperator
     `super`, formed once at construction; every computation runs on it.
     Exactly one form is given, and d >= 1, else DimensionMismatch: Kraus
-    operators build `super` and are kept as `kraus` only to certify CP, so
-    they certify no map but the one built from them.
+    operators build `super` and are kept as `kraus`, one (m, d, d) array
+    (_kraus_stack, with its DimensionMismatch), only to certify CP, so they
+    certify no map but the one built from them.
     Real Kraus operators or a real superoperator stay float64, and so does
     apply() of a real operand.
     """
 
     def __init__(self, d: int, kraus=None, super_matrix=None):
         self.d = int(d)
-        self.kraus = None if kraus is None else tuple(_inexact(k) for k in kraus)
-        if self.kraus is not None and not self.kraus:
-            raise DimensionMismatch("need at least one Kraus operator")
         if (kraus is None) == (super_matrix is None) or self.d < 1:
             raise DimensionMismatch(f"need d >= 1 and exactly one of Kraus operators and a superoperator; d={d}")
-        for k in self.kraus or ():
-            if k.shape != (d, d):
-                raise DimensionMismatch(f"Kraus shape {k.shape} does not match d={d}")
-        self.super = kraus_to_super(self.kraus) if super_matrix is None else _inexact(super_matrix)
+        self.kraus = None if kraus is None else _kraus_stack(kraus, self.d)
+        self.super = _inexact(super_matrix) if self.kraus is None else kraus_to_super(self.kraus)
         if self.super.shape != (d * d, d * d):
             raise DimensionMismatch(f"superoperator shape {self.super.shape} does not match d={d}")
 
@@ -119,10 +129,9 @@ class Channel:
 
 
 def kraus_channel(kraus) -> Channel:
-    ks = [np.asarray(k) for k in kraus]
-    if ks and ks[0].ndim != 2:
-        raise DimensionMismatch(f"Kraus operators must be d x d matrices, got shape {ks[0].shape}")
-    return Channel(d=ks[0].shape[0] if ks else 0, kraus=ks)
+    """The channel of a Kraus set, d read from its operators' rows."""
+    stack = _kraus_stack(kraus)
+    return Channel(d=stack.shape[1], kraus=stack)
 
 
 def super_channel(s: np.ndarray, d: int) -> Channel:

@@ -99,6 +99,19 @@ def _check_time(t: float, domain: tuple[float, float], what: str = "t") -> None:
         raise DomainExceeded(f"{what}={t} outside domain [{lo}, {hi}]")
 
 
+def _domain(t_domain, name: str) -> tuple[float, float]:
+    """The domain rule of every family type: t_domain as two floats, lo < hi
+    and both finite; else InvalidFamily naming the family, a domain that is
+    not two numbers (a scalar, a string, a nested pair) included."""
+    try:
+        lo, hi = dom = tuple(np.asarray(t_domain, dtype=float).tolist())
+    except (TypeError, ValueError):
+        lo, hi, dom = np.nan, np.nan, t_domain
+    if not -np.inf < lo < hi < np.inf:
+        raise InvalidFamily(f"{name} needs a domain of two finite times lo < hi, got {dom!r}")
+    return dom
+
+
 def _check_stencil(grid: np.ndarray, h, tau_slope, domain: tuple[float, float]) -> None:
     """The stencil rule: a non-empty 1-D grid, a finite h > 0 and a finite
     tau_slope > 0, else HypothesisViolated; every t +/- h in the domain,
@@ -131,12 +144,11 @@ class DynamicalFamily:
 
     def __post_init__(self):
         """DimensionMismatch unless d is an integer >= 1, InvalidFamily unless
-        t_domain is two finite times lo < hi, kept as floats; no member is built."""
+        t_domain is two finite times lo < hi, kept as floats (_domain); no
+        member is built."""
         if not _is_count(self.d, 1):
             raise DimensionMismatch(f"{self.name or 'family'} needs an integer dimension d >= 1, got d={self.d!r}")
-        dom = self.t_domain = tuple(map(float, self.t_domain))
-        if not (len(dom) == 2 and np.isfinite(dom).all() and dom[0] < dom[1]):
-            raise InvalidFamily(f"{self.name or 'family'} needs a domain of two finite times lo < hi, got {dom}")
+        self.t_domain = _domain(self.t_domain, self.name or "family")
         self.witnesses, self.cp_witnesses = tuple(self.witnesses), tuple(self.cp_witnesses)
 
     def channel(self, t: float) -> Channel:
@@ -467,13 +479,15 @@ def intermediate_map(fam: DynamicalFamily, s: float, t: float, seed: int = 7) ->
 
     Returns {"map": Channel, "cp": bool, "p": ...} where "p" is the
     sampling-based contractivity report for the connecting map (evidence,
-    not proof). Propagates SingularChannel (with the singular-value
-    report) when Lambda_s is not invertible at RCOND; the CLI reports it
-    and exits 1. Falling back to kernel_inclusion_report there is open
-    (ROADMAP item 9, step 1).
+    not proof). HypothesisViolated for a seed _check_seed refuses, before
+    any member is built or inverted. Propagates SingularChannel (with the
+    singular-value report) when Lambda_s is not invertible at RCOND; the CLI
+    reports it and exits 1. Falling back to kernel_inclusion_report there is
+    open (ROADMAP item 9, step 1).
     """
     from .channels import compose, inverse, positivity_by_contractivity
 
+    _check_seed(seed)
     ch_s, ch_t = _members(fam, s, t)
     mid = compose(ch_t, inverse(ch_s))
     contr = positivity_by_contractivity(mid, seed=seed)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._errors import DimensionMismatch, InvalidChannel, InvalidFamily, InvalidState, SingularX
-from .divisibility import STENCIL_WIDTH, _check_stencil, _check_time, _rose, central_difference
+from .divisibility import STENCIL_WIDTH, _check_stencil, _check_time, _domain, _rose, central_difference
 from .operators import TAU_SLOPE, _is_count
 
 VALID_ATOL = 1e-9
@@ -158,20 +158,43 @@ def dilation_report(r1, t, r2, m_keep: int) -> dict:
 
 @dataclass
 class GaussianFamily:
+    """Time-indexed family of Gaussian channels (X_t, Y_t) on m modes."""
+
     m: int
     generator: object  # t -> GaussianPair
     t_domain: tuple[float, float]
     name: str = ""
 
+    def __post_init__(self):
+        """DimensionMismatch unless m is an integer >= 1, InvalidFamily unless
+        t_domain is two finite times lo < hi, kept as floats (the domain rule
+        of DynamicalFamily); no pair is built."""
+        if not _is_count(self.m, 1):
+            raise DimensionMismatch(f"{self.name or 'gaussian family'} needs an integer m >= 1, got m={self.m!r}")
+        self.t_domain = _domain(self.t_domain, self.name or "gaussian family")
+
     def pair(self, t: float) -> GaussianPair:
+        """generator(t), checked here for every consumer: DomainExceeded
+        outside t_domain, InvalidFamily naming t for a member that is not a
+        GaussianPair, DimensionMismatch for one on another mode count than m
+        or whose X or Y is not 2m x 2m, and InvalidFamily naming t for a
+        non-finite X or Y."""
         _check_time(t, self.t_domain)
-        return self.generator(t)
+        p, name = self.generator(t), self.name or "gaussian family"
+        if not isinstance(p, GaussianPair):
+            raise InvalidFamily(f"{name} gave a {type(p).__name__}, not a GaussianPair, at t={t}", t=t)
+        if p.m != self.m or {np.shape(p.x), np.shape(p.y)} != {(2 * self.m, 2 * self.m)}:
+            raise DimensionMismatch(f"pair at t={t}: m={p.m}, X {np.shape(p.x)}, Y {np.shape(p.y)}; family m={self.m}")
+        if not (np.isfinite(p.x).all() and np.isfinite(p.y).all()):
+            raise InvalidFamily(f"{name} has a non-finite X or Y at t={t}", t=t)
+        return p
 
 
 def make_gaussian_family(generator, m: int, t_domain, name: str = "") -> GaussianFamily:
-    """GaussianFamily(...) checked: InvalidFamily at its first invalid pair of 9."""
-    fam = GaussianFamily(m=m, generator=generator, t_domain=(float(t_domain[0]), float(t_domain[1])), name=name)
-    for t in np.linspace(fam.t_domain[0], fam.t_domain[1], 9):
+    """GaussianFamily(...), with its checks, plus InvalidFamily at its first
+    invalid pair of 9."""
+    fam = GaussianFamily(m=m, generator=generator, t_domain=t_domain, name=name)
+    for t in np.linspace(*fam.t_domain, 9):
         p = fam.pair(float(t))
         if not p.is_valid():
             raise InvalidFamily(

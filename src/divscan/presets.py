@@ -270,7 +270,8 @@ def gaussian_pair_at(preset: str, t: float) -> dict:
 
 def gaussian_family(preset: str) -> GaussianFamily:
     """The preset's dilated pairs (X_t, Y_t) as a family on its kept modes;
-    each pair is extracted from the dilation and nothing is validated."""
+    each pair is extracted from the dilation, and only GaussianFamily.pair's
+    member checks run: the pair's validity is reported, not checked."""
     cfg = GAUSSIAN_PRESETS[preset]
     factors, m_keep = cfg["factors"], cfg["m_keep"]
     return GaussianFamily(m_keep, lambda t: dilate(*factors(t), m_keep)[1], cfg["t_domain"], preset)

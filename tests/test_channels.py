@@ -149,7 +149,7 @@ def _kraus_members(case):
     return [fam.channel(float(t)) for t in times.ravel()]
 
 
-@pytest.mark.parametrize("case", ["schur-8", "schur-12", "schur-16", "unitary", "generic-noncp"])
+@pytest.mark.parametrize("case", ["schur-8", "schur-12", "schur-16", "unitary", "generic-noncp", "schur-4"])
 def test_kraus_superoperator_is_bitwise_the_full_gram_build(case):
     """kraus_to_super multiplies only the occupied columns of F, and the
     result equals the full F^H F route bit for bit, signs of zero included.
@@ -160,6 +160,31 @@ def test_kraus_superoperator_is_bitwise_the_full_gram_build(case):
         want = kraus_to_super_full(ch.kraus)
         assert ch.super.dtype == want.dtype and ch.super.shape == want.shape
         assert ch.super.tobytes() == want.tobytes(), "differs from the full Gram build"
+
+
+@pytest.mark.parametrize("case", ["schur-4", "schur-12", "schur-16", "unitary", "generic-noncp"])
+def test_kraus_set_is_kept_as_one_stack(case):
+    """A Channel keeps its Kraus operators as one (m, d, d) array, the one
+    kraus_to_super reads; test_kraus_superoperator_is_bitwise_the_full_gram_build
+    checks its superoperator against the operators listed one by one."""
+    for ch in _kraus_members(case)[::20]:
+        assert isinstance(ch.kraus, np.ndarray) and ch.kraus.ndim == 3 and ch.kraus.shape[1:] == (ch.d, ch.d)
+
+
+def test_mixed_real_and_complex_kraus_operators_become_one_complex_stack():
+    rng = np.random.default_rng(34)
+    real, cplx = rng.normal(size=(3, 3)), rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    ch = kraus_channel([real, cplx])
+    assert isinstance(ch.kraus, np.ndarray) and ch.kraus.dtype == complex
+    assert np.array_equal(ch.kraus, np.stack([real, cplx]))
+
+
+@pytest.mark.parametrize("build", [kraus_to_super, kraus_channel])
+def test_ragged_kraus_set_raises_dimension_mismatch(build):
+    """A Kraus operator numpy cannot read as a matrix makes the set ragged:
+    a typed error, not numpy's ValueError."""
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        build([np.eye(2), [[1.0, 0.0], [0.0]]])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 16])
@@ -279,8 +304,9 @@ def test_channel_takes_exactly_one_form_on_a_positive_dimension():
         lambda: Channel(2, super_matrix=np.eye(3)),
         lambda: Channel(2, super_matrix=np.eye(8)),
         lambda: compose(super_channel(np.eye(4), 2), super_channel(np.eye(9), 3)),
+        lambda: Channel(2, kraus=[np.eye(2), [[1.0, 0.0], [0.0]]]),
     ],
-    ids=["kraus-3x3", "kraus-2x3", "super-3x3", "super-8x8", "compose-2-3"],
+    ids=["kraus-3x3", "kraus-2x3", "super-3x3", "super-8x8", "compose-2-3", "kraus-ragged"],
 )
 def test_operators_of_another_dimension_raise_dimension_mismatch(build):
     """A Kraus operator that is not d x d, a superoperator that is not

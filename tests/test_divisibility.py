@@ -297,8 +297,13 @@ def test_direct_family_keeps_its_domain_as_floats_and_witnesses_as_tuples():
         (0, (0.0, 1.0), DimensionMismatch, "integer dimension d >= 1, got d=0"),
         (2, (1, 0), InvalidFamily, "lo < hi, got \\(1.0, 0.0\\)"),
         (2, (0, np.nan), InvalidFamily, "two finite times"),
+        (2, 1.0, InvalidFamily, "two finite times lo < hi, got 1.0"),
+        (2, ("a", 1), InvalidFamily, "two finite times lo < hi, got \\('a', 1\\)"),
+        (2, "12", InvalidFamily, "two finite times lo < hi, got '12'"),
     ],
-    ids=["d-float", "d-bool", "d-zero", "domain-reversed", "domain-nan"],
+    ids=[
+        "d-float", "d-bool", "d-zero", "domain-reversed", "domain-nan", "domain-scalar", "domain-string", "domain-text"
+    ],
 )
 @pytest.mark.parametrize("build", [DynamicalFamily, make_dynamical_family])
 def test_family_checks_its_dimension_and_domain_however_it_is_built(build, d, t_domain, error, match):
@@ -329,6 +334,18 @@ def test_scan_refuses_a_bad_seed_whether_or_not_it_draws(family, scan, seed):
 def test_intermediate_map_refuses_a_bad_seed(seed):
     with pytest.raises(HypothesisViolated, match="seed must be an integer >= 0"):
         intermediate_map(unitary_family(), 0.5, 1.5, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+def test_intermediate_map_checks_its_seed_before_the_inverse(seed):
+    """A bad seed is reported whether or not Lambda_s is invertible: after
+    the zero map it used to surface as SingularChannel."""
+    zero, one = super_channel(np.zeros((D * D, D * D)), D), super_channel(np.eye(D * D), D)
+    fam = DynamicalFamily(d=D, t_domain=(0.0, 1.0), channel_at=lambda t: zero if t < 0.5 else one, name="zero-one")
+    with pytest.raises(SingularChannel):
+        intermediate_map(fam, 0.2, 0.5)
+    with pytest.raises(HypothesisViolated, match="seed must be an integer >= 0"):
+        intermediate_map(fam, 0.2, 0.5, seed=seed)
 
 
 @pytest.mark.parametrize(

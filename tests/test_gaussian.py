@@ -423,6 +423,57 @@ def test_make_gaussian_family_returns_a_valid_family():
     assert det_x(fam, 0.5) == pytest.approx(np.exp(-0.5), abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "m, t_domain, error, match",
+    [
+        (True, (0.0, 1.0), DimensionMismatch, "integer m >= 1, got m=True"),
+        (0, (0.0, 1.0), DimensionMismatch, "integer m >= 1, got m=0"),
+        (2.5, (0.0, 1.0), DimensionMismatch, "integer m >= 1, got m=2.5"),
+        (1, (1, 0), InvalidFamily, "lo < hi, got \\(1.0, 0.0\\)"),
+        (1, (0, np.nan), InvalidFamily, "two finite times"),
+        (1, 1.0, InvalidFamily, "two finite times lo < hi, got 1.0"),
+        (1, ("a", 1), InvalidFamily, "two finite times lo < hi, got \\('a', 1\\)"),
+        (1, "12", InvalidFamily, "two finite times lo < hi, got '12'"),
+    ],
+    ids=[
+        "m-bool", "m-zero", "m-float", "domain-reversed", "domain-nan", "domain-scalar", "domain-string", "domain-text"
+    ],
+)
+@pytest.mark.parametrize("build", [GaussianFamily, make_gaussian_family])
+def test_gaussian_family_checks_its_mode_count_and_domain_however_it_is_built(build, m, t_domain, error, match):
+    """Both routes raise the family's own typed error before any pair is
+    built, with the domain rule of DynamicalFamily: a reversed domain used
+    to fail with DomainExceeded at its first pair, and m=True was kept."""
+
+    def never(t):
+        raise AssertionError("pair built")
+
+    with pytest.raises(error, match=match):
+        build(m=m, generator=never, t_domain=t_domain, name="")
+
+
+@pytest.mark.parametrize(
+    "m, generator, error",
+    [
+        (1, lambda t: (np.eye(2), np.eye(2)), InvalidFamily),
+        (2, lambda t: make_pair(np.eye(2), np.zeros((2, 2))), DimensionMismatch),
+        (1, lambda t: GaussianPair(m=1, x=np.full((2, 2), np.nan), y=np.eye(2)), InvalidFamily),
+        (1, lambda t: GaussianPair(m=1, x=np.eye(2), y=np.full((2, 2), np.inf)), InvalidFamily),
+    ],
+    ids=["not-a-pair", "one-mode-pairs-of-a-two-mode-family", "nan-x", "inf-y"],
+)
+def test_det_scan_refuses_a_member_that_fails_the_family_checks(m, generator, error):
+    """GaussianFamily.pair checks each member for every consumer, as
+    DynamicalFamily.channel does: a member that is not a GaussianPair used to
+    raise AttributeError, one-mode pairs of an m=2 family were scanned with
+    the rise rule sized 2m = 4, and a non-finite X gave NaN rows that read
+    as no violation. Each is now a typed error, the InvalidFamily naming t."""
+    fam = GaussianFamily(m=m, generator=generator, t_domain=(0.0, 1.0), name="bad")
+    with pytest.raises(error, match="t=0.6") as err:
+        det_criterion_scan(fam, [0.5], h=0.1)
+    assert error is DimensionMismatch or err.value.t == 0.6
+
+
 def test_covariance_maps_reject_mismatched_or_invalid_inputs():
     """apply_to_covariance checks the covariance's shape against the pair,
     then the pair's validity; compose_pairs checks the mode counts."""
